@@ -1,9 +1,10 @@
-"""Shared machinery for the benchmark harness.
+"""Shared machinery for the artifact-regeneration harness.
 
-Every benchmark regenerates one paper artifact (figure or table),
-measures how long the regeneration takes, writes the rendered
-rows/series to ``results/<experiment id>.txt``, and echoes them to
-stdout (visible with ``pytest -s``).
+Every ``bench_*.py`` test regenerates one paper artifact (figure or
+table), writes the rendered rows/series to
+``results/<experiment id>.txt``, echoes them to stdout (visible with
+``pytest -s``) and asserts the artifact's shape.  Nothing here is
+timed: ``benchmarks/e2e`` is the only code that measures speed.
 
 The scale defaults to ``smoke`` so the whole harness runs in minutes;
 set ``REPRO_BENCH_SCALE=small`` or ``=paper`` to reproduce at higher
@@ -33,24 +34,18 @@ def bench_scale() -> str:
 
 
 @pytest.fixture
-def regenerate(benchmark):
-    """Run one experiment under the benchmark timer and report it."""
+def regenerate():
+    """Run one experiment and write its rendered report to ``results/``."""
 
     def runner(experiment_id: str):
-        result = benchmark.pedantic(
-            run_experiment,
-            args=(experiment_id,),
-            kwargs={"scale": BENCH_SCALE, "master_seed": BENCH_SEED},
-            rounds=1,
-            iterations=1,
+        result = run_experiment(
+            experiment_id, scale=BENCH_SCALE, master_seed=BENCH_SEED
         )
         report = render(result)
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{experiment_id}.txt").write_text(report)
         print()
         print(report)
-        benchmark.extra_info["experiment"] = experiment_id
-        benchmark.extra_info["scale"] = BENCH_SCALE
         return result
 
     return runner

@@ -103,8 +103,3 @@ class WireFormatError(ReproError):
     of the driver's Byzantine "tamper detected, message rejected"
     handling: the frame is refused at the boundary, never half-applied.
     """
-
-
-class BenchError(ReproError):
-    """A benchmark scenario is unknown, misconfigured, or self-checked
-    its workload and found it did not execute as pinned."""

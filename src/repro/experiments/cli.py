@@ -16,8 +16,6 @@ Examples::
     repro-experiments explain ykd --changes 4 --runs 50 --timeline
     repro-experiments explain ykd --replay repro.json --html report.html
     repro-experiments explain --replay case.trace.jsonl
-    repro-experiments bench
-    repro-experiments bench campaign --quick --max-regression 0.25
     repro-experiments serve --replicas 3 --port 8080
     repro-experiments load --seed 7 --schedule cascade --verify-replay
 """
@@ -302,47 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the recorded trace as canonical JSONL",
-    )
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="run the pinned-seed throughput benchmarks and record "
-        "BENCH_<scenario>.json, flagging regressions vs the previous files",
-    )
-    bench_parser.add_argument(
-        "scenarios",
-        nargs="*",
-        default=None,
-        help="scenario names to run (default: all)",
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized workloads (same hot paths, a few seconds)",
-    )
-    bench_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=Path("."),
-        help="where the BENCH_<scenario>.json files live (default: repo root)",
-    )
-    bench_parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=None,
-        help="relative rounds/sec drop vs the previous file that fails "
-        "the run (default: 0.10)",
-    )
-    bench_parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="compare against the committed files without rewriting them",
-    )
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help="run each scenario N times and report the fastest (noise guard)",
     )
 
     add_service_parsers(sub)
@@ -934,35 +891,6 @@ def _check(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _bench(args: argparse.Namespace) -> int:
-    from repro.bench import DEFAULT_REGRESSION_THRESHOLD, run_bench
-    from repro.errors import BenchError
-
-    threshold = (
-        args.max_regression
-        if args.max_regression is not None
-        else DEFAULT_REGRESSION_THRESHOLD
-    )
-    try:
-        comparisons = run_bench(
-            scenario_names=args.scenarios or None,
-            quick=args.quick,
-            output_dir=args.output_dir,
-            threshold=threshold,
-            write=not args.no_write,
-            repeats=args.repeats,
-        )
-    except BenchError as error:
-        print(f"bench error: {error}", file=sys.stderr)
-        return 2
-    regressed = [c for c in comparisons if c.regressed]
-    if regressed:
-        names = ", ".join(c.scenario for c in regressed)
-        print(f"bench FAILED: regression in {names}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     raw = sys.argv[1:] if argv is None else list(argv)
@@ -1013,8 +941,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _check(args)
     if args.command == "explain":
         return _explain(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "serve":
         return run_serve(args)
     if args.command == "load":

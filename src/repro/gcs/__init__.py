@@ -13,7 +13,6 @@ processes exchanging datagrams over real sockets.
 
 from repro.gcs.adapter import AlgorithmOnGCS, PrimaryComponentService
 from repro.gcs.membership import AgreedView, MembershipAgent, ViewId
-from repro.gcs.packets import PacketNetwork
 from repro.gcs.stack import Delivered, GCSCluster, GCSEvent, GCStack, ViewInstalled
 from repro.gcs.transport import (
     Datagram,
@@ -35,7 +34,6 @@ __all__ = [
     "GCStack",
     "MembershipAgent",
     "MemoryTransport",
-    "PacketNetwork",
     "PrimaryComponentService",
     "TcpTransport",
     "Transport",

@@ -43,13 +43,6 @@ class GCSCaseConfig:
     #: and collect every view's agreement window on the result — the
     #: GCS analogue of the driver campaigns' causal spans.
     collect_view_spans: bool = False
-    #: Packet backend for every run's cluster.  Only ``"memory"`` is
-    #: supported: a campaign is a replayable statistical study, and the
-    #: wall-clock network backends are neither deterministic nor fast
-    #: enough for hundreds of runs.  Anything else is refused loudly
-    #: with :class:`~repro.errors.UnsupportedTransportConfig` — run
-    #: network convergence through :mod:`repro.gcs.proc` instead.
-    transport: str = "memory"
 
 
 @dataclass
@@ -80,15 +73,6 @@ def run_gcs_case(config: GCSCaseConfig) -> GCSCaseResult:
     The fault RNG label excludes the algorithm name, so — like the
     driver campaigns — every algorithm faces identical fault sequences.
     """
-    if config.transport != "memory":
-        from repro.errors import UnsupportedTransportConfig
-
-        raise UnsupportedTransportConfig(
-            f"GCS campaigns run on the in-memory transport only, not "
-            f"{config.transport!r}: availability statistics need "
-            "deterministic replayable runs; drive network backends "
-            "through repro.gcs.proc or GCSCluster(transport=...)"
-        )
     result = GCSCaseResult(config=config)
     generator = UniformChangeGenerator()
     probability = 1.0 / (1.0 + config.mean_ticks_between_changes)

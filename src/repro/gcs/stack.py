@@ -17,7 +17,6 @@ point-to-point packets.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -164,8 +163,6 @@ class GCSCluster:
     ``"udp"``, ``"tcp"``) or a constructed
     :class:`~repro.gcs.transport.Transport` — e.g. a
     ``MemoryTransport(link=LinkFaults(...))`` to inject wire faults.
-    The legacy ``.network`` attribute remains readable as a deprecated
-    alias of ``.transport``.
     """
 
     def __init__(
@@ -195,16 +192,6 @@ class GCSCluster:
             for pid in sorted(universe)
         }
         self.ticks = 0
-
-    @property
-    def network(self) -> Transport:
-        """Deprecated alias of :attr:`transport` (the pre-seam name)."""
-        warnings.warn(
-            "GCSCluster.network is deprecated; use GCSCluster.transport",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.transport
 
     # ------------------------------------------------------------------
     # Topology control.

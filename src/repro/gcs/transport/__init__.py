@@ -4,8 +4,7 @@ The supported surface (see ``docs/transports.md``):
 
 * :class:`Transport` — the driver interface every backend implements.
 * :class:`Datagram` — the unicast packet as the stack sees it.
-* :class:`MemoryTransport` — the deterministic in-memory default,
-  byte-identical to the historical ``PacketNetwork``.
+* :class:`MemoryTransport` — the deterministic in-memory default.
 * :class:`UdpTransport` / :class:`TcpTransport` — asyncio localhost
   backends running a go-back-N ARQ over real sockets.
 * :func:`resolve_transport` — the ``transport=`` argument resolver

@@ -137,11 +137,6 @@ class Transport(ABC):
     def close(self) -> None:
         """Release sockets/threads; further sends are undefined."""
 
-    @property
-    def in_flight(self) -> int:
-        """Alias of :meth:`pending` (the packet-network legacy name)."""
-        return self.pending()
-
 
 def resolve_transport(
     transport: "Optional[Transport | str]",

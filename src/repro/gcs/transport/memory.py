@@ -4,10 +4,8 @@ This is the routing :class:`~repro.gcs.stack.GCSCluster` always had —
 FIFO unicast channels, one tick of latency, connectivity gated by the
 component topology at delivery time — extracted verbatim behind the
 :class:`~repro.gcs.transport.base.Transport` interface.  With no link
-faults attached, its behaviour is byte-identical to the historical
-``PacketNetwork`` (the pre-transport GCS test suite passes unchanged
-on it, and ``repro.gcs.packets.PacketNetwork`` is now a deprecated
-alias of this class).
+faults attached, its behaviour is byte-identical to that routing
+(``tests/test_gcs_packets.py``, the pre-transport suite, passes on it).
 
 ``link=`` accepts a :class:`repro.faults.LinkFaults` and injects wire
 faults per packet, replayably: every draw is a pure hash of

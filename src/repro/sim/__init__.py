@@ -39,7 +39,6 @@ from repro.sim.stats import (
     BlockingCollector,
     FormationTimeCollector,
     MessageSizeCollector,
-    RunObserver,
 )
 from repro.sim.trace import (
     TraceDigester,
@@ -67,7 +66,6 @@ __all__ = [
     "ProcessEndpoint",
     "RunConfig",
     "RunResult",
-    "RunObserver",
     "TraceDigester",
     "TraceRecorder",
     "build_driver",

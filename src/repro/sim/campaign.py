@@ -22,7 +22,6 @@ so every algorithm faces the same faults run for run.
 
 from __future__ import annotations
 
-import warnings
 
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -140,20 +139,14 @@ class CaseResult:
 def run_case(
     config: CaseConfig,
     observers: Sequence[Subscriber] = (),
-    extra_observers: Optional[Sequence[Subscriber]] = None,
     *,
     kernel: str = "scalar",
-    transport: Optional[str] = None,
-    collect_metrics: Optional[bool] = None,
 ) -> CaseResult:
     """Execute every run of a case and aggregate the statistics.
 
     ``observers`` takes any :class:`repro.obs.Subscriber` instances;
     they see the case-level hooks (``on_case_start``/``on_case_end``)
-    here and every driver-level event of every run.  ``extra_observers``
-    is the deprecated name for the same parameter.
-
-    The keyword-only knob group:
+    here and every driver-level event of every run.
 
     ``kernel`` selects the execution backend: ``"scalar"`` (default)
     runs the object-graph :class:`DriverLoop` per run; ``"batched"``
@@ -166,34 +159,10 @@ def run_case(
     :func:`repro.sim.batch.run_case_batched` directly to get a loud
     :class:`~repro.errors.UnsupportedBatchConfig` instead of the
     fallback.
-
-    ``transport`` exists for symmetry with the GCS surface and accepts
-    only ``None`` or ``"memory"``: the campaign driver plays the group
-    communication role itself (thesis testing-system style), so there
-    is no socket underneath to swap.  Requesting a network backend here
-    raises :class:`~repro.errors.UnsupportedTransportConfig` loudly —
-    network transports live on the GCS stack
-    (``GCSCluster(transport=...)``) and the multi-process runner
-    (:mod:`repro.gcs.proc`).
-
-    ``collect_metrics`` overrides :attr:`CaseConfig.collect_metrics`
-    per call (``None`` keeps the config's value).
     """
     if kernel not in ("scalar", "batched"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    if transport not in (None, "memory"):
-        from repro.errors import UnsupportedTransportConfig
-
-        raise UnsupportedTransportConfig(
-            f"run_case cannot execute over the {transport!r} transport: "
-            "the campaign driver routes broadcasts in-process (and the "
-            "batched kernel has no packet layer at all); run network "
-            "transports through GCSCluster(transport=...) or "
-            "repro.gcs.proc instead"
-        )
-    if collect_metrics is not None and collect_metrics != config.collect_metrics:
-        config = replace(config, collect_metrics=collect_metrics)
-    if kernel == "batched" and not observers and extra_observers is None:
+    if kernel == "batched" and not observers:
         from repro.errors import UnsupportedBatchConfig
         from repro.sim.batch import run_case_batched
 
@@ -201,14 +170,6 @@ def run_case(
             return run_case_batched(config)
         except UnsupportedBatchConfig:
             pass  # outside the batched surface: scalar fallback
-    if extra_observers is not None:
-        warnings.warn(
-            "run_case(extra_observers=...) is deprecated; "
-            "pass observers=[...] instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        observers = [*observers, *extra_observers]
     availability = AvailabilityCollector()
     subscribers: List[Subscriber] = [availability]
     ambiguous: Optional[AmbiguousSessionCollector] = None

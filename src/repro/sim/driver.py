@@ -31,7 +31,6 @@ is stable until the next connectivity change.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -155,7 +154,6 @@ class DriverLoop:
         n_processes: int,
         fault_rng: random.Random,
         change_generator: Optional[UniformChangeGenerator] = None,
-        checker: Optional[InvariantChecker] = None,
         observers: Sequence[Subscriber] = (),
         max_quiescence_rounds: int = 400,
         endpoint_factory=ProcessEndpoint,
@@ -180,14 +178,6 @@ class DriverLoop:
         # hooks), and the first PhaseProfiler receives the per-phase
         # timing brackets of run_round.
         subscribers = list(observers)
-        if checker is not None:
-            warnings.warn(
-                "DriverLoop(checker=...) is deprecated; pass the checker "
-                "inside observers=[...] instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            subscribers.insert(0, checker)
         self.checker = next(
             (s for s in subscribers if isinstance(s, InvariantChecker)), None
         )

@@ -7,10 +7,10 @@ from typing import Optional, Sequence, Tuple
 
 from repro.net.changes import UniformChangeGenerator
 from repro.net.schedule import ChangeSchedule, GeometricSchedule
+from repro.obs import Subscriber
 from repro.sim.driver import DriverLoop
 from repro.sim.invariants import InvariantChecker
 from repro.sim.rng import derive_rng
-from repro.sim.stats import RunObserver
 from repro.types import ProcessId
 
 
@@ -47,7 +47,7 @@ class RunResult:
 
 
 def build_driver(
-    config: RunConfig, observers: Sequence[RunObserver] = ()
+    config: RunConfig, observers: Sequence[Subscriber] = ()
 ) -> DriverLoop:
     """A fresh driver for the given configuration.
 
@@ -73,7 +73,7 @@ def build_driver(
 
 
 def run_single(
-    config: RunConfig, observers: Sequence[RunObserver] = ()
+    config: RunConfig, observers: Sequence[Subscriber] = ()
 ) -> RunResult:
     """Execute one fresh-start run and summarize its outcome."""
     driver = build_driver(config, observers)

@@ -27,17 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.driver import DriverLoop
 
 
-class RunObserver(Subscriber):
-    """Back-compat name for :class:`repro.obs.Subscriber`.
-
-    The historical driver-observer base class; it adds nothing to the
-    unified subscriber protocol (deliberately — method identity is how
-    the event bus detects overridden hooks).  New code should subclass
-    :class:`repro.obs.Subscriber` directly.
-    """
-
-
-class AvailabilityCollector(RunObserver):
+class AvailabilityCollector(Subscriber):
     """Fraction of runs that end with a live primary component."""
 
     def __init__(self) -> None:
@@ -61,7 +51,7 @@ class AvailabilityCollector(RunObserver):
         return 100.0 * self.available_runs / self.runs
 
 
-class AmbiguousSessionCollector(RunObserver):
+class AmbiguousSessionCollector(Subscriber):
     """Ambiguous-session counts of one monitored process (§4.2).
 
     "For each run, the process reported both the number of ambiguous
@@ -122,7 +112,7 @@ class AmbiguousSessionCollector(RunObserver):
         return self._percent_with_sessions(self.in_progress)
 
 
-class MessageSizeCollector(RunObserver):
+class MessageSizeCollector(Subscriber):
     """Estimated sizes of the algorithm's piggyback broadcasts (§3.4)."""
 
     def __init__(self) -> None:
@@ -151,7 +141,7 @@ class MessageSizeCollector(RunObserver):
         return self.total_bits / 8.0 / self.broadcasts
 
 
-class BlockingCollector(RunObserver):
+class BlockingCollector(Subscriber):
     """Per-view blocking accounting (thesis Ch. 1/§3.4 concept).
 
     "When interrupted, dynamic voting algorithms differ in the length
@@ -241,7 +231,7 @@ class BlockingCollector(RunObserver):
         return sum(self.blocked_lifetimes) / len(self.blocked_lifetimes)
 
 
-class FormationTimeCollector(RunObserver):
+class FormationTimeCollector(Subscriber):
     """Rounds between a view's installation and its formation as primary.
 
     Measures the window during which an algorithm is exposed to

@@ -34,8 +34,8 @@ from typing import (
 )
 
 from repro.core.message import Message
+from repro.obs import Subscriber
 from repro.obs.canonical import canonical_jsonl, canonical_line
-from repro.sim.stats import RunObserver
 from repro.types import ProcessId, sorted_members
 
 
@@ -215,7 +215,7 @@ def event_from_dict(data: Mapping[str, Any]) -> TraceEvent:
     raise ValueError(f"unknown trace event kind {kind!r}")
 
 
-class TraceRecorder(RunObserver):
+class TraceRecorder(Subscriber):
     """Observer that accumulates a bounded event trace."""
 
     def __init__(self, max_events: int = 100_000) -> None:
@@ -371,8 +371,8 @@ def trace_canonical_json(recorder: TraceRecorder) -> str:
     The same execution always produces the same bytes, so equality of
     two canonical texts *is* byte-identity of the two executions as far
     as the trace can see — rounds, broadcasts, changes, views, primary
-    formations and losses.  ``repro.bench`` and the golden-file
-    regression tests both build on this.
+    formations and losses.  The golden-file regression tests build on
+    this.
     """
     payload = {
         "kind": "repro.sim/trace",

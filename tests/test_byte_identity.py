@@ -14,8 +14,7 @@ over a behavioural regression — run::
     REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_byte_identity.py
 
 The expensive 10k-round campaign pin (the acceptance workload of the
-throughput overhaul, identical to the ``repro.bench`` campaign
-scenario) only runs under ``REPRO_TIER2=1``.
+throughput overhaul) only runs under ``REPRO_TIER2=1``.
 """
 
 from __future__ import annotations

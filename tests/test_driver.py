@@ -12,8 +12,8 @@ from repro.net.changes import (
     PartitionChange,
     RecoverChange,
 )
+from repro.obs import Subscriber
 from repro.sim.driver import DriverLoop, ProcessEndpoint
-from repro.sim.stats import RunObserver
 
 from tests.conftest import heal, make_driver, split
 
@@ -165,7 +165,7 @@ class TestEndpoints:
 
 class TestObservers:
     def test_observer_hooks_fire(self):
-        class Counting(RunObserver):
+        class Counting(Subscriber):
             def __init__(self):
                 self.rounds = 0
                 self.changes = 0

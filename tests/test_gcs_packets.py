@@ -1,11 +1,11 @@
-"""Tests for the datagram-level packet network."""
+"""Tests for the datagram-level routing of the in-memory transport."""
 
-from repro.gcs.packets import PacketNetwork
+from repro.gcs import MemoryTransport
 from repro.net.topology import Topology
 
 
 def make_network(n=4):
-    return PacketNetwork(Topology.fully_connected(n))
+    return MemoryTransport(topology=Topology.fully_connected(n))
 
 
 class TestConnectivity:
@@ -59,11 +59,11 @@ class TestDelivery:
     def test_counters(self):
         network = make_network()
         network.send(0, 1, "x")
-        assert network.in_flight == 1
+        assert network.pending() == 1
         network.deliver_tick()
         assert network.sent_count == 1
         assert network.delivered_count == 1
-        assert network.in_flight == 0
+        assert network.pending() == 0
 
     def test_send_many(self):
         network = make_network()

@@ -1,16 +1,13 @@
 """Tests for the unified observer protocol and its dispatch bus."""
 
-import random
-
 import pytest
 
 from repro.gcs.stack import Delivered, GCSCluster, ViewInstalled
 from repro.net.topology import Topology
 from repro.obs import EventBus, HOOK_NAMES, Subscriber, overrides_hook
 from repro.sim.campaign import CaseConfig, run_case
-from repro.sim.driver import DriverLoop
 from repro.sim.invariants import InvariantChecker
-from repro.sim.stats import AvailabilityCollector, RunObserver
+from repro.sim.stats import AvailabilityCollector
 from tests.conftest import make_driver, split
 
 
@@ -64,14 +61,6 @@ class TestOverrideDetection:
         counter = RoundCounter()
         assert overrides_hook(counter, "on_round")
         assert not overrides_hook(counter, "on_broadcast")
-
-    def test_run_observer_alias_adds_no_overrides(self):
-        # RunObserver must NOT redeclare the hooks: redeclaring would
-        # make every legacy collector pay dispatch on all five driver
-        # hooks whether or not it overrides them.
-        observer = RunObserver()
-        assert not any(overrides_hook(observer, h) for h in HOOK_NAMES)
-        assert isinstance(observer, Subscriber)
 
     def test_legacy_collector_overrides_only_its_hooks(self):
         collector = AvailabilityCollector()
@@ -157,14 +146,6 @@ class TestDriverObserverAPI:
         driver = make_driver("ykd", 5, observers=[counter])
         assert counter in driver.observers
 
-    def test_checker_keyword_is_deprecated_but_works(self):
-        checker = InvariantChecker()
-        with pytest.warns(DeprecationWarning, match="checker"):
-            driver = DriverLoop(
-                "ykd", 5, fault_rng=random.Random(0), checker=checker
-            )
-        assert driver.checker is checker
-
 
 class TestCampaignObserverAPI:
     def test_case_hooks_published(self):
@@ -176,13 +157,6 @@ class TestCampaignObserverAPI:
         assert counter.counts["on_run_start"] == 3
         assert counter.counts["on_run_end"] == 3
         assert counter.counts["on_round"] == result.rounds_total
-
-    def test_extra_observers_is_deprecated_but_works(self):
-        counter = RoundCounter()
-        config = CaseConfig(algorithm="ykd", n_processes=5, runs=2)
-        with pytest.warns(DeprecationWarning, match="extra_observers"):
-            result = run_case(config, extra_observers=[counter])
-        assert counter.rounds == result.rounds_total
 
     def test_observers_identical_results_to_bare_run(self):
         config = CaseConfig(algorithm="ykd", n_processes=5, runs=5)

@@ -70,38 +70,9 @@ class TestRunCaseKnobs:
         mean_rounds_between_changes=1.0, runs=5, master_seed=9,
     )
 
-    def test_memory_transport_spellings_are_the_default(self):
-        assert (
-            run_case(self.BASE)
-            == run_case(self.BASE, transport=None)
-            == run_case(self.BASE, transport="memory")
-        )
-
-    def test_network_transport_refused_loudly(self):
-        from repro.errors import UnsupportedTransportConfig
-
-        for backend in ("udp", "tcp", "carrier-pigeon"):
-            with pytest.raises(UnsupportedTransportConfig, match="run_case"):
-                run_case(self.BASE, transport=backend)
-
     def test_unknown_kernel_refused(self):
         with pytest.raises(ValueError, match="kernel"):
             run_case(self.BASE, kernel="quantum")
-
-    def test_collect_metrics_override(self):
-        collected = run_case(self.BASE, collect_metrics=True)
-        assert collected.metrics is not None
-        assert run_case(self.BASE, collect_metrics=False).metrics is None
-        # None keeps whatever the config says.
-        assert run_case(self.BASE, collect_metrics=None).metrics is None
-
-    def test_gcs_campaigns_refuse_network_transports_too(self):
-        from repro.errors import UnsupportedTransportConfig
-        from repro.gcs.campaign import GCSCaseConfig, run_gcs_case
-
-        config = GCSCaseConfig(algorithm="ykd", runs=1, transport="udp")
-        with pytest.raises(UnsupportedTransportConfig, match="in-memory"):
-            run_gcs_case(config)
 
 
 class TestFreshCampaigns:

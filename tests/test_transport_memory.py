@@ -1,13 +1,11 @@
-"""The in-memory transport: legacy equivalence, shims, fault deferral.
+"""The in-memory transport: legacy equivalence, fault deferral.
 
-Three obligations from the transport redesign:
+Two obligations from the transport redesign:
 
 * **byte-identity** — ``GCSCluster`` on the (default) fault-free
   :class:`MemoryTransport` must reproduce the pre-seam packet network
   exactly: same views, same tick counts, same traffic counters,
   whatever the attachment spelling (default, name, instance);
-* **deprecation shims** — ``PacketNetwork`` and ``GCSCluster.network``
-  keep working but warn, so downstream code migrates deliberately;
 * **explicit deferral** — with link faults attached the transport may
   hold packets across ticks; :meth:`pending` accounts for every held
   packet and ``run_until_stable`` refuses to call a tick quiet while
@@ -73,23 +71,6 @@ class TestLegacyEquivalence:
             moved = cluster.tick()
             if not moved:
                 assert cluster.transport.pending() == 0
-
-
-class TestDeprecationShims:
-    def test_packet_network_warns_and_still_works(self):
-        from repro.gcs.packets import PacketNetwork
-
-        with pytest.warns(DeprecationWarning, match="PacketNetwork"):
-            network = PacketNetwork(Topology.fully_connected(3))
-        assert isinstance(network, MemoryTransport)
-        network.send(0, 1, "still routes")
-        assert [d.payload for d in network.deliver_tick()] == ["still routes"]
-
-    def test_cluster_network_property_warns(self):
-        cluster = GCSCluster(3)
-        with pytest.warns(DeprecationWarning, match="GCSCluster.network"):
-            network = cluster.network
-        assert network is cluster.transport
 
 
 class TestFaultDeferral:
