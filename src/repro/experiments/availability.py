@@ -104,7 +104,17 @@ def run_availability_figure(
         for algorithm, rate in grid
     ]
     if trace_dir is None and spans_dir is None:
-        results = run_cases_parallel(configs, workers=workers, kernel=kernel)
+        # The grid is algorithm-major (it is the order of the series);
+        # the cases run rate-major, so that the algorithms facing one
+        # fault environment are neighbours and the batched kernel
+        # compiles it once (``repro.sim.batch.compile.compile_case``).
+        n_rates = len(scale.rates)
+        order = sorted(range(len(grid)), key=lambda index: index % n_rates)
+        ran = run_cases_parallel(
+            [configs[index] for index in order], workers=workers, kernel=kernel
+        )
+        by_index = dict(zip(order, ran))
+        results = [by_index[index] for index in range(len(grid))]
     else:
         results = [
             _run_case_recorded(

@@ -15,17 +15,10 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.errors import SimulationError, UnsupportedBatchConfig
-from repro.net.changes import SkewedPartitionGenerator, UniformChangeGenerator
 from repro.sim.batch.bitops import MAX_PROCESSES
-from repro.sim.batch.compile import compile_case
+from repro.sim.batch.compile import SUPPORTED_GENERATORS, compile_case
 from repro.sim.batch.kernel import KERNEL_ALGORITHMS, execute_batch
 from repro.sim.campaign import MODE_FRESH, CaseConfig, CaseResult
-
-#: Change generator types the compiler replays bit-exactly.  The checks
-#: are exact-type on purpose: a subclass (e.g. the crash/recovery fault
-#: generator) may consume RNG draws or propose change kinds the
-#: compiler does not model.
-SUPPORTED_GENERATORS = (UniformChangeGenerator, SkewedPartitionGenerator)
 
 
 @dataclass

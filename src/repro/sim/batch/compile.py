@@ -32,7 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.changes import MergeChange, PartitionChange
+from repro.net.changes import (
+    MergeChange,
+    PartitionChange,
+    SkewedPartitionGenerator,
+    UniformChangeGenerator,
+)
 from repro.sim.batch.bitops import mask_of
 from repro.sim.rng import derive_rng
 
@@ -218,6 +223,55 @@ def compile_run(
     )
 
 
+#: Change generator types the compiler replays bit-exactly.  The checks
+#: are exact-type on purpose: a subclass (e.g. the crash/recovery fault
+#: generator) may consume RNG draws or propose change kinds the
+#: compiler does not model.
+SUPPORTED_GENERATORS = (UniformChangeGenerator, SkewedPartitionGenerator)
+
+#: The fault environment compiled last, as ``(key, runs)``.  A case's
+#: environment does not mention the algorithm, so the seven cases of a
+#: comparison ask for the same one back to back; one slot serves them
+#: and holds one environment, not a figure's worth.
+_last_environment: Tuple[Optional[tuple], Tuple[CompiledRun, ...]] = (
+    None,
+    (),
+)
+
+
+def _environment_key(config) -> Optional[tuple]:
+    """Everything :func:`compile_case` reads, or None where the
+    environment is not a pure function of the config: a caller-owned
+    schedule may carry state from case to case
+    (:class:`~repro.net.schedule.BurstSchedule` does), and only the
+    stock generators are known to be determined by their attributes.
+    Labels are keyed as the strings :func:`derive_seed` hashes, which
+    tell ``2`` from ``2.0`` where ``==`` does not.
+    """
+    if config.schedule is not None:
+        return None
+    generator = config.change_generator
+    if generator is None:
+        generator_key: tuple = (UniformChangeGenerator, ())
+    elif type(generator) in SUPPORTED_GENERATORS:
+        generator_key = (
+            type(generator),
+            tuple(sorted(vars(generator).items())),
+        )
+    else:
+        return None
+    labels = (config.master_seed, *config.case_label())
+    return (
+        tuple(str(label) for label in labels),
+        config.n_processes,
+        config.n_changes,
+        config.run_offset,
+        config.runs,
+        config.cut_probability,
+        generator_key,
+    )
+
+
 def compile_case(config) -> List[CompiledRun]:
     """Compile every run of a fresh-start case, in run order.
 
@@ -225,12 +279,19 @@ def compile_case(config) -> List[CompiledRun]:
     builds it once — :class:`~repro.net.schedule.BurstSchedule` is
     stateful across runs, so sharing the instance is part of the
     equivalence contract).
+
+    Consecutive calls for one fault environment (the algorithms of a
+    comparison) get the same immutable :class:`CompiledRun` objects in
+    a fresh list; see :func:`_environment_key` for when that applies.
     """
+    global _last_environment
+    key = _environment_key(config)
+    last_key, last_runs = _last_environment
+    if key is not None and key == last_key:
+        return list(last_runs)
     schedule = config.make_schedule()
     generator = config.change_generator
     if generator is None:
-        from repro.net.changes import UniformChangeGenerator
-
         generator = UniformChangeGenerator()
     compiled: List[CompiledRun] = []
     for run_index in range(config.run_offset, config.run_offset + config.runs):
@@ -248,4 +309,6 @@ def compile_case(config) -> List[CompiledRun]:
                 config.cut_probability,
             )
         )
+    if key is not None:
+        _last_environment = (key, tuple(compiled))
     return compiled

@@ -16,7 +16,10 @@ at a time, over packed bitmask state:
   inverted session→member-mask map, knowledge as bitmask fact sets)
   and process each view's message exchange as an *episode* — exploiting
   that between a view's installation and its interruption, a member's
-  state is touched by nothing but that view's own protocol rounds.
+  state is touched by nothing but that view's own protocol rounds;
+* MR1p, whose episode really is a message exchange, runs it once per
+  class of members that nothing has told apart, sharing one book
+  between them.
 
 Equivalence contract: for every supported configuration the kernel
 reproduces the scalar driver's per-run availability outcomes, final
@@ -677,12 +680,18 @@ def _resolvable(
 
 
 # ----------------------------------------------------------------------
-# MR1p: a message-driven micro engine per episode.
+# MR1p: a message-driven micro engine per episode, stepped once per
+# class of members nothing has told apart.
 # ----------------------------------------------------------------------
 
 
 class _MR1pBook:
-    """One MR1p process: persistent ballot state plus its send queue."""
+    """MR1p's persistent ballot state plus the send queue.
+
+    One book is shared by reference by every process in that state: an
+    episode works on clones (:meth:`_MR1pEngine._install`), so a stored
+    book is never written again.
+    """
 
     __slots__ = (
         "cur_primary",
@@ -703,9 +712,24 @@ class _MR1pBook:
         self.in_primary = True
         self.out: List[tuple] = []
 
+    def clone(self) -> "_MR1pBook":
+        twin = _MR1pBook.__new__(_MR1pBook)
+        twin.cur_primary = self.cur_primary
+        twin.formed = set(self.formed)
+        twin.pending = self.pending
+        twin.num = self.num
+        twin.status = self.status
+        twin.in_primary = self.in_primary
+        twin.out = list(self.out)
+        return twin
+
 
 class _Transient:
-    """MR1p per-view collections (MR1p._reset_collections)."""
+    """MR1p per-view collections (MR1p._reset_collections).
+
+    Senders are recorded as masks: ``infos`` maps a reported
+    ``(num, status)`` to the mask of members that reported it.
+    """
 
     __slots__ = (
         "try_mask",
@@ -720,11 +744,93 @@ class _Transient:
     def __init__(self) -> None:
         self.try_mask = 0
         self.votes: Dict[SessionPair, int] = {}
-        self.infos: Dict[int, Tuple[int, str]] = {}
+        self.infos: Dict[Tuple[int, str], int] = {}
         self.fail_mask = 0
         self.call_done = False
         self.formed_handled: Set[SessionPair] = set()
         self.responded: Set[SessionPair] = set()
+
+    def clone(self) -> "_Transient":
+        twin = _Transient.__new__(_Transient)
+        twin.try_mask = self.try_mask
+        twin.votes = dict(self.votes)
+        twin.infos = dict(self.infos)
+        twin.fail_mask = self.fail_mask
+        twin.call_done = self.call_done
+        twin.formed_handled = set(self.formed_handled)
+        twin.responded = set(self.responded)
+        return twin
+
+
+class _MemberClass:
+    """The members of a view that nothing has told apart so far.
+
+    They entered the view in the same state and have heard the same
+    messages since, so one ``(book, trans)`` pair stands for all of
+    them.  A class only ever splits (:meth:`fork`), and only where the
+    protocol can tell two members apart: on which side of a cut
+    round's late mask they are, and whether they are members of a
+    shared session (``_MR1pEngine._handle_share``).
+    """
+
+    __slots__ = ("mask", "book", "trans")
+
+    def __init__(self, mask: int, book: _MR1pBook, trans: _Transient) -> None:
+        self.mask = mask
+        self.book = book
+        self.trans = trans
+
+    def fork(self, mask: int) -> "_MemberClass":
+        """Split ``mask`` off into a class of its own, state copied."""
+        self.mask &= ~mask
+        return _MemberClass(mask, self.book.clone(), self.trans.clone())
+
+
+#: One delivery of a round: (mask of senders, item).
+_Event = Tuple[int, tuple]
+
+
+def _round_events(sent: Dict[_MemberClass, List[tuple]]) -> List[_Event]:
+    """One round's deliveries in the driver's order, folded.
+
+    The driver delivers bundle by bundle in ascending sender order.
+    Two rewrites of that sequence leave every recipient's end state
+    unchanged:
+
+    * equal items in adjacent deliveries become one delivery from the
+      union of their senders — every handler ORs the sender into a
+      mask and then tests a monotone threshold whose effect fires at
+      most once, so testing once after the union is the same;
+    * a ``share`` of a session already shared this round is dropped —
+      the recipient's ``responded`` set makes it a no-op.
+    """
+    if len(sent) == 1:
+        ((members, items),) = sent.items()
+        if len(items) == 1:
+            return [(members.mask, items[0])]
+    bundles: List[Tuple[int, List[tuple]]] = []
+    for members, items in sent.items():
+        rest = members.mask
+        while rest:
+            low = rest & -rest
+            bundles.append((low, items))
+            rest ^= low
+    bundles.sort()  # sender bits are distinct: never compares items
+    events: List[_Event] = []
+    shared: Set[SessionPair] = set()
+    last: Optional[tuple] = None
+    for sender, items in bundles:
+        for item in items:
+            if item == last:
+                events[-1] = (events[-1][0] | sender, item)
+                continue
+            if item[0] == "share":
+                if item[1] in shared:
+                    continue
+                shared.add(item[1])
+            events.append((sender, item))
+            last = item
+    return events
 
 
 class _MR1pEngine(_Engine):
@@ -733,18 +839,21 @@ class _MR1pEngine(_Engine):
 
     Unlike the YKD family, MR1p's round structure is data-dependent
     (members resolve old sessions at different rounds, ``try-new`` can
-    re-fire mid-view), so the engine drains the members' send queues
-    round by round — still over bitmask state, still one component at
-    a time — until the episode quiesces or its interrupting change
-    cuts it short.
+    re-fire mid-view), so the engine drains the send queues round by
+    round — over bitmask state, one component at a time — until the
+    episode quiesces or its interrupting change cuts it short.  The
+    unit of work is the :class:`_MemberClass`, not the member: a round
+    costs (classes x folded deliveries), not (members x senders).
     """
 
     def __init__(self, batch: int, universe: int) -> None:
         self.universe = universe
-        initial = (universe, 0)  # views as (member mask, install seq)
-        self.books: List[List[_MR1pBook]] = [
-            [_MR1pBook(initial) for _ in range(universe.bit_count())]
-            for _ in range(batch)
+        # Views as (member mask, install seq).  Never written: episodes
+        # clone before they touch a book.
+        initial = _MR1pBook((universe, 0))
+        #: Per run, the processes partitioned by the book they hold.
+        self.states: List[List[Tuple[int, _MR1pBook]]] = [
+            [(universe, initial)] for _ in range(batch)
         ]
         self.episodes: List[Dict[int, Tuple[int, int]]] = [
             {} for _ in range(batch)
@@ -775,8 +884,9 @@ class _MR1pEngine(_Engine):
         for mask, (seq, installed) in self.episodes[b].items():
             sent = self._episode(b, mask, seq, installed, None, 0, cap)
             last_send = max(last_send, sent)
+        for mask, book in self.states[b]:
             for pid in iter_bits(mask):
-                in_primary[b, pid] = self.books[b][pid].in_primary
+                in_primary[b, pid] = book.in_primary
         return last_send
 
     # -- one episode ----------------------------------------------------
@@ -791,15 +901,69 @@ class _MR1pEngine(_Engine):
         late: int,
         cap: int,
     ) -> int:
-        books = self.books[b]
-        members = bits_list(mask)
-        size = len(members)
         view = (mask, seq)
-        transients = {p: _Transient() for p in members}
+        classes = self._install(b, mask, view)
+        # A singleton's self-delivery always lands.
+        late = late & mask if mask & (mask - 1) else 0
 
-        # Install effects (MR1p._on_view).
-        for p in members:
-            book = books[p]
+        last_send = installed
+        t = installed
+        while True:
+            t += 1
+            if cut_round is not None and t > cut_round:
+                break
+            sent: Dict[_MemberClass, List[tuple]] = {}
+            for members in classes:
+                book = members.book
+                if book.out:
+                    sent[members] = book.out
+                    book.out = []
+            if not sent:
+                break  # quiescent
+            last_send = t
+            events = _round_events(sent)
+            if late and t == cut_round:
+                classes = self._deliver_cut(classes, sent, events, late, view)
+            else:
+                for members in list(classes):
+                    self._deliver(members, events, 0, view, classes)
+            if cut_round is None and t > cap:
+                break  # livelock: surface through the settle check
+        self.states[b] = [
+            (group & ~mask, book)
+            for group, book in self.states[b]
+            if group & ~mask
+        ] + [(members.mask, members.book) for members in classes]
+        return last_send
+
+    def _install(
+        self, b: int, mask: int, view: SessionPair
+    ) -> List[_MemberClass]:
+        """Install effects (MR1p._on_view), one class per distinct book."""
+        held = [
+            (group & mask, book)
+            for group, book in self.states[b]
+            if group & mask
+        ]
+        if len(held) > 1:
+            # Books that went separate ways and ended up equal again
+            # (the late members of one cut round, mostly) rejoin here.
+            joined: Dict[tuple, Tuple[int, _MR1pBook]] = {}
+            for group, book in held:
+                key = (
+                    book.cur_primary,
+                    book.pending,
+                    book.num,
+                    book.status,
+                    frozenset(book.formed),
+                )
+                if key in joined:
+                    group |= joined[key][0]
+                joined[key] = (group, book)
+            held = list(joined.values())
+        classes: List[_MemberClass] = []
+        for group, book in held:
+            book = book.clone()
             book.in_primary = False
             book.out = []
             if book.pending is not None:
@@ -808,45 +972,88 @@ class _MR1pEngine(_Engine):
                 )
             else:
                 self._try_new(book, view)
+            classes.append(_MemberClass(group, book, _Transient()))
+        return classes
 
-        last_send = installed
-        t = installed
-        while True:
-            t += 1
-            if cut_round is not None and t > cut_round:
-                break
-            bundles: List[Tuple[int, List[tuple]]] = []
-            for p in members:
-                book = books[p]
-                if book.out:
-                    bundles.append((p, book.out))
-                    book.out = []
-            if not bundles:
-                break  # quiescent
-            last_send = t
-            cut = cut_round is not None and t == cut_round and size > 1
-            for sender, items in bundles:
-                for recipient in members:
-                    if (
-                        cut
-                        and recipient != sender
-                        and (late >> recipient) & 1
-                    ):
-                        continue
-                    self._deliver(
-                        books[recipient],
-                        transients[recipient],
-                        recipient,
-                        sender,
-                        items,
-                        view,
-                    )
-            if cut_round is None and t > cap:
-                break  # livelock: surface through the settle check
-        if cut_round is not None:
-            for p in members:
-                books[p].out = []  # view_changed clears _outgoing
-        return last_send
+    def _deliver_cut(
+        self,
+        classes: List[_MemberClass],
+        sent: Dict[_MemberClass, List[tuple]],
+        events: List[_Event],
+        late: int,
+        view: SessionPair,
+    ) -> List[_MemberClass]:
+        """The interrupting change's round: the late members of a class
+        hear only their own bundle, the others the whole round."""
+        heard: List[_MemberClass] = []
+        for members in classes:
+            late_members = members.mask & late
+            if late_members:
+                items = sent.get(members)
+                if items is not None:
+                    for pid in iter_bits(late_members):
+                        alone = members.fork(1 << pid)
+                        heard.append(alone)
+                        self._deliver(
+                            alone,
+                            [(alone.mask, item) for item in items],
+                            0,
+                            view,
+                            heard,
+                        )
+                elif members.mask != late_members:
+                    heard.append(members.fork(late_members))
+                else:
+                    heard.append(members)  # silent and deaf: untouched
+                    continue
+                if not members.mask:
+                    continue
+            heard.append(members)
+            self._deliver(members, events, 0, view, heard)
+        return heard
+
+    def _deliver(
+        self,
+        members: _MemberClass,
+        events: List[_Event],
+        start: int,
+        view: SessionPair,
+        classes: List[_MemberClass],
+    ) -> None:
+        """Hand ``events[start:]`` to one class.  A class that splits
+        on the way appends its other half to ``classes``; that half
+        hears the rest of the round from where the split happened."""
+        book = members.book
+        trans = members.trans
+        for index in range(start, len(events)):
+            senders, item = events[index]
+            kind = item[0]
+            if kind == "try":
+                trans.try_mask |= senders
+                # _maybe_vote_attempt
+                if (
+                    book.pending == view
+                    and book.status == "sent"
+                    and trans.try_mask == view[0]
+                ):
+                    book.status = "attempt"
+                    book.num = 2
+                    book.out.append(("vote", view))
+            elif kind == "vote":
+                voted = item[1]
+                votes = trans.votes.get(voted, 0) | senders
+                trans.votes[voted] = votes
+                if 2 * (votes & voted[0]).bit_count() > voted[0].bit_count():
+                    self._session_formed(book, trans, voted, view)
+            elif kind == "share":
+                outsiders = self._handle_share(members, item[1])
+                if outsiders is not None:
+                    classes.append(outsiders)
+                    self._deliver(outsiders, events, index + 1, view, classes)
+            elif kind == "info":
+                self._handle_info(book, trans, senders, item, view)
+            else:  # "fail"
+                self._handle_fail(book, trans, senders, item, view)
 
     # -- handlers (each mirrors the MR1p method it is named after) ------
 
@@ -860,41 +1067,6 @@ class _MR1pEngine(_Engine):
             book.pending = None
             book.num = 0
             book.status = "none"
-
-    def _deliver(
-        self,
-        book: _MR1pBook,
-        trans: _Transient,
-        pid: int,
-        sender: int,
-        items: List[tuple],
-        view: SessionPair,
-    ) -> None:
-        for item in items:
-            kind = item[0]
-            if kind == "try":
-                trans.try_mask |= 1 << sender
-                # _maybe_vote_attempt
-                if (
-                    book.pending == view
-                    and book.status == "sent"
-                    and trans.try_mask == view[0]
-                ):
-                    book.status = "attempt"
-                    book.num = 2
-                    book.out.append(("vote", view))
-            elif kind == "vote":
-                voted = item[1]
-                votes = trans.votes.get(voted, 0) | (1 << sender)
-                trans.votes[voted] = votes
-                if 2 * (votes & voted[0]).bit_count() > voted[0].bit_count():
-                    self._session_formed(book, trans, voted, view)
-            elif kind == "share":
-                self._handle_share(book, trans, pid, item)
-            elif kind == "info":
-                self._handle_info(book, trans, sender, item, view)
-            else:  # "fail"
-                self._handle_fail(book, trans, sender, item, view)
 
     def _session_formed(
         self,
@@ -926,26 +1098,38 @@ class _MR1pEngine(_Engine):
             book.cur_primary = formed
 
     def _handle_share(
-        self, book: _MR1pBook, trans: _Transient, pid: int, item: tuple
-    ) -> None:
-        session = item[1]
-        if session in trans.responded:
-            return
-        trans.responded.add(session)
+        self, members: _MemberClass, session: SessionPair
+    ) -> Optional[_MemberClass]:
+        """Answer a shared session.  Only the session's own members
+        answer, so a class that straddles it splits here: the
+        outsiders are returned as a class of their own."""
+        book = members.book
+        responded = members.trans.responded
+        if session in responded:
+            return None
+        responded.add(session)
         if book.pending is not None and session == book.pending:
             book.out.append(
                 ("info", session, "status", book.num, book.status)
             )
-        elif session in book.formed and (session[0] >> pid) & 1:
+            return None
+        insiders = members.mask & session[0]
+        if not insiders:
+            return None
+        outsiders = None
+        if insiders != members.mask:
+            outsiders = members.fork(members.mask & ~insiders)
+        if session in book.formed:
             book.out.append(("info", session, "formed", 0, "none"))
-        elif (session[0] >> pid) & 1:
+        else:
             book.out.append(("info", session, "aborted", 0, "none"))
+        return outsiders
 
     def _handle_info(
         self,
         book: _MR1pBook,
         trans: _Transient,
-        sender: int,
+        senders: int,
         item: tuple,
         view: SessionPair,
     ) -> None:
@@ -964,7 +1148,12 @@ class _MR1pEngine(_Engine):
             book.status = "none"
             self._try_new(book, view)
         else:  # "status"
-            trans.infos[sender] = (item[3], item[4])
+            report = (item[3], item[4])
+            infos = trans.infos
+            for other in infos:
+                if other != report:
+                    infos[other] &= ~senders  # a later report replaces
+            infos[report] = infos.get(report, 0) | senders
             self._maybe_call(book, trans)
 
     def _maybe_call(self, book: _MR1pBook, trans: _Transient) -> None:
@@ -973,16 +1162,20 @@ class _MR1pEngine(_Engine):
         session = book.pending
         smask = session[0]
         known = 0
-        for member in trans.infos:
-            if (smask >> member) & 1:
-                known |= 1 << member
+        for reporters in trans.infos.values():
+            known |= reporters
+        known &= smask
         if 2 * known.bit_count() <= smask.bit_count():
             return
-        max_num = max(trans.infos[m][0] for m in iter_bits(known))
+        max_num = max(
+            num
+            for (num, _), reporters in trans.infos.items()
+            if reporters & smask
+        )
         statuses_at_max = {
-            trans.infos[m][1]
-            for m in iter_bits(known)
-            if trans.infos[m][0] == max_num
+            status
+            for (num, status), reporters in trans.infos.items()
+            if num == max_num and reporters & smask
         }
         trans.call_done = True
         book.num = max_num + 1
@@ -997,14 +1190,14 @@ class _MR1pEngine(_Engine):
         self,
         book: _MR1pBook,
         trans: _Transient,
-        sender: int,
+        senders: int,
         item: tuple,
         view: SessionPair,
     ) -> None:
         session = item[1]
         if book.pending is None or session != book.pending:
             return
-        trans.fail_mask |= 1 << sender
+        trans.fail_mask |= senders
         smask = session[0]
         if 2 * (trans.fail_mask & smask).bit_count() > smask.bit_count():
             book.pending = None

@@ -18,6 +18,9 @@ the fast kernel without a second thought.
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -25,9 +28,13 @@ from repro.errors import SimulationError
 from repro.net.changes import SkewedPartitionGenerator
 from repro.net.schedule import BurstSchedule
 from repro.obs import Subscriber
-from repro.sim.batch import BatchCaseResult, run_case_batched
+from repro.sim.batch import BatchCaseResult, compile_case, run_case_batched
+from repro.sim.batch import compile as batch_compile
+from repro.sim.batch import kernel as batch_kernel
 from repro.sim.batch.bitops import mask_of
 from repro.sim.campaign import CaseConfig, compare_algorithms, run_case
+
+TIER2 = os.environ.get("REPRO_TIER2") == "1"
 
 #: Every algorithm the kernel implements (the five studied by the
 #: thesis plus the two YKD ablation variants).
@@ -147,6 +154,34 @@ def test_thesis_scale_universe() -> None:
         )
 
 
+#: MR1p's member classes split in three places: at a cut round's late
+#: mask (everyone late, no one late, a coin each), at a shared session
+#: some members are outside of, and where a run's changes follow one
+#: another so closely that every episode is cut.  Thesis-scale views
+#: are where classes are large enough for a wrong split to hide.
+MR1P_SCALE_GRID = [
+    (n, cut, rate)
+    for n in (33, 48, 64)
+    for cut in (0.0, 0.5, 1.0)
+    for rate in (0.0, 0.5, 2.0)
+]
+
+
+@pytest.mark.parametrize("n,cut,rate", MR1P_SCALE_GRID)
+def test_mr1p_member_classes_at_scale(n, cut, rate) -> None:
+    assert_equivalent(
+        CaseConfig(
+            algorithm="mr1p",
+            n_processes=n,
+            n_changes=12,
+            mean_rounds_between_changes=rate,
+            runs=5,
+            master_seed=n,
+            cut_probability=cut,
+        )
+    )
+
+
 def test_skewed_generator_equivalence() -> None:
     assert_equivalent(
         CaseConfig(
@@ -175,6 +210,33 @@ def test_burst_schedule_equivalence() -> None:
             schedule=BurstSchedule(burst_size=3, lull=9),
         )
     )
+
+
+def test_shared_burst_schedule_is_never_served_from_the_last_compile() -> None:
+    """A caller-owned schedule carries its position from case to case
+    (25 draws leave this one mid-burst), so two equal configs are two
+    different fault environments and each must be compiled."""
+
+    def two_cases(kernel):
+        config = CaseConfig(
+            algorithm="ykd",
+            n_processes=8,
+            n_changes=5,
+            mean_rounds_between_changes=2.0,
+            runs=5,
+            master_seed=5,
+            schedule=BurstSchedule(burst_size=3, lull=9),
+        )
+        return [run_case(config, kernel=kernel) for _ in range(2)]
+
+    scalar = two_cases("scalar")
+    batched = two_cases("batched")
+    assert scalar[0].rounds_total != scalar[1].rounds_total
+    for fast, reference in zip(batched, scalar):
+        assert isinstance(fast, BatchCaseResult)
+        assert fast.outcomes == reference.outcomes
+        assert fast.rounds_total == reference.rounds_total
+        assert fast.changes_total == reference.changes_total
 
 
 def test_run_offset_shard_equivalence() -> None:
@@ -274,3 +336,142 @@ def test_random_configs_equivalent(
             cut_probability=cut,
         )
     )
+
+
+@settings(
+    max_examples=200 if TIER2 else 8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    n_processes=st.integers(min_value=2, max_value=64),
+    n_changes=st.integers(min_value=0, max_value=12),
+    rate=st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+    cut=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    runs=st.integers(min_value=1, max_value=6),
+)
+def test_random_mr1p_configs_equivalent_up_to_thesis_scale(
+    n_processes, n_changes, rate, cut, seed, runs
+) -> None:
+    assert_equivalent(
+        CaseConfig(
+            algorithm="mr1p",
+            n_processes=n_processes,
+            n_changes=n_changes,
+            mean_rounds_between_changes=rate,
+            runs=runs,
+            master_seed=seed,
+            cut_probability=cut,
+        )
+    )
+
+
+# ----------------------------------------------------------------------
+# Work counts: what the kernel does once, it must keep doing once.
+# ----------------------------------------------------------------------
+
+
+def test_mr1p_protocol_work_is_per_member_class(monkeypatch) -> None:
+    """Handler invocations of one pinned thesis-scale case.
+
+    A count, not a timing.  Delivering every bundle to every member
+    made 1.6 million deliveries for a case of this shape; per class of
+    indistinguishable members this one takes 54,146 handler calls.
+    """
+    handled = 0
+    deliver = batch_kernel._MR1pEngine._deliver
+
+    def counting(self, members, events, start, view, classes):
+        nonlocal handled
+        handled += len(events) - start
+        return deliver(self, members, events, start, view, classes)
+
+    monkeypatch.setattr(batch_kernel._MR1pEngine, "_deliver", counting)
+    result = run_case_batched(
+        CaseConfig(
+            algorithm="mr1p",
+            n_processes=64,
+            n_changes=12,
+            mean_rounds_between_changes=2.0,
+            runs=40,
+            master_seed=1,
+        )
+    )
+    assert result.changes_total == 40 * 12
+    assert 0 < handled < 120_000
+
+
+ENVIRONMENT = CaseConfig(
+    algorithm="ykd",
+    n_processes=12,
+    n_changes=6,
+    mean_rounds_between_changes=2.0,
+    runs=9,
+    master_seed=21,
+)
+
+
+def _forget_last_environment() -> None:
+    """Make the next ``compile_case`` a cold one: the compiler keeps
+    one environment, so compiling another one evicts it."""
+    compile_case(replace(ENVIRONMENT, master_seed=ENVIRONMENT.master_seed + 1))
+
+
+def test_algorithms_sharing_an_environment_compile_it_once(monkeypatch) -> None:
+    compiled_runs = 0
+    compile_run = batch_compile.compile_run
+
+    def counting(*args):
+        nonlocal compiled_runs
+        compiled_runs += 1
+        return compile_run(*args)
+
+    monkeypatch.setattr(batch_compile, "compile_run", counting)
+    _forget_last_environment()
+    compiled_runs = 0
+    shared = compare_algorithms(
+        ENVIRONMENT, BATCHED_ALGORITHMS, kernel="batched"
+    )
+    assert compiled_runs == ENVIRONMENT.runs
+
+    for algorithm in BATCHED_ALGORITHMS:
+        _forget_last_environment()
+        cold = run_case_batched(replace(ENVIRONMENT, algorithm=algorithm))
+        hot = shared[algorithm]
+        assert hot.outcomes == cold.outcomes
+        assert hot.rounds_total == cold.rounds_total
+        assert hot.changes_total == cold.changes_total
+        assert hot.final_components == cold.final_components
+        assert hot.final_primary_masks == cold.final_primary_masks
+    assert compiled_runs == (1 + 2 * len(BATCHED_ALGORITHMS)) * ENVIRONMENT.runs
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        replace(ENVIRONMENT, master_seed=22),
+        replace(ENVIRONMENT, n_processes=13),
+        replace(ENVIRONMENT, n_changes=7),
+        replace(ENVIRONMENT, mean_rounds_between_changes=2),  # labelled "2"
+        replace(ENVIRONMENT, runs=10),
+        replace(ENVIRONMENT, run_offset=1),
+        replace(ENVIRONMENT, cut_probability=0.25),
+        replace(ENVIRONMENT, change_generator=SkewedPartitionGenerator("even")),
+    ],
+    ids=[
+        "seed", "processes", "changes", "rate-label", "runs", "offset", "cut",
+        "generator",
+    ],
+)
+def test_a_different_environment_is_compiled_anew(other) -> None:
+    """Everything ``compile_case`` reads tells two environments apart."""
+    _forget_last_environment()
+    cold = compile_case(other)
+    compile_case(ENVIRONMENT)
+    assert compile_case(other) == cold
+    # Equal parameters are one environment whichever instance carries them.
+    if other.change_generator is not None:
+        twin = replace(other, change_generator=SkewedPartitionGenerator("even"))
+        first = compile_case(twin)
+        assert all(a is b for a, b in zip(first, compile_case(other)))
