@@ -18,6 +18,11 @@ Examples::
     repro-experiments explain --replay case.trace.jsonl
     repro-experiments serve --replicas 3 --port 8080
     repro-experiments load --seed 7 --schedule cascade --verify-replay
+    repro-experiments gcs --schedule flip_flop --transport tcp
+
+Every subcommand is one ``(name, help, configure, run)`` record in
+:data:`COMMANDS`; :func:`main` builds the parser from the registry and
+dispatches through it.  Exit codes: 0 clean, 1 findings, 2 bad input.
 """
 
 from __future__ import annotations
@@ -52,50 +57,54 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.spec import SCALES, SPECS, all_spec_ids, get_scale
 from repro.sim.campaign import CaseConfig, run_case
 from repro.sim.driver import DriverLoop
+from repro.service import cli as service_cli
 from repro.sim.explore import explore
-from repro.service.cli import (
-    add_service_parsers,
-    run_load,
-    run_serve,
-    run_telemetry,
-)
 from repro.sim.rng import derive_rng
 from repro.sim.trace import TraceRecorder, render_timeline
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Reproduce the tables and figures of the dynamic "
-        "voting availability study.",
+def _add_case_options(
+    parser: argparse.ArgumentParser,
+    processes: int,
+    changes: int,
+    rate: Optional[float] = None,
+    runs: Optional[int] = None,
+) -> None:
+    """The flags naming one simulated case; ``runs`` brings ``--mode``."""
+    parser.add_argument("--processes", type=int, default=processes)
+    parser.add_argument("--changes", type=int, default=changes)
+    if rate is not None:
+        parser.add_argument("--rate", type=float, default=rate)
+    if runs is not None:
+        parser.add_argument("--runs", type=int, default=runs)
+        parser.add_argument(
+            "--mode", choices=["fresh", "cascading"], default="fresh"
+        )
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _case_config(args: argparse.Namespace, algorithm: str) -> CaseConfig:
+    return CaseConfig(
+        algorithm=algorithm,
+        n_processes=args.processes,
+        n_changes=args.changes,
+        mean_rounds_between_changes=args.rate,
+        runs=args.runs,
+        mode=args.mode,
+        master_seed=args.seed,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list all experiments and scales")
 
-    run_parser = sub.add_parser("run", help="run one experiment")
-    run_parser.add_argument("experiment_id", choices=sorted(SPECS))
-    _add_run_options(run_parser)
+def _configure_run(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("experiment_id", choices=sorted(SPECS))
+    _add_run_options(parser)
 
-    all_parser = sub.add_parser("all", help="run every experiment")
-    _add_run_options(all_parser)
 
-    compare_parser = sub.add_parser(
-        "compare",
-        help="paired head-to-head comparison of two algorithms over "
-        "identical fault sequences",
-    )
-    compare_parser.add_argument("first", choices=algorithm_names())
-    compare_parser.add_argument("second", choices=algorithm_names())
-    compare_parser.add_argument("--processes", type=int, default=16)
-    compare_parser.add_argument("--changes", type=int, default=6)
-    compare_parser.add_argument("--rate", type=float, default=2.0)
-    compare_parser.add_argument("--runs", type=int, default=300)
-    compare_parser.add_argument(
-        "--mode", choices=["fresh", "cascading"], default="fresh"
-    )
-    compare_parser.add_argument("--seed", type=int, default=0)
-    compare_parser.add_argument(
+def _configure_compare(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("first", choices=algorithm_names())
+    parser.add_argument("second", choices=algorithm_names())
+    _add_case_options(parser, processes=16, changes=6, rate=2.0, runs=300)
+    parser.add_argument(
         "--kernel",
         choices=["scalar", "batched"],
         default="scalar",
@@ -103,82 +112,52 @@ def _build_parser() -> argparse.ArgumentParser:
         "per-case scalar fallback outside the batched surface)",
     )
 
-    soak_parser = sub.add_parser(
-        "soak",
-        help="endurance trial: inject a huge number of connectivity "
-        "changes under continuous invariant checking (the thesis ran "
-        "1,310,000 per algorithm)",
-    )
-    soak_parser.add_argument("algorithm", choices=algorithm_names())
-    soak_parser.add_argument("--changes", type=int, default=10_000)
-    soak_parser.add_argument("--processes", type=int, default=8)
-    soak_parser.add_argument("--rate", type=float, default=1.0)
-    soak_parser.add_argument("--seed", type=int, default=0)
 
-    verify_parser = sub.add_parser(
-        "verify",
-        help="exhaustively model-check an algorithm over all bounded "
-        "fault schedules",
-    )
-    verify_parser.add_argument(
+def _configure_soak(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("algorithm", choices=algorithm_names())
+    _add_case_options(parser, processes=8, changes=10_000, rate=1.0)
+
+
+def _configure_verify(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "algorithm", choices=list(algorithm_names()) + ["all"]
     )
-    verify_parser.add_argument("--processes", type=int, default=3)
-    verify_parser.add_argument("--depth", type=int, default=2)
-    verify_parser.add_argument(
+    parser.add_argument("--processes", type=int, default=3)
+    parser.add_argument("--depth", type=int, default=2)
+    parser.add_argument(
         "--gaps", type=int, nargs="+", default=[0, 1, 2, 3]
     )
-    verify_parser.add_argument("--max-scenarios", type=int, default=None)
-    verify_parser.add_argument(
+    parser.add_argument("--max-scenarios", type=int, default=None)
+    parser.add_argument(
         "--workers", type=int, default=1,
         help="shard the top-level frontier across this many processes",
     )
-    verify_parser.add_argument(
-        "--symmetry", action="store_true",
-        help="collapse first steps that are process relabelings of "
-        "each other (exact counts, representative violations; "
-        "requires --processes 3)",
-    )
-    verify_parser.add_argument(
+    parser.add_argument(
         "--stats", action="store_true",
         help="print the explorer's work accounting (states, dedup "
         "hits, rounds, fork depth)",
     )
-    verify_parser.add_argument(
+    parser.add_argument(
         "--stats-out", type=Path, default=None, metavar="PATH",
         help="also write per-algorithm results and stats as JSON",
     )
 
-    trace_parser = sub.add_parser(
-        "trace",
-        help="run one randomized scenario and print its event timeline",
-    )
-    trace_parser.add_argument("algorithm", choices=algorithm_names())
-    trace_parser.add_argument("--processes", type=int, default=5)
-    trace_parser.add_argument("--changes", type=int, default=3)
-    trace_parser.add_argument("--seed", type=int, default=0)
 
-    profile_parser = sub.add_parser(
-        "profile",
-        help="run one campaign case with per-phase timing, live "
-        "progress and campaign metrics; print the phase table",
-    )
-    profile_parser.add_argument("algorithm", choices=algorithm_names())
-    profile_parser.add_argument("--processes", type=int, default=16)
-    profile_parser.add_argument("--changes", type=int, default=6)
-    profile_parser.add_argument("--rate", type=float, default=2.0)
-    profile_parser.add_argument("--runs", type=int, default=200)
-    profile_parser.add_argument(
-        "--mode", choices=["fresh", "cascading"], default="fresh"
-    )
-    profile_parser.add_argument("--seed", type=int, default=0)
-    profile_parser.add_argument(
+def _configure_trace(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("algorithm", choices=algorithm_names())
+    _add_case_options(parser, processes=5, changes=3)
+
+
+def _configure_profile(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("algorithm", choices=algorithm_names())
+    _add_case_options(parser, processes=16, changes=6, rate=2.0, runs=200)
+    parser.add_argument(
         "--every",
         type=int,
         default=25,
         help="progress reporting interval in runs (default: 25)",
     )
-    profile_parser.add_argument(
+    parser.add_argument(
         "--metrics-out",
         type=Path,
         default=None,
@@ -186,19 +165,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "phase profile) as JSONL, or CSV for a .csv path",
     )
 
-    check_parser = sub.add_parser(
-        "check",
-        help="differential schedule fuzzing with failure minimization, "
-        "repro replay, and corpus regression",
-    )
-    check_parser.add_argument(
+
+def _configure_check(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "mode",
         nargs="?",
         choices=["fuzz"],
         default="fuzz",
         help="check mode (only 'fuzz' exists; --replay/--corpus override)",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--faults",
         nargs="+",
         choices=list(FAULT_CLASSES),
@@ -209,57 +185,54 @@ def _build_parser() -> argparse.ArgumentParser:
         "against the per-class invariant oracle, and only findings the "
         "oracle does not sanction fail the run",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--replay",
         type=Path,
         default=None,
         help="replay one repro file instead of fuzzing",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--corpus",
         type=Path,
         default=None,
         help="replay every repro file in a directory instead of fuzzing",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--algorithms",
         nargs="+",
         choices=algorithm_names(),
         default=None,
         help="algorithms to cross-check (default: all registered)",
     )
-    check_parser.add_argument("--schedules", type=int, default=200)
-    check_parser.add_argument("--seed", type=int, default=0)
-    check_parser.add_argument("--min-processes", type=int, default=3)
-    check_parser.add_argument("--max-processes", type=int, default=6)
-    check_parser.add_argument("--max-changes", type=int, default=6)
-    check_parser.add_argument("--max-gap", type=int, default=3)
-    check_parser.add_argument("--crash-weight", type=float, default=0.2)
-    check_parser.add_argument(
+    parser.add_argument("--schedules", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--min-processes", type=int, default=3)
+    parser.add_argument("--max-processes", type=int, default=6)
+    parser.add_argument("--max-changes", type=int, default=6)
+    parser.add_argument("--max-gap", type=int, default=3)
+    parser.add_argument("--crash-weight", type=float, default=0.2)
+    parser.add_argument(
         "--shrink",
         action="store_true",
         help="delta-debug each failing schedule to a minimal reproducer",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--save-repros",
         type=Path,
         default=None,
         help="directory for the (minimized) failing schedules as repro files",
     )
 
-    explain_parser = sub.add_parser(
-        "explain",
-        help="availability forensics: run a case (or replay a trace / "
-        "repro plan) and explain every round without a primary",
-    )
-    explain_parser.add_argument(
+
+def _configure_explain(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "algorithm",
         nargs="?",
         choices=algorithm_names(),
         default=None,
         help="algorithm to run (optional with --replay)",
     )
-    explain_parser.add_argument(
+    parser.add_argument(
         "--replay",
         type=Path,
         default=None,
@@ -267,56 +240,33 @@ def _build_parser() -> argparse.ArgumentParser:
         help="explain a recorded artifact instead of running: a trace "
         "JSONL (from --trace-out) or a repro.check repro/plan JSON",
     )
-    explain_parser.add_argument("--processes", type=int, default=8)
-    explain_parser.add_argument("--changes", type=int, default=4)
-    explain_parser.add_argument("--rate", type=float, default=4.0)
-    explain_parser.add_argument("--runs", type=int, default=50)
-    explain_parser.add_argument(
-        "--mode", choices=["fresh", "cascading"], default="fresh"
-    )
-    explain_parser.add_argument("--seed", type=int, default=0)
-    explain_parser.add_argument(
+    _add_case_options(parser, processes=8, changes=4, rate=4.0, runs=50)
+    parser.add_argument(
         "--timeline",
         action="store_true",
         help="also print the event timeline with attempt spans woven in",
     )
-    explain_parser.add_argument(
+    parser.add_argument(
         "--html",
         type=Path,
         default=None,
         metavar="PATH",
         help="write the self-contained HTML forensics report",
     )
-    explain_parser.add_argument(
+    parser.add_argument(
         "--spans-out",
         type=Path,
         default=None,
         metavar="PATH",
         help="write the reconstructed spans as canonical JSONL",
     )
-    explain_parser.add_argument(
+    parser.add_argument(
         "--trace-out",
         type=Path,
         default=None,
         metavar="PATH",
         help="write the recorded trace as canonical JSONL",
     )
-
-    add_service_parsers(sub)
-
-    gcs_parser = sub.add_parser(
-        "gcs",
-        help="run a recorded partition schedule on a real multi-process "
-        "GCS cluster (UDP/TCP sockets) and compare against the "
-        "simulated reference — see `python -m repro.gcs.proc --help`",
-        add_help=False,
-    )
-    gcs_parser.add_argument(
-        "gcs_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to repro.gcs.proc",
-    )
-
-    return parser
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -386,29 +336,21 @@ def _write_metrics(registry: MetricsRegistry, path: Path) -> None:
     print(f"metrics written: {path} ({len(registry.series())} series)")
 
 
-def _run_one(
-    experiment_id: str,
-    scale: str,
-    seed: int,
-    csv_dir: Optional[Path],
-    plot: bool = False,
-    workers: int = 1,
-    metrics_out: Optional[Path] = None,
-    trace_dir: Optional[Path] = None,
-    spans_dir: Optional[Path] = None,
-    kernel: str = "scalar",
-) -> None:
+def _run_one(experiment_id: str, args: argparse.Namespace) -> None:
+    """Run one experiment under the ``run``/``all`` options in ``args``."""
+    plot, csv_dir = args.plot, args.csv
+    trace_dir, spans_dir = args.trace_out, args.spans_out
     started = time.time()
-    metrics = MetricsRegistry() if metrics_out is not None else None
+    metrics = MetricsRegistry() if args.metrics_out is not None else None
     result = run_experiment(
         experiment_id,
-        scale=scale,
-        master_seed=seed,
-        workers=workers,
+        scale=args.scale,
+        master_seed=args.seed,
+        workers=args.workers,
         metrics=metrics,
         trace_dir=trace_dir,
         spans_dir=spans_dir,
-        kernel=kernel,
+        kernel=args.kernel,
     )
     print(render(result))
     if trace_dir is not None or spans_dir is not None:
@@ -436,7 +378,7 @@ def _run_one(
         print(f"csv written: {path}")
     if metrics is not None:
         if metrics.series():
-            _write_metrics(metrics, metrics_out)
+            _write_metrics(metrics, args.metrics_out)
         else:
             print(
                 f"metrics not written: {experiment_id} is not "
@@ -445,19 +387,35 @@ def _run_one(
     print(f"[{experiment_id} done in {time.time() - started:.1f}s]\n")
 
 
-def _compare(args: argparse.Namespace) -> None:
-    outcomes = {}
-    for algorithm in (args.first, args.second):
-        case = CaseConfig(
-            algorithm=algorithm,
-            n_processes=args.processes,
-            n_changes=args.changes,
-            mean_rounds_between_changes=args.rate,
-            runs=args.runs,
-            mode=args.mode,
-            master_seed=args.seed,
-        )
-        outcomes[algorithm] = run_case(case, kernel=args.kernel).outcomes
+def _list(args: argparse.Namespace) -> int:
+    print("Experiments:")
+    for spec_id in all_spec_ids():
+        spec = SPECS[spec_id]
+        print(f"  {spec_id:18s} {spec.paper_artifact}: {spec.title}")
+    print("\nScales:")
+    for scale in SCALES.values():
+        print(f"  {scale.describe()}")
+    return 0
+
+
+def _run(args: argparse.Namespace) -> int:
+    _run_one(args.experiment_id, args)
+    return 0
+
+
+def _all(args: argparse.Namespace) -> int:
+    for spec_id in all_spec_ids():
+        _run_one(spec_id, args)
+    return 0
+
+
+def _compare(args: argparse.Namespace) -> int:
+    outcomes = {
+        algorithm: run_case(
+            _case_config(args, algorithm), kernel=args.kernel
+        ).outcomes
+        for algorithm in (args.first, args.second)
+    }
     comparison = compare_paired(
         args.first, outcomes[args.first], args.second, outcomes[args.second]
     )
@@ -466,6 +424,7 @@ def _compare(args: argparse.Namespace) -> None:
         f"mean {args.rate:g} rounds between changes, {args.mode} mode:\n"
     )
     print(comparison.describe())
+    return 0
 
 
 def _soak(args: argparse.Namespace) -> int:
@@ -502,14 +461,6 @@ def _soak(args: argparse.Namespace) -> int:
 
 
 def _verify(args: argparse.Namespace) -> int:
-    if args.symmetry and args.processes != 3:
-        print(
-            "error: --symmetry is only sound with --processes 3 — dynamic "
-            "linear voting's lexical tie-break makes relabeled schedules "
-            "behaviourally inequivalent (see docs/model-checking.md)",
-            file=sys.stderr,
-        )
-        return 2
     algorithms = (
         list(algorithm_names()) if args.algorithm == "all" else [args.algorithm]
     )
@@ -523,7 +474,6 @@ def _verify(args: argparse.Namespace) -> int:
             depth=args.depth,
             gap_options=tuple(args.gaps),
             max_scenarios=args.max_scenarios,
-            symmetry=args.symmetry,
             workers=args.workers,
         )
         elapsed = time.time() - started
@@ -543,7 +493,6 @@ def _verify(args: argparse.Namespace) -> int:
             print(
                 f"  states={stats.nodes} dedup_hits={stats.dedup_hits} "
                 f"cut_collapsed={stats.cut_collapsed} "
-                f"orbits={stats.orbits}/{stats.first_steps} "
                 f"rounds={stats.rounds} snapshots={stats.snapshots} "
                 f"restores={stats.restores} "
                 f"max_fork_depth={stats.max_fork_depth} "
@@ -582,7 +531,6 @@ def _verify(args: argparse.Namespace) -> int:
             "processes": args.processes,
             "depth": args.depth,
             "gaps": list(args.gaps),
-            "symmetry": args.symmetry,
             "workers": args.workers,
             "algorithms": report,
         }
@@ -594,7 +542,7 @@ def _verify(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _trace(args: argparse.Namespace) -> None:
+def _trace(args: argparse.Namespace) -> int:
     recorder = TraceRecorder()
     driver = DriverLoop(
         algorithm=args.algorithm,
@@ -608,23 +556,18 @@ def _trace(args: argparse.Namespace) -> None:
         f"\noutcome: primary={driver.primary_members()} "
         f"topology={driver.topology.describe()}"
     )
+    return 0
 
 
 def _profile(args: argparse.Namespace) -> int:
     profiler = PhaseProfiler()
     reporter = ProgressReporter(every=args.every)
     collector = CampaignMetrics()
-    case = CaseConfig(
-        algorithm=args.algorithm,
-        n_processes=args.processes,
-        n_changes=args.changes,
-        mean_rounds_between_changes=args.rate,
-        runs=args.runs,
-        mode=args.mode,
-        master_seed=args.seed,
-    )
     started = time.time()
-    result = run_case(case, observers=[profiler, reporter, collector])
+    result = run_case(
+        _case_config(args, args.algorithm),
+        observers=[profiler, reporter, collector],
+    )
     elapsed = time.time() - started
     rate = result.rounds_total / elapsed if elapsed > 0 else 0.0
     print(
@@ -669,16 +612,9 @@ def _explain(args: argparse.Namespace) -> int:
     else:
         recorder = TraceRecorder(max_events=1_000_000)
         causal = CausalObserver()
-        case = CaseConfig(
-            algorithm=args.algorithm,
-            n_processes=args.processes,
-            n_changes=args.changes,
-            mean_rounds_between_changes=args.rate,
-            runs=args.runs,
-            mode=args.mode,
-            master_seed=args.seed,
+        result = run_case(
+            _case_config(args, args.algorithm), observers=[recorder, causal]
         )
-        result = run_case(case, observers=[recorder, causal])
         labels = {
             "algorithm": args.algorithm,
             "mode": args.mode,
@@ -891,67 +827,84 @@ def _check(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+#: The subcommand registry: ``(name, help, configure(parser),
+#: run(args) -> exit code)``, in ``--help`` order.
+COMMANDS = (
+    ("list", "list all experiments and scales", lambda parser: None, _list),
+    ("run", "run one experiment", _configure_run, _run),
+    ("all", "run every experiment", _add_run_options, _all),
+    (
+        "compare",
+        "paired head-to-head comparison of two algorithms over identical "
+        "fault sequences",
+        _configure_compare,
+        _compare,
+    ),
+    (
+        "soak",
+        "endurance trial: inject a huge number of connectivity changes "
+        "under continuous invariant checking (the thesis ran 1,310,000 "
+        "per algorithm)",
+        _configure_soak,
+        _soak,
+    ),
+    (
+        "verify",
+        "exhaustively model-check an algorithm over all bounded fault "
+        "schedules",
+        _configure_verify,
+        _verify,
+    ),
+    (
+        "trace",
+        "run one randomized scenario and print its event timeline",
+        _configure_trace,
+        _trace,
+    ),
+    (
+        "profile",
+        "run one campaign case with per-phase timing, live progress and "
+        "campaign metrics; print the phase table",
+        _configure_profile,
+        _profile,
+    ),
+    (
+        "check",
+        "differential schedule fuzzing with failure minimization, repro "
+        "replay, and corpus regression",
+        _configure_check,
+        _check,
+    ),
+    (
+        "explain",
+        "availability forensics: run a case (or replay a trace / repro "
+        "plan) and explain every round without a primary",
+        _configure_explain,
+        _explain,
+    ),
+    *service_cli.COMMANDS,
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built from :data:`COMMANDS`."""
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments",
+        description="Reproduce the tables and figures of the dynamic "
+        "voting availability study.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, configure, run in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        configure(command)
+        command.set_defaults(run=run)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    raw = sys.argv[1:] if argv is None else list(argv)
-    if raw and raw[0] == "gcs":
-        # argparse's REMAINDER cannot start with an option-like token,
-        # so forward everything after `gcs` to the proc runner directly.
-        from repro.gcs.proc.__main__ import main as gcs_main
-
-        return gcs_main(raw[1:])
-    args = _build_parser().parse_args(raw)
-    if args.command == "list":
-        print("Experiments:")
-        for spec_id in all_spec_ids():
-            spec = SPECS[spec_id]
-            print(f"  {spec_id:18s} {spec.paper_artifact}: {spec.title}")
-        print("\nScales:")
-        for scale in SCALES.values():
-            print(f"  {scale.describe()}")
-        return 0
-    if args.command == "run":
-        _run_one(
-            args.experiment_id, args.scale, args.seed, args.csv,
-            args.plot, args.workers, args.metrics_out,
-            args.trace_out, args.spans_out, args.kernel,
-        )
-        return 0
-    if args.command == "all":
-        for spec_id in all_spec_ids():
-            _run_one(
-                spec_id, args.scale, args.seed, args.csv,
-                args.plot, args.workers, args.metrics_out,
-                args.trace_out, args.spans_out, args.kernel,
-            )
-        return 0
-    if args.command == "compare":
-        _compare(args)
-        return 0
-    if args.command == "trace":
-        _trace(args)
-        return 0
-    if args.command == "profile":
-        return _profile(args)
-    if args.command == "verify":
-        return _verify(args)
-    if args.command == "soak":
-        return _soak(args)
-    if args.command == "check":
-        return _check(args)
-    if args.command == "explain":
-        return _explain(args)
-    if args.command == "serve":
-        return run_serve(args)
-    if args.command == "load":
-        return run_load(args)
-    if args.command == "telemetry":
-        return run_telemetry(args)
-    if args.command == "gcs":
-        from repro.gcs.proc.__main__ import main as gcs_main
-
-        return gcs_main(args.gcs_args)
-    return 2  # pragma: no cover - argparse guards commands
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

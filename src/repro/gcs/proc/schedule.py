@@ -179,6 +179,19 @@ def generated_schedule(
     )
 
 
+def resolve_schedule(spec: str) -> RecordedSchedule:
+    """The schedule a command line names: stock, or ``generated:<seed>``."""
+    if spec in STOCK_SCHEDULES:
+        return STOCK_SCHEDULES[spec]
+    kind, _, seed = spec.partition(":")
+    if kind == "generated" and seed.isdigit():
+        return generated_schedule(int(seed))
+    raise SimulationError(
+        f"unknown schedule {spec!r}: pick one of "
+        f"{', '.join(sorted(STOCK_SCHEDULES))}, generated:<seed>"
+    )
+
+
 def simulate_reference(
     schedule: RecordedSchedule,
     algorithm: str,

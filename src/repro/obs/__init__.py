@@ -27,7 +27,7 @@ from repro.obs.canonical import (
     canonical_jsonl,
     canonical_line,
 )
-from repro.obs.collect import CampaignMetrics, ExploreMetrics
+from repro.obs.collect import CampaignMetrics
 from repro.obs.export import (
     METRICS_KIND,
     load_metrics_jsonl,
@@ -49,7 +49,7 @@ from repro.obs.metrics import (
     merge_registries,
 )
 from repro.obs.profile import DRIVER_PHASES, PhaseProfiler, PhaseStat
-from repro.obs.progress import ExploreProgress, ProgressReporter
+from repro.obs.progress import ProgressReporter
 
 #: Names re-exported lazily from ``repro.obs.causal``.  The causal
 #: package's live observer subclasses the trace recorder, so importing
@@ -119,8 +119,6 @@ def __getattr__(name: str):
 __all__ = [
     "CampaignMetrics",
     "Counter",
-    "ExploreMetrics",
-    "ExploreProgress",
     "DEFAULT_BUCKETS",
     "DRIVER_PHASES",
     "EventBus",

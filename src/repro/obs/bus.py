@@ -68,21 +68,6 @@ class Subscriber:
         """A campaign case finished; ``result`` is its CaseResult."""
 
     # ------------------------------------------------------------------
-    # Exhaustive exploration (published by repro.sim.explore.explore).
-    # ------------------------------------------------------------------
-
-    def on_explore_start(self, result: Any) -> None:
-        """An exhaustive exploration begins; ``result`` is the live
-        (still-empty) ExplorationResult being filled."""
-
-    def on_explore_progress(self, result: Any, stats: Any) -> None:
-        """Periodic exploration progress (serial mode only): the live
-        ExplorationResult so far plus its ExploreStats counters."""
-
-    def on_explore_end(self, result: Any) -> None:
-        """The exploration finished; ``result`` is final."""
-
-    # ------------------------------------------------------------------
     # Group communication (published by repro.gcs.stack.GCSCluster).
     # ------------------------------------------------------------------
 
@@ -103,9 +88,6 @@ HOOK_NAMES: Tuple[str, ...] = (
     "on_run_end",
     "on_case_start",
     "on_case_end",
-    "on_explore_start",
-    "on_explore_progress",
-    "on_explore_end",
     "on_gcs_tick",
     "on_gcs_event",
 )

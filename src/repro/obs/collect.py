@@ -144,68 +144,3 @@ class CampaignMetrics(Subscriber):
         self._run_changes.observe(
             driver.changes_injected - self._run_start_changes
         )
-
-
-class ExploreMetrics(Subscriber):
-    """Record exhaustive-exploration facts into a :class:`MetricsRegistry`.
-
-    The explorer's counterpart to :class:`CampaignMetrics`: attach to
-    ``explore(..., observers=[...])`` and one completed exploration
-    lands as labelled counters —
-
-    ==============================  ======================================
-    series                          meaning
-    ==============================  ======================================
-    ``explore_scenarios_total``     complete scenarios covered
-    ``explore_available_total``     scenarios ending with a live primary
-    ``explore_violations_total``    invariant violations recorded
-    ``explore_states_total``        distinct states evaluated (DFS nodes)
-    ``explore_dedup_hits_total``    subtrees answered from the state memo
-    ``explore_collapsed_total``     cut subtrees skipped via silent rounds
-    ``explore_rounds_total``        driver rounds actually executed
-    ``explore_max_fork_depth``      gauge: deepest live snapshot stack
-    ==============================  ======================================
-
-    Labels are the exploration's identity (algorithm, processes, depth),
-    so registries holding several explorations keep them separate.
-    """
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        labels: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._extra_labels = dict(labels or {})
-
-    def on_explore_end(self, result: Any) -> None:
-        """Fold one finished exploration into the registry."""
-        labels = {
-            "algorithm": str(result.algorithm),
-            "processes": str(result.n_processes),
-            "depth": str(result.depth),
-            **{str(k): str(v) for k, v in self._extra_labels.items()},
-        }
-        registry = self.registry
-        registry.counter("explore_scenarios_total", **labels).value += (
-            result.scenarios
-        )
-        registry.counter("explore_available_total", **labels).value += (
-            result.available
-        )
-        registry.counter("explore_violations_total", **labels).value += len(
-            result.violations
-        )
-        stats = result.stats
-        if stats is None:
-            return
-        registry.counter("explore_states_total", **labels).value += stats.nodes
-        registry.counter("explore_dedup_hits_total", **labels).value += (
-            stats.dedup_hits
-        )
-        registry.counter("explore_collapsed_total", **labels).value += (
-            stats.cut_collapsed
-        )
-        registry.counter("explore_rounds_total", **labels).value += stats.rounds
-        gauge = registry.gauge("explore_max_fork_depth", **labels)
-        gauge.set(max(gauge.value, stats.max_fork_depth))

@@ -94,56 +94,3 @@ class ProgressReporter(Subscriber):
         else:
             self.stream.write(text + "\n")
         self.stream.flush()
-
-
-class ExploreProgress(Subscriber):
-    """Narrate a running exhaustive exploration to a text stream.
-
-    The explorer's counterpart to :class:`ProgressReporter`: one line at
-    start, one per progress event (scenario count, states visited,
-    dedup hits, rounds executed, throughput), one at the end.  Progress
-    events fire only in serial explorations — with worker sharding only
-    the start/end lines appear.  Writes to the stream only, so
-    attaching one cannot perturb the exploration's result.
-    """
-
-    def __init__(self, stream: Optional[TextIO] = None) -> None:
-        self.stream = stream if stream is not None else sys.stderr
-        self._started = time.perf_counter()
-        self._sticky = bool(getattr(self.stream, "isatty", lambda: False)())
-
-    def on_explore_start(self, result: Any) -> None:
-        """Announce the bound being explored."""
-        self._started = time.perf_counter()
-        self.stream.write(
-            f"explore {result.algorithm}: n={result.n_processes} "
-            f"depth={result.depth} gaps={list(result.gap_options)}\n"
-        )
-        self.stream.flush()
-
-    def on_explore_progress(self, result: Any, stats: Any) -> None:
-        """One periodic status line (sticky on a TTY)."""
-        elapsed = time.perf_counter() - self._started
-        rate = result.scenarios / elapsed if elapsed > 0 else 0.0
-        text = (
-            f"{result.algorithm}: {result.scenarios} scenarios  "
-            f"{stats.nodes} states  {stats.dedup_hits} dedup  "
-            f"{stats.rounds} rounds  {rate:,.0f} scen/s"
-        )
-        if self._sticky:
-            self.stream.write("\r" + text.ljust(78))
-        else:
-            self.stream.write(text + "\n")
-        self.stream.flush()
-
-    def on_explore_end(self, result: Any) -> None:
-        """Close out with the verdict line."""
-        if self._sticky:
-            self.stream.write("\n")
-        elapsed = time.perf_counter() - self._started
-        verdict = "PASS" if result.passed else f"{len(result.violations)} violations"
-        self.stream.write(
-            f"{result.algorithm}: {result.scenarios} scenarios in "
-            f"{elapsed:.1f}s — {verdict}\n"
-        )
-        self.stream.flush()

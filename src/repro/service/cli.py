@@ -1,20 +1,25 @@
-"""The ``serve``, ``load`` and ``telemetry`` subcommands.
+"""The live-system subcommands: ``serve``, ``load``, ``telemetry``, ``gcs``.
 
 ``serve`` boots the HTTP front ends — one per replica — over either
 the in-process :class:`~repro.service.cluster.StoreCluster` or a real
 multi-process :class:`~repro.gcs.proc.controller.ProcCluster` (every
 proc node gets its own front end), ``load`` runs a seeded scenario
 (workload + optional partition schedule) to a canonical availability
-report, and ``telemetry`` drives the distributed flight-recorder
-plane: live scenario tails, post-mortem dump reading, and replay
-verification of the aggregated stream.  All live here so the
-experiments CLI only pays the import when the parser is built.
+report, ``telemetry`` drives the distributed flight-recorder plane
+(live scenario tails, post-mortem dump reading, replay verification of
+the aggregated stream), and ``gcs`` runs a recorded partition schedule
+on a real multi-process cluster against the simulated reference.
+:data:`COMMANDS` is this module's slice of the subcommand registry
+that :func:`repro.experiments.cli.main` dispatches through; the heavy
+imports stay inside the handlers, so building the parser is cheap.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,18 +27,15 @@ from pathlib import Path
 from repro.core.registry import algorithm_names
 
 
-def add_service_parsers(sub) -> None:
-    """Register ``serve`` and ``load`` on the experiments subparsers."""
-    serve = sub.add_parser(
-        "serve",
-        help="front a replicated-store cluster with per-replica HTTP "
-        "endpoints (put/get/snapshot/healthz/ops with NotPrimary "
-        "redirects)",
-    )
-    serve.add_argument("--replicas", type=int, default=3)
-    serve.add_argument(
+def _add_algorithm(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--algorithm", choices=algorithm_names(), default="ykd"
     )
+
+
+def _configure_serve(serve: argparse.ArgumentParser) -> None:
+    serve.add_argument("--replicas", type=int, default=3)
+    _add_algorithm(serve)
     serve.add_argument(
         "--backend",
         choices=["memory", "proc"],
@@ -56,30 +58,36 @@ def add_service_parsers(sub) -> None:
         "the results and exit (used by CI)",
     )
 
-    load = sub.add_parser(
-        "load",
-        help="replay a seeded heavy-traffic workload against a "
-        "partitioning cluster and emit the canonical availability "
-        "report",
-    )
-    load.add_argument("--seed", type=int, default=0)
-    load.add_argument(
-        "--algorithm", choices=algorithm_names(), default="ykd"
-    )
-    load.add_argument(
+
+def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
+    """The seeded scenario ``load`` and ``telemetry`` both run."""
+    parser.add_argument("--seed", type=int, default=0)
+    _add_algorithm(parser)
+    parser.add_argument(
         "--schedule",
         default="split_restore",
         help="a stock schedule name, 'generated:<seed>', or 'none' "
         "for the fault-free baseline",
     )
-    load.add_argument(
+    parser.add_argument(
         "--replicas",
         type=int,
         default=5,
         help="cluster size (schedules carry their own)",
     )
-    load.add_argument("--clients", type=int, default=8)
-    load.add_argument("--ticks", type=int, default=120)
+    parser.add_argument("--clients", type=int, default=8)
+    parser.add_argument("--ticks", type=int, default=120)
+    parser.add_argument(
+        "--verify-replay",
+        action="store_true",
+        help="run the scenario twice and fail unless the outputs "
+        "(report, telemetry stream with its trace ids) are "
+        "byte-identical",
+    )
+
+
+def _configure_load(load: argparse.ArgumentParser) -> None:
+    _add_scenario_options(load)
     load.add_argument("--keys", type=int, default=64)
     load.add_argument("--zipf-s-milli", type=int, default=1100)
     load.add_argument("--arrival-permille", type=int, default=350)
@@ -97,41 +105,20 @@ def add_service_parsers(sub) -> None:
         help="also write the final ops view (post-run cluster state)",
     )
     load.add_argument(
-        "--verify-replay",
-        action="store_true",
-        help="run the scenario twice and fail unless the two reports "
-        "are byte-identical",
-    )
-    load.add_argument(
         "--telemetry-out", type=Path, default=None, metavar="PATH",
         help="run with per-replica flight recorders and write the "
         "aggregated telemetry JSONL (with --verify-replay the "
         "aggregated stream must also replay byte-identically)",
     )
 
-    telemetry = sub.add_parser(
-        "telemetry",
-        help="drive the flight-recorder plane: tail a live seeded "
-        "scenario, read a post-mortem dump, or verify that the "
-        "aggregated stream replays byte-identically",
-    )
+
+def _configure_telemetry(telemetry: argparse.ArgumentParser) -> None:
     telemetry.add_argument(
         "--read", type=Path, default=None, metavar="PATH",
         help="read a flight dump (a node's crash dump or an "
         "aggregated stream) instead of running a scenario",
     )
-    telemetry.add_argument("--seed", type=int, default=0)
-    telemetry.add_argument(
-        "--algorithm", choices=algorithm_names(), default="ykd"
-    )
-    telemetry.add_argument(
-        "--schedule",
-        default="split_restore",
-        help="a stock schedule name, 'generated:<seed>', or 'none'",
-    )
-    telemetry.add_argument("--replicas", type=int, default=5)
-    telemetry.add_argument("--clients", type=int, default=8)
-    telemetry.add_argument("--ticks", type=int, default=120)
+    _add_scenario_options(telemetry)
     telemetry.add_argument(
         "--tail", type=int, default=10, metavar="N",
         help="print the last N flight events per node (0: none)",
@@ -144,86 +131,72 @@ def add_service_parsers(sub) -> None:
         "--metrics-out", type=Path, default=None, metavar="PATH",
         help="write the folded registry in Prometheus text format",
     )
-    telemetry.add_argument(
-        "--verify-replay",
-        action="store_true",
-        help="run the scenario twice and fail unless the aggregated "
-        "telemetry streams (trace ids included) are byte-identical",
-    )
 
 
-def _resolve_schedule(spec: str):
+def _scenario_runner(args: argparse.Namespace, **profile_fields):
+    """``run_scenario`` bound to the scenario the shared flags name.
+
+    Returns None after printing the error when the schedule or the
+    load profile is bad input.
+    """
     from repro.errors import ReproError
-    from repro.gcs.proc.schedule import STOCK_SCHEDULES, generated_schedule
+    from repro.gcs.proc.schedule import resolve_schedule
+    from repro.service.load import LoadProfile
+    from repro.service.scenario import run_scenario
 
-    if spec == "none":
+    try:
+        schedule = (
+            None if args.schedule == "none"
+            else resolve_schedule(args.schedule)
+        )
+        profile = LoadProfile(
+            clients=args.clients, ticks=args.ticks, seed=args.seed,
+            **profile_fields,
+        )
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
         return None
-    if spec.startswith("generated:"):
-        return generated_schedule(int(spec.split(":", 1)[1]))
-    if spec in STOCK_SCHEDULES:
-        return STOCK_SCHEDULES[spec]
-    raise ReproError(
-        f"unknown schedule {spec!r}: pick one of "
-        f"{', '.join(sorted(STOCK_SCHEDULES))}, generated:<seed>, none"
+    return functools.partial(
+        run_scenario,
+        profile,
+        schedule=schedule,
+        algorithm=args.algorithm,
+        n_processes=args.replicas,
     )
 
 
 def run_load(args: argparse.Namespace) -> int:
     """Handle ``repro-experiments load``; returns the exit code."""
-    from repro.errors import ReproError
-    from repro.service.load import LoadProfile
+    from repro.obs.telemetry import TelemetryCollector
     from repro.service.report import (
         describe_report,
         render_report,
         write_report,
     )
-    from repro.service.scenario import run_scenario
 
-    try:
-        schedule = _resolve_schedule(args.schedule)
-        profile = LoadProfile(
-            clients=args.clients,
-            ticks=args.ticks,
-            n_keys=args.keys,
-            zipf_s_milli=args.zipf_s_milli,
-            arrival_permille=args.arrival_permille,
-            put_permille=args.put_permille,
-            burst_gap_mean=args.burst_gap_mean,
-            burst_len=args.burst_len,
-            burst_boost_permille=args.burst_boost_permille,
-            storm_gap_mean=args.storm_gap_mean,
-            seed=args.seed,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
+    run = _scenario_runner(
+        args,
+        n_keys=args.keys,
+        zipf_s_milli=args.zipf_s_milli,
+        arrival_permille=args.arrival_permille,
+        put_permille=args.put_permille,
+        burst_gap_mean=args.burst_gap_mean,
+        burst_len=args.burst_len,
+        burst_boost_permille=args.burst_boost_permille,
+        storm_gap_mean=args.storm_gap_mean,
+    )
+    if run is None:
         return 2
 
-    collector = None
-    if args.telemetry_out is not None:
-        from repro.obs.telemetry import TelemetryCollector
+    def new_collector():
+        return None if args.telemetry_out is None else TelemetryCollector()
 
-        collector = TelemetryCollector()
-    report = run_scenario(
-        profile,
-        schedule=schedule,
-        algorithm=args.algorithm,
-        n_processes=args.replicas,
-        collector=collector,
-    )
+    collector = new_collector()
+    report = run(collector=collector)
     print(describe_report(report))
     if args.verify_replay:
-        from repro.obs.telemetry import TelemetryCollector
-
-        replay_collector = (
-            TelemetryCollector() if collector is not None else None
-        )
-        replay = run_scenario(
-            profile,
-            schedule=schedule,
-            algorithm=args.algorithm,
-            n_processes=args.replicas,
-            collector=replay_collector,
-        )
+        replay_collector = new_collector()
+        replay = run(collector=replay_collector)
         if render_report(replay) != render_report(report):
             print(
                 "replay FAILED: second run produced a different report",
@@ -260,8 +233,7 @@ def run_load(args: argparse.Namespace) -> int:
         from repro.obs.canonical import canonical_line
         from repro.service.cluster import StoreCluster
 
-        n = schedule.n_processes if schedule else args.replicas
-        cluster = StoreCluster(n, args.algorithm)
+        cluster = StoreCluster(report["n_processes"], args.algorithm)
         cluster.warm_up()
         args.ops_out.parent.mkdir(parents=True, exist_ok=True)
         args.ops_out.write_bytes(canonical_line(cluster.ops_view()))
@@ -312,40 +284,19 @@ def _describe_dump(path: Path, tail: int) -> int:
 
 def run_telemetry(args: argparse.Namespace) -> int:
     """Handle ``repro-experiments telemetry``; returns the exit code."""
-    from repro.errors import ReproError
     from repro.obs.telemetry import TelemetryCollector, render_prometheus
-    from repro.service.load import LoadProfile
-    from repro.service.scenario import run_scenario
 
     if args.read is not None:
         return _describe_dump(args.read, args.tail)
 
-    try:
-        schedule = _resolve_schedule(args.schedule)
-        profile = LoadProfile(
-            clients=args.clients, ticks=args.ticks, seed=args.seed
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
+    run = _scenario_runner(args)
+    if run is None:
         return 2
-
     collector = TelemetryCollector()
-    run_scenario(
-        profile,
-        schedule=schedule,
-        algorithm=args.algorithm,
-        n_processes=args.replicas,
-        collector=collector,
-    )
+    run(collector=collector)
     if args.verify_replay:
         replay = TelemetryCollector()
-        run_scenario(
-            profile,
-            schedule=schedule,
-            algorithm=args.algorithm,
-            n_processes=args.replicas,
-            collector=replay,
-        )
+        run(collector=replay)
         if replay.aggregated_jsonl() != collector.aggregated_jsonl():
             print(
                 "replay FAILED: second run produced a different "
@@ -396,43 +347,37 @@ async def _serve(args: argparse.Namespace) -> int:
     from repro.service.cluster import StoreCluster
     from repro.service.frontend import FrontendGroup, ProcFrontendGroup
 
-    if args.backend == "proc":
-        from repro.gcs.proc.controller import ProcCluster
+    with contextlib.ExitStack() as stack:
+        if args.backend == "proc":
+            from repro.gcs.proc.controller import ProcCluster
 
-        with ProcCluster(
-            args.replicas,
-            algorithm=args.algorithm,
-            endpoint_kind="store",
-            tick_interval=args.tick_interval,
-        ) as cluster:
+            cluster = stack.enter_context(
+                ProcCluster(
+                    args.replicas,
+                    algorithm=args.algorithm,
+                    endpoint_kind="store",
+                    tick_interval=args.tick_interval,
+                )
+            )
             cluster.await_stable()
             group = ProcFrontendGroup(cluster)
-            peers = await group.start(args.host, args.port)
-            for pid, (host, port) in sorted(peers.items()):
-                print(f"replica {pid} of {args.replicas} (proc/udp) "
-                      f"on http://{host}:{port}")
-            try:
-                if args.smoke:
-                    return await _smoke(peers)
-                while True:
-                    await asyncio.sleep(3600)
-            finally:
-                await group.stop()
-
-    cluster = StoreCluster(args.replicas, args.algorithm)
-    cluster.apply_stage((tuple(range(args.replicas)),))
-    cluster.warm_up()
-    group = FrontendGroup(cluster, tick_interval=args.tick_interval)
-    peers = await group.start(args.host, args.port)
-    for pid, (host, port) in sorted(peers.items()):
-        print(f"replica {pid} on http://{host}:{port}")
-    try:
-        if args.smoke:
-            return await _smoke(peers)
-        while True:
-            await asyncio.sleep(3600)
-    finally:
-        await group.stop()
+            label = f" of {args.replicas} (proc/udp)"
+        else:
+            cluster = StoreCluster(args.replicas, args.algorithm)
+            cluster.apply_stage((tuple(range(args.replicas)),))
+            cluster.warm_up()
+            group = FrontendGroup(cluster, tick_interval=args.tick_interval)
+            label = ""
+        peers = await group.start(args.host, args.port)
+        for pid, (host, port) in sorted(peers.items()):
+            print(f"replica {pid}{label} on http://{host}:{port}")
+        try:
+            if args.smoke:
+                return await _smoke(peers)
+            while True:
+                await asyncio.sleep(3600)
+        finally:
+            await group.stop()
 
 
 async def _http_raw(address, method: str, path: str, body: bytes = b""):
@@ -487,3 +432,137 @@ async def _smoke(peers) -> int:
               f"({status} {detail})")
     print("smoke passed" if ok else "smoke FAILED")
     return 0 if ok else 1
+
+
+def _configure_gcs(gcs: argparse.ArgumentParser) -> None:
+    from repro.gcs.proc.schedule import STOCK_SCHEDULES
+
+    gcs.add_argument(
+        "--schedule",
+        default="flip_flop",
+        help="stock schedule name or generated:<seed> "
+        f"(stock: {', '.join(sorted(STOCK_SCHEDULES))})",
+    )
+    _add_algorithm(gcs)
+    gcs.add_argument("--transport", default="udp", choices=("udp", "tcp"))
+    gcs.add_argument(
+        "--loss-permille",
+        type=int,
+        default=0,
+        help="injected per-transmission wire loss (udp only)",
+    )
+    gcs.add_argument(
+        "--link-seed", type=int, default=0, help="wire-fault draw seed"
+    )
+    gcs.add_argument("--stage-timeout", type=float, default=30.0)
+    gcs.add_argument(
+        "--tick-interval",
+        type=float,
+        default=0.005,
+        help="node tick pacing in seconds",
+    )
+    gcs.add_argument(
+        "--skip-reference",
+        action="store_true",
+        help="run the real cluster only, without the differential check",
+    )
+
+
+def run_gcs(args: argparse.Namespace) -> int:
+    """Handle ``repro-experiments gcs``: 0 converged and matching the
+    simulated reference, 1 a divergence (printed per stage)."""
+    from repro.errors import ReproError
+    from repro.faults.model import LinkFaults
+    from repro.gcs.proc.controller import ProcCluster, run_differential
+    from repro.gcs.proc.schedule import resolve_schedule
+
+    try:
+        schedule = resolve_schedule(args.schedule)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    link = None
+    if args.loss_permille:
+        link = LinkFaults(
+            loss_permille=args.loss_permille, seed=args.link_seed
+        )
+
+    if args.skip_reference:
+        with ProcCluster(
+            schedule.n_processes,
+            algorithm=args.algorithm,
+            transport=args.transport,
+            link=link,
+            tick_interval=args.tick_interval,
+        ) as cluster:
+            outcomes = cluster.run_schedule(
+                schedule, stage_timeout=args.stage_timeout
+            )
+        for index, outcome in enumerate(outcomes):
+            print(f"stage {index}: views={dict(outcome.views)} "
+                  f"primaries={outcome.primaries}")
+        return 0
+
+    result = run_differential(
+        schedule,
+        algorithm=args.algorithm,
+        transport=args.transport,
+        link=link,
+        stage_timeout=args.stage_timeout,
+        tick_interval=args.tick_interval,
+    )
+    for index, (ref, obs) in enumerate(
+        zip(result.reference, result.observed)
+    ):
+        marker = "ok" if (ref == obs) else "DIVERGED"
+        print(
+            f"stage {index} [{marker}]: primaries={obs.primaries} "
+            f"views={dict(obs.views)}"
+        )
+    if result.matches:
+        print(
+            f"MATCH: {result.schedule} x {result.algorithm} over "
+            f"{result.transport} converged to the simulated reference"
+        )
+        return 0
+    print("DIVERGENCE:")
+    for line in result.divergences():
+        print("  " + line)
+    return 1
+
+
+#: ``(name, help, configure(parser), run(args) -> exit code)`` — this
+#: module's slice of the registry ``repro.experiments.cli`` dispatches on.
+COMMANDS = (
+    (
+        "serve",
+        "front a replicated-store cluster with per-replica HTTP "
+        "endpoints (put/get/snapshot/healthz/ops with NotPrimary "
+        "redirects)",
+        _configure_serve,
+        run_serve,
+    ),
+    (
+        "load",
+        "replay a seeded heavy-traffic workload against a partitioning "
+        "cluster and emit the canonical availability report",
+        _configure_load,
+        run_load,
+    ),
+    (
+        "telemetry",
+        "drive the flight-recorder plane: tail a live seeded scenario, "
+        "read a post-mortem dump, or verify that the aggregated stream "
+        "replays byte-identically",
+        _configure_telemetry,
+        run_telemetry,
+    ),
+    (
+        "gcs",
+        "run a recorded partition schedule on a real multi-process GCS "
+        "cluster (UDP/TCP sockets) and compare against the simulated "
+        "reference",
+        _configure_gcs,
+        run_gcs,
+    ),
+)

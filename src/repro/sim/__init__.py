@@ -15,7 +15,6 @@ from repro.sim.explore import (
     enumerate_changes,
     enumerate_cuts,
     explore,
-    explore_all,
     explore_replay,
 )
 from repro.sim.invariants import InvariantChecker
@@ -30,7 +29,6 @@ from repro.sim.statehash import (
     canonical_driver_state,
     state_digest,
     state_fingerprint,
-    symmetric_fingerprint,
 )
 from repro.sim.run import RunConfig, RunResult, build_driver, run_single
 from repro.sim.stats import (
@@ -76,12 +74,10 @@ __all__ = [
     "enumerate_changes",
     "enumerate_cuts",
     "explore",
-    "explore_all",
     "explore_replay",
     "render_timeline",
     "state_digest",
     "state_fingerprint",
-    "symmetric_fingerprint",
     "run_case",
     "merge_case_results",
     "run_case_sharded",

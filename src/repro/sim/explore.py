@@ -25,15 +25,11 @@ Two engines implement the same enumeration:
   :class:`~repro.sim.driver.DriverSnapshot` instead of replaying from
   the initial state.  Canonical state hashing
   (:mod:`repro.sim.statehash`) deduplicates converged states, silent
-  change rounds collapse the whole cut enumeration at once, optional
-  process-relabeling symmetry reduction collapses isomorphic schedules
-  (three-process bounds only — dynamic linear voting's exact-half
-  tie-break makes relabeled schedules inequivalent in general, see
-  :func:`explore`), and the top-level frontier can shard across worker
-  processes.  The
-  result (scenarios, availability, violations, truncation) is
-  **identical** to the replay engine's on the same bound — the
-  differential test suite enforces this.
+  change rounds collapse the whole cut enumeration at once, and the
+  top-level frontier can shard across worker processes.  The result
+  (scenarios, availability, violations, truncation) is **identical**
+  to the replay engine's on the same bound — the differential test
+  suite enforces this.
 * :func:`explore_replay` — the original replay-per-scenario engine,
   kept verbatim as the reference implementation the fork engine is
   verified against.
@@ -68,14 +64,11 @@ from repro.net.changes import (
     apply_change,
 )
 from repro.net.topology import Topology
-from repro.obs import EventBus, Subscriber
+from repro.obs import Subscriber
 from repro.sim.driver import DriverLoop, DriverSnapshot
 from repro.sim.invariants import InvariantChecker
 from repro.sim.rng import derive_rng
-from repro.sim.statehash import (
-    canonical_first_step,
-    state_fingerprint,
-)
+from repro.sim.statehash import state_fingerprint
 from repro.types import Members
 
 
@@ -116,10 +109,8 @@ def enumerate_cuts(affected: Members) -> Iterator[FrozenSet[int]]:
 class ExploreStats:
     """How the fork-based explorer spent its work (all counts exact).
 
-    ``first_steps`` is the size of the top-level frontier before
-    symmetry reduction, ``orbits`` after it (equal when symmetry is
-    off).  ``nodes`` counts distinct subtree evaluations (states
-    visited), ``leaves`` complete scenarios actually settled;
+    ``nodes`` counts distinct subtree evaluations (states visited),
+    ``leaves`` complete scenarios actually settled;
     ``dedup_hits`` subtrees answered from the canonical-state memo and
     ``cut_collapsed`` subtrees skipped because a silent change round
     makes every late-set equivalent.  ``rounds`` is the total driver
@@ -127,8 +118,6 @@ class ExploreStats:
     would have multiplied.
     """
 
-    first_steps: int = 0
-    orbits: int = 0
     nodes: int = 0
     leaves: int = 0
     dedup_hits: int = 0
@@ -142,8 +131,6 @@ class ExploreStats:
 
     def merge(self, other: "ExploreStats") -> None:
         """Fold another shard's counters into this one (sums and maxima)."""
-        self.first_steps = max(self.first_steps, other.first_steps)
-        self.orbits = max(self.orbits, other.orbits)
         self.nodes += other.nodes
         self.leaves += other.leaves
         self.dedup_hits += other.dedup_hits
@@ -383,9 +370,6 @@ class _Explorer:
         gap_options: Tuple[int, ...],
         max_scenarios: Optional[int],
         stop_on_violation: bool,
-        symmetry: bool,
-        observers: Sequence[Subscriber] = (),
-        progress_every: int = 2000,
     ) -> None:
         self.algorithm = algorithm
         self.n_processes = n_processes
@@ -393,8 +377,6 @@ class _Explorer:
         self.gap_options = gap_options
         self.max_scenarios = max_scenarios
         self.stop_on_violation = stop_on_violation
-        self.symmetry = symmetry
-        self.progress_every = progress_every
         self.result = ExplorationResult(
             algorithm=algorithm,
             n_processes=n_processes,
@@ -414,13 +396,7 @@ class _Explorer:
         self._memo: Optional[Dict[tuple, tuple]] = (
             {} if max_scenarios is None else None
         )
-        self._mult = 1
-        self._last_progress = 0
         self._counter = _RoundCounter()
-        bus = EventBus(list(observers))
-        self._start_hooks = bus.hooks("on_explore_start")
-        self._progress_hooks = bus.hooks("on_explore_progress")
-        self._end_hooks = bus.hooks("on_explore_end")
         self.driver = DriverLoop(
             algorithm=algorithm,
             n_processes=n_processes,
@@ -434,70 +410,29 @@ class _Explorer:
     # ------------------------------------------------------------------
 
     def run(self) -> None:
-        """Serial exploration of the whole bound (no symmetry/sharding)."""
-        for hook in self._start_hooks:
-            hook(self.result)
+        """Serial exploration of the whole bound."""
         try:
             self._subtree(self.depth)
         except _Abort:
             pass
-        self._finish()
-
-    def root_entries(self) -> List[Tuple[int, ConnectivityChange, FrozenSet[int], int]]:
-        """The top-level frontier: (gap, change, late, multiplicity).
-
-        In enumeration order.  With symmetry on (n=3 only — see
-        :func:`explore`), isomorphic first steps (equal
-        :func:`~repro.sim.statehash.canonical_first_step` keys)
-        collapse onto their first representative, which carries the
-        orbit size as its multiplicity.
-        """
-        topology = Topology.fully_connected(self.n_processes)
-        flat: List[Tuple[int, ConnectivityChange, FrozenSet[int]]] = []
-        for gap in self.gap_options:
-            for change in enumerate_changes(topology):
-                affected = affected_processes(change, topology)
-                for late in enumerate_cuts(affected):
-                    flat.append((gap, change, late))
-        self.stats.first_steps = len(flat)
-        if not self.symmetry:
-            self.stats.orbits = len(flat)
-            return [(gap, change, late, 1) for gap, change, late in flat]
-        counts: Dict[tuple, int] = {}
-        representatives: List[
-            Tuple[tuple, Tuple[int, ConnectivityChange, FrozenSet[int]]]
-        ] = []
-        for step in flat:
-            key = canonical_first_step(self.n_processes, *step)
-            if key not in counts:
-                counts[key] = 0
-                representatives.append((key, step))
-            counts[key] += 1
-        self.stats.orbits = len(representatives)
-        return [
-            (step[0], step[1], step[2], counts[key])
-            for key, step in representatives
-        ]
+        self.stats.rounds = self._counter.rounds
 
     def run_entries(
         self,
-        entries: Sequence[Tuple[int, ConnectivityChange, FrozenSet[int], int]],
+        entries: Sequence[Tuple[int, ConnectivityChange, FrozenSet[int]]],
     ) -> None:
         """Explore an explicit slice of the top-level frontier.
 
-        Used by the symmetry-reduced and sharded paths; the serial
-        non-symmetric path takes :meth:`run` instead (same semantics,
-        plus silent-round cut collapsing at the root).
+        Used by the sharded path; the serial path takes :meth:`run`
+        instead (same semantics, plus silent-round cut collapsing at
+        the root).
         """
-        for hook in self._start_hooks:
-            hook(self.result)
         driver = self.driver
         base = driver.snapshot()
         self.stats.snapshots += 1
         try:
             gap_snaps, gap_violation = self._gap_states(base)
-            for gap, change, late, mult in entries:
-                self._mult = mult
+            for gap, change, late in entries:
                 self._steps_desc.append(_describe_step(gap, change, late))
                 try:
                     if gap_violation is not None and gap >= gap_violation[0]:
@@ -523,24 +458,11 @@ class _Explorer:
                     self._steps_desc.pop()
         except _Abort:
             pass
-        self._finish()
-
-    def _finish(self) -> None:
         self.stats.rounds = self._counter.rounds
-        for hook in self._end_hooks:
-            hook(self.result)
 
     # ------------------------------------------------------------------
     # The DFS.
     # ------------------------------------------------------------------
-
-    def _fingerprint(self) -> tuple:
-        # Always the exact fingerprint: the memo may only merge states
-        # that are *identical*, never merely isomorphic — the exact-half
-        # tie-break of dynamic linear voting (repro.core.quorum) gives
-        # process ids real behavioural meaning, so relabeling-isomorphic
-        # states can have different futures.
-        return state_fingerprint(self.driver)
 
     def _subtree(self, remaining: int) -> None:
         """Explore every scenario suffix from the driver's current state."""
@@ -549,17 +471,21 @@ class _Explorer:
             self.stats.max_fork_depth = depth_now
         key = None
         if self._memo is not None:
-            key = (remaining, self._fingerprint())
+            # The memo merges only *identical* states.  Counting one
+            # representative per class of states equal up to process
+            # relabeling is unsound: the exact-half tie-break of dynamic
+            # linear voting (repro.core.quorum) makes process ids
+            # behaviourally meaningful (docs/model-checking.md).
+            key = (remaining, state_fingerprint(self.driver))
             entry = self._memo.get(key)
             if entry is not None:
                 self.stats.dedup_hits += 1
                 per_scenarios, per_available, suffixes = entry
-                self.result.scenarios += per_scenarios * self._mult
-                self.result.available += per_available * self._mult
+                self.result.scenarios += per_scenarios
+                self.result.available += per_available
                 prefix = tuple(self._steps_desc)
                 for suffix, text in suffixes:
                     self._add_record(prefix + suffix, text)
-                self._progress()
                 return
         self.stats.nodes += 1
         mark_s = self.result.scenarios
@@ -575,8 +501,8 @@ class _Explorer:
                 for descs, text in self.records[mark_r:]
             )
             self._memo[key] = (
-                (self.result.scenarios - mark_s) // self._mult,
-                (self.result.available - mark_a) // self._mult,
+                self.result.scenarios - mark_s,
+                self.result.available - mark_a,
                 suffixes,
             )
             self.stats.dedup_entries += 1
@@ -589,17 +515,16 @@ class _Explorer:
         ):
             self.result.truncated = True
             raise _Abort
-        self.result.scenarios += self._mult
+        self.result.scenarios += 1
         self.stats.leaves += 1
         try:
             self.driver.run_until_quiescent()
             self.driver._publish_quiescence()
             if self.driver.primary_exists():
-                self.result.available += self._mult
+                self.result.available += 1
         except InvariantViolation as violation:
             self._capture_counterexample(str(violation))
             self._add_record(tuple(self._steps_desc), str(violation))
-        self._progress()
 
     def _enumerate(self, remaining: int) -> None:
         """One DFS level: for gap → for change → for late, forking."""
@@ -625,7 +550,6 @@ class _Explorer:
                         self.result.scenarios += collapsed[0]
                         self.result.available += collapsed[1]
                         self.stats.cut_collapsed += 1
-                        self._progress()
                         continue
                     self._steps_desc.append(_describe_step(gap, change, late))
                     try:
@@ -733,9 +657,8 @@ class _Explorer:
             ):
                 self.result.truncated = True
                 raise _Abort
-            self.result.scenarios += self._mult
+            self.result.scenarios += 1
             self._add_record(tuple(self._steps_desc) + suffix, text)
-            self._progress()
 
     def _abstract_suffixes(
         self, topology: Topology, remaining: int
@@ -793,15 +716,18 @@ class _Explorer:
             )
         )
 
-    def _progress(self) -> None:
-        if not self._progress_hooks:
-            return
-        if self.result.scenarios - self._last_progress < self.progress_every:
-            return
-        self._last_progress = self.result.scenarios
-        self.stats.rounds = self._counter.rounds
-        for hook in self._progress_hooks:
-            hook(self.result, self.stats)
+
+def _frontier(
+    n_processes: int, gap_options: Tuple[int, ...]
+) -> List[Tuple[int, ConnectivityChange, FrozenSet[int]]]:
+    """Every first (gap, change, late) step, in enumeration order."""
+    topology = Topology.fully_connected(n_processes)
+    return [
+        (gap, change, late)
+        for gap in gap_options
+        for change in enumerate_changes(topology)
+        for late in enumerate_cuts(affected_processes(change, topology))
+    ]
 
 
 def _shard_ranges(total: int, shards: int) -> List[Tuple[int, int]]:
@@ -818,33 +744,19 @@ def _shard_ranges(total: int, shards: int) -> List[Tuple[int, int]]:
 
 
 def _explore_shard(
-    payload: Tuple[int, str, int, int, Tuple[int, ...], bool, bool, int, int],
-) -> Tuple[
-    int,
-    Tuple[
-        int,
-        int,
-        List[Tuple[Tuple[str, ...], str]],
-        ExploreStats,
-        List[Counterexample],
-    ],
-]:
+    algorithm: str,
+    n_processes: int,
+    depth: int,
+    gap_options: Tuple[int, ...],
+    stop_on_violation: bool,
+    start: int,
+    end: int,
+) -> ExplorationResult:
     """Process-pool worker: explore one contiguous frontier slice.
 
     The frontier is recomputed in the worker (it is a pure function of
     the bound), so only the slice indices cross the process boundary.
     """
-    (
-        index,
-        algorithm,
-        n_processes,
-        depth,
-        gap_options,
-        stop_on_violation,
-        symmetry,
-        start,
-        end,
-    ) = payload
     explorer = _Explorer(
         algorithm=algorithm,
         n_processes=n_processes,
@@ -852,17 +764,9 @@ def _explore_shard(
         gap_options=gap_options,
         max_scenarios=None,
         stop_on_violation=stop_on_violation,
-        symmetry=symmetry,
     )
-    entries = explorer.root_entries()
-    explorer.run_entries(entries[start:end])
-    return index, (
-        explorer.result.scenarios,
-        explorer.result.available,
-        explorer.records,
-        explorer.stats,
-        explorer.result.counterexamples,
-    )
+    explorer.run_entries(_frontier(n_processes, gap_options)[start:end])
+    return explorer.result
 
 
 def explore(
@@ -872,10 +776,7 @@ def explore(
     gap_options: Sequence[int] = (0, 1, 2),
     max_scenarios: Optional[int] = None,
     stop_on_violation: bool = True,
-    symmetry: bool = False,
     workers: int = 1,
-    observers: Sequence[Subscriber] = (),
-    progress_every: int = 2000,
 ) -> ExplorationResult:
     """Exhaustively check one algorithm over all bounded fault schedules.
 
@@ -886,55 +787,18 @@ def explore(
     counts, availability, the violation list and truncation semantics
     are identical to :func:`explore_replay` on the same bound.
 
-    ``symmetry=True`` additionally collapses first steps that are
-    process-relabelings of each other, multiplying each representative
-    subtree by its orbit size: scenario/availability counts stay exact,
-    while the violation list keeps one representative per orbit (the
-    relabeled twins add no information).  It is accepted only for
-    ``n_processes=3``: dynamic linear voting breaks exact-half quorum
-    ties in favour of the lexically smallest member
-    (:func:`repro.core.quorum.is_subquorum`), so relabeled schedules
-    are *not* behaviourally equivalent in general — orbit counting is
-    differentially verified exact at n=3 (through depth 3), while at
-    n=4 depth=2 the representative (which always contains process 0)
-    wins more ties and overcounts availability.  ``workers > 1`` shards the
-    top-level frontier across a process pool with a deterministic
-    merge.  ``observers`` receive ``on_explore_start`` /
-    ``on_explore_progress`` / ``on_explore_end`` events; progress fires
-    about every ``progress_every`` scenarios, and only in serial mode —
-    worker processes cannot share a subscriber.
-
-    Restrictions: ``max_scenarios`` (exact truncation) requires the
-    plain enumeration, so it forces serial execution and rejects
-    ``symmetry=True``.  With ``stop_on_violation`` and ``symmetry``
-    together, a violating bound stops at the first representative, so
-    counts cover only the orbits explored up to that point.
+    ``workers > 1`` shards the top-level frontier across a process pool
+    with a deterministic merge.  ``max_scenarios`` (exact truncation)
+    needs every scenario enumerated in order, so it forces serial
+    execution.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if max_scenarios is not None and symmetry:
-        raise ValueError(
-            "max_scenarios needs exact per-scenario truncation, which "
-            "symmetry reduction cannot provide; use symmetry=False"
-        )
-    if symmetry and n_processes != 3:
-        raise ValueError(
-            "symmetry reduction is only sound for n_processes=3: dynamic "
-            "linear voting breaks exact-half quorum ties in favour of the "
-            "lexically smallest member (repro.core.quorum.is_subquorum), "
-            "so relabeled schedules are not behaviourally equivalent in "
-            "general.  Orbit counting is differentially verified exact at "
-            "n=3 through depth 3; at n=4 depth=2 it overcounts "
-            "availability (ykd over gaps 0-1: 12992 vs the true 12352).  "
-            "Use symmetry=False for other system sizes."
-        )
     gap_options = tuple(gap_options)
-    if max_scenarios is not None:
-        workers = 1
 
-    if workers == 1:
+    if workers == 1 or max_scenarios is not None:
         explorer = _Explorer(
             algorithm=algorithm,
             n_processes=n_processes,
@@ -942,96 +806,43 @@ def explore(
             gap_options=gap_options,
             max_scenarios=max_scenarios,
             stop_on_violation=stop_on_violation,
-            symmetry=symmetry,
-            observers=observers,
-            progress_every=progress_every,
         )
-        if symmetry:
-            explorer.run_entries(explorer.root_entries())
-        else:
-            explorer.root_entries()  # frontier accounting only
-            explorer.run()
-        explorer.stats.workers = 1
+        explorer.run()
         return explorer.result
 
     # Sharded: split the top-level frontier into contiguous slices and
     # merge in slice order — concatenating the slices reproduces the
     # serial enumeration order exactly.
-    planner = _Explorer(
+    ranges = _shard_ranges(len(_frontier(n_processes, gap_options)), workers)
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(processes=len(ranges)) as pool:
+        shards = pool.starmap(
+            _explore_shard,
+            [
+                (
+                    algorithm, n_processes, depth, gap_options,
+                    stop_on_violation, start, end,
+                )
+                for start, end in ranges
+            ],
+        )
+    result = ExplorationResult(
         algorithm=algorithm,
         n_processes=n_processes,
         depth=depth,
         gap_options=gap_options,
-        max_scenarios=None,
-        stop_on_violation=stop_on_violation,
-        symmetry=symmetry,
-        observers=observers,
+        stats=ExploreStats(workers=len(ranges)),
     )
-    for hook in planner._start_hooks:
-        hook(planner.result)
-    entries = planner.root_entries()
-    ranges = _shard_ranges(len(entries), workers)
-    payloads = [
-        (
-            index,
-            algorithm,
-            n_processes,
-            depth,
-            gap_options,
-            stop_on_violation,
-            symmetry,
-            start,
-            end,
-        )
-        for index, (start, end) in enumerate(ranges)
-    ]
-    shards: Dict[int, tuple] = {}
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=len(payloads)) as pool:
-        for index, shard in pool.imap_unordered(_explore_shard, payloads):
-            shards[index] = shard
-    result = planner.result
-    stats = planner.stats
-    for index in range(len(payloads)):
-        scenarios, available, records, shard_stats, examples = shards[index]
-        result.scenarios += scenarios
-        result.available += available
-        stats.merge(shard_stats)
+    for shard in shards:
+        result.scenarios += shard.scenarios
+        result.available += shard.available
+        result.stats.merge(shard.stats)
         room = MAX_COUNTEREXAMPLES - len(result.counterexamples)
-        result.counterexamples.extend(examples[:room])
-        for descs, text in records:
-            result.violations.append("; ".join(descs) + f": {text}")
-        if records and stop_on_violation:
+        result.counterexamples.extend(shard.counterexamples[:room])
+        result.violations.extend(shard.violations)
+        if shard.violations and stop_on_violation:
             # The serial run would have stopped inside this slice:
             # everything up to here matches it exactly; later slices
             # would never have run.
             break
-    stats.rounds += planner._counter.rounds
-    stats.workers = len(payloads)
-    for hook in planner._end_hooks:
-        hook(result)
     return result
-
-
-def explore_all(
-    algorithms: Sequence[str],
-    n_processes: int = 3,
-    depth: int = 2,
-    gap_options: Sequence[int] = (0, 1, 2),
-    max_scenarios: Optional[int] = None,
-    symmetry: bool = False,
-    workers: int = 1,
-) -> Dict[str, ExplorationResult]:
-    """Run the exhaustive exploration for several algorithms."""
-    return {
-        algorithm: explore(
-            algorithm,
-            n_processes=n_processes,
-            depth=depth,
-            gap_options=gap_options,
-            max_scenarios=max_scenarios,
-            symmetry=symmetry,
-            workers=workers,
-        )
-        for algorithm in algorithms
-    }

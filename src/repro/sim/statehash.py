@@ -1,4 +1,4 @@
-"""Canonical state encoding, hashing and symmetry reduction.
+"""Canonical state encoding and hashing.
 
 The prefix-sharing explorer (:mod:`repro.sim.explore`) needs to decide,
 cheaply and soundly, when two simulation states are *behaviourally
@@ -17,155 +17,89 @@ that judgement:
   type, and unknown types fail loudly instead of encoding lossily.
 * :func:`state_fingerprint` / :func:`state_digest` — the encoding as a
   hashable memo key / a stable hex digest of it.
-* **relabeling** — every encoder takes an optional process-id mapping.
-  ``canonical_driver_state(driver, mapping)`` is the *structural*
-  relabeling of the encoding: every pid-bearing container is remapped
-  through the bijection and re-sorted.  This is a statement about
-  encodings of one state, **not** about executions: process ids are
-  not behaviourally inert here, because dynamic *linear* voting breaks
-  exact-half quorum ties in favour of the lexically smallest member
-  (:func:`repro.core.quorum.is_subquorum`, thesis figs. 3-4), so a
-  relabeled schedule can take a genuinely different execution path
-  whenever a tie-break fires under a min-changing permutation.  That
-  is why the explorer's dedup memo always uses the exact fingerprint
-  and its symmetry mode is gated to three-process bounds.
-* :func:`normalize_view_seqs` — relabeled executions agree everywhere
-  *except* the raw ``View.seq`` values: the driver's global counter
-  hands the two sibling views of a partition their numbers in raw-pid
-  order, so a relabeling that flips which half sorts first swaps the
-  two seqs.  That order is bookkeeping, not behaviour — siblings are
-  disjoint, so at most one of them can ever form a primary (two would
-  be concurrent primaries, which sound algorithms exclude), and every
-  equality test on views also keys on the member set.  This function
-  quotients the artifact out of an encoding: each seq is replaced by
-  its rank *among views with the same member set* (same-member views
-  are never siblings, so that order is purely temporal and exactly
-  relabeling-equivariant), and repr-sorted containers are re-sorted.
-  See ``docs/model-checking.md`` for the full argument.
-* :func:`symmetric_fingerprint` — the minimum quotiented encoding over
-  all process permutations: equal iff two states are identical up to
-  process relabeling and the induced renaming of view sequence
-  numbers.  A pure *state* equivalence — because of the linear-voting
-  tie-break it does not imply the two states have isomorphic futures,
-  so it must never serve as a dedup key.  :func:`canonical_first_step`
-  applies the same idea to the explorer's first enumeration level,
-  collapsing isomorphic first steps before they are ever executed
-  (sound for n=3 only; :func:`repro.sim.explore.explore` enforces
-  this).
 
-The encoder is deliberately *type-aware* rather than generic: pid sets,
-pid-keyed tables, sessions, views, state items and knowledge books each
-have explicit rules, because a generic walk could not know that the
-checker's chain is keyed by session numbers (never remapped) while
-``last_formed`` is keyed by process ids (always remapped).
+States are only ever merged when *identical*.  Merging states that are
+equal up to a renaming of process ids would be unsound: dynamic *linear*
+voting breaks exact-half quorum ties in favour of the lexically
+smallest member (:func:`repro.core.quorum.is_subquorum`, thesis
+figs. 3-4), so process ids carry behavioural meaning (see
+``docs/model-checking.md``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import fields, is_dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.interface import PrimaryComponentAlgorithm
 from repro.core.knowledge import KnowledgeBook, StateItem
 from repro.core.session import Session
 from repro.core.view import View
-from repro.net.changes import ConnectivityChange, PartitionChange
-from repro.net.topology import Topology
-from repro.types import ProcessId
 
-#: Dataclass fields that hold a bare process id and must be remapped
-#: under relabeling (protocol items carry pids only under these names).
-_PID_FIELD_NAMES = frozenset({"pid", "sender", "owner"})
-
-#: Algorithm attributes holding ``[(pid, item), ...]`` pair lists
-#: (early-arrival buffers of the YKD family and DFLS).
-_PID_PAIR_LIST_ATTRS = frozenset({"_early_attempts", "_early_confirms"})
+#: Algorithm attributes holding ``[(pid, item), ...]`` pair lists (the
+#: early-arrival buffers of the YKD family and DFLS).  They encode flat,
+#: without the ``"seq"`` tags — usually to the shared empty tuple, which
+#: keeps memo keys small and :func:`state_digest` values stable.
+_PAIR_LIST_ATTRS = frozenset({"_early_attempts", "_early_confirms"})
 
 
-def _identity(pid: ProcessId) -> ProcessId:
-    return pid
-
-
-def _as_mapper(
-    mapping: Optional[Dict[ProcessId, ProcessId]]
-) -> Callable[[ProcessId], ProcessId]:
-    if mapping is None:
-        return _identity
-    return mapping.__getitem__
-
-
-def _sorted_pids(pids: Iterable[ProcessId], m) -> Tuple[ProcessId, ...]:
-    return tuple(sorted(m(pid) for pid in pids))
-
-
-def encode_value(value: object, m: Callable[[ProcessId], ProcessId]) -> object:
+def encode_value(value: object) -> object:
     """One value as a canonical nested tuple of primitives.
 
-    ``m`` maps process ids (identity for plain fingerprints).  The
-    rules mirror how the package stores state: bare ints outside the
-    known pid positions are protocol quantities (session numbers, view
-    sequences) and are never remapped; sets of ints *are* pid sets and
-    int-keyed dicts *are* pid-keyed tables (true for every algorithm
-    attribute — the one exception, the checker's session-keyed chain,
-    is encoded explicitly by :func:`canonical_driver_state`).  Unknown
-    types raise ``TypeError`` so a future state attribute cannot be
-    silently mis-encoded.
+    The rules mirror how the package stores state: member sets and
+    pid-keyed tables are emitted in sorted order, containers of other
+    values in ``repr`` order, sequences in their own order, and every
+    node carries a tag naming its kind so that no two distinct values
+    share an encoding.  Unknown types raise ``TypeError`` so a future
+    state attribute cannot be silently mis-encoded.
     """
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
     if isinstance(value, Session):
-        return ("session", value.number, _sorted_pids(value.members, m))
+        return ("session", value.number, tuple(sorted(value.members)))
     if isinstance(value, View):
-        return ("view", value.seq, _sorted_pids(value.members, m))
+        return ("view", value.seq, tuple(sorted(value.members)))
     if isinstance(value, StateItem):
         return (
             "stateitem",
             value.session_number,
-            tuple(encode_value(s, m) for s in value.ambiguous),
-            encode_value(value.last_primary, m),
-            tuple(
-                sorted((m(p), encode_value(s, m)) for p, s in value.last_formed)
-            ),
+            tuple(encode_value(s) for s in value.ambiguous),
+            encode_value(value.last_primary),
+            tuple(sorted((p, encode_value(s)) for p, s in value.last_formed)),
         )
     if isinstance(value, KnowledgeBook):
         return (
             "knowledge",
-            m(value._owner),
+            value._owner,
             tuple(
                 sorted(
                     (
-                        (encode_value(s, m), _sorted_pids(members, m))
+                        (encode_value(s), tuple(sorted(members)))
                         for s, members in value._not_formed.items()
                     ),
                     key=repr,
                 )
             ),
-            tuple(sorted((encode_value(s, m) for s in value._formed), key=repr)),
+            tuple(sorted((encode_value(s) for s in value._formed), key=repr)),
         )
     if isinstance(value, (set, frozenset)):
         if all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            return ("pids", _sorted_pids(value, m))
-        return ("set", tuple(sorted((encode_value(v, m) for v in value), key=repr)))
+            return ("pids", tuple(sorted(value)))
+        return ("set", tuple(sorted((encode_value(v) for v in value), key=repr)))
     if isinstance(value, dict):
         if value and all(
             isinstance(k, int) and not isinstance(k, bool) for k in value
         ):
             return (
                 "pidmap",
-                tuple(
-                    sorted(
-                        (m(k), encode_value(v, m)) for k, v in value.items()
-                    )
-                ),
+                tuple(sorted((k, encode_value(v)) for k, v in value.items())),
             )
         return (
             "map",
             tuple(
                 sorted(
                     (
-                        (encode_value(k, m), encode_value(v, m))
+                        (encode_value(k), encode_value(v))
                         for k, v in value.items()
                     ),
                     key=lambda pair: repr(pair[0]),
@@ -173,16 +107,16 @@ def encode_value(value: object, m: Callable[[ProcessId], ProcessId]) -> object:
             ),
         )
     if isinstance(value, (list, tuple)):
-        return ("seq", tuple(encode_value(v, m) for v in value))
+        return ("seq", tuple(encode_value(v) for v in value))
     if is_dataclass(value) and not isinstance(value, type):
-        encoded = []
-        for f in fields(value):
-            v = getattr(value, f.name)
-            if f.name in _PID_FIELD_NAMES and isinstance(v, int):
-                encoded.append((f.name, m(v)))
-            else:
-                encoded.append((f.name, encode_value(v, m)))
-        return ("dc", type(value).__name__, tuple(encoded))
+        return (
+            "dc",
+            type(value).__name__,
+            tuple(
+                (f.name, encode_value(getattr(value, f.name)))
+                for f in fields(value)
+            ),
+        )
     raise TypeError(
         f"cannot canonically encode {type(value).__name__!r}; add an "
         "explicit rule to repro.sim.statehash before relying on state "
@@ -190,10 +124,7 @@ def encode_value(value: object, m: Callable[[ProcessId], ProcessId]) -> object:
     )
 
 
-def encode_algorithm(
-    algorithm: PrimaryComponentAlgorithm,
-    mapping: Optional[Dict[ProcessId, ProcessId]] = None,
-) -> tuple:
+def encode_algorithm(algorithm: PrimaryComponentAlgorithm) -> tuple:
     """One process's complete algorithm state, canonically encoded.
 
     Walks the live ``__dict__`` (attribute-name order), so mid-protocol
@@ -202,64 +133,48 @@ def encode_algorithm(
     be missed by construction, because every attribute is encoded or
     the encoder raises.
     """
-    m = _as_mapper(mapping)
-    state = vars(algorithm)
     encoded = []
-    for name in sorted(state):
-        value = state[name]
-        if name == "pid":
-            encoded.append((name, m(value)))
-        elif name in _PID_PAIR_LIST_ATTRS:
+    for name, value in sorted(vars(algorithm).items()):
+        if name in _PAIR_LIST_ATTRS:
             encoded.append(
-                (name, tuple((m(p), encode_value(item, m)) for p, item in value))
+                (name, tuple((p, encode_value(item)) for p, item in value))
             )
         else:
-            encoded.append((name, encode_value(value, m)))
+            encoded.append((name, encode_value(value)))
     return ("algorithm", type(algorithm).__name__, tuple(encoded))
 
 
-def _encode_topology(
-    topology: Topology, m: Callable[[ProcessId], ProcessId]
-) -> tuple:
-    return (
-        "topology",
-        tuple(sorted(_sorted_pids(c, m) for c in topology.components)),
-        _sorted_pids(topology.crashed, m),
-    )
-
-
-def canonical_driver_state(
-    driver, mapping: Optional[Dict[ProcessId, ProcessId]] = None
-) -> tuple:
+def canonical_driver_state(driver) -> tuple:
     """The whole system as a canonical nested tuple of primitives.
 
     Covers exactly the behaviour-determining state: topology, view
     sequence counter (future views draw from it), every algorithm's
     full state, and the invariant checker's accumulated formation chain
-    (keyed by session number — those keys are protocol quantities and
-    are *not* remapped; the member sets are).  Round counters, recorded
-    schedules and the fault RNG are excluded: the explorer never
-    consumes the RNG (all cuts are explicit) and the counters are
-    bookkeeping only, so states differing only there behave
-    identically.
+    (keyed by session number).  Round counters, recorded schedules and
+    the fault RNG are excluded: the explorer never consumes the RNG
+    (all cuts are explicit) and the counters are bookkeeping only, so
+    states differing only there behave identically.
     """
-    m = _as_mapper(mapping)
-    checker = driver.checker
+    topology = driver.topology
     chain = tuple(
         sorted(
-            (order_key, _sorted_pids(members, m))
-            for order_key, members in checker._chain.items()
+            (order_key, tuple(sorted(members)))
+            for order_key, members in driver.checker._chain.items()
         )
     )
     algorithms = tuple(
         sorted(
-            (m(pid), encode_algorithm(alg, mapping))
+            (pid, encode_algorithm(alg))
             for pid, alg in driver.algorithms.items()
         )
     )
     return (
         "driver",
-        _encode_topology(driver.topology, m),
+        (
+            "topology",
+            tuple(sorted(tuple(sorted(c)) for c in topology.components)),
+            tuple(sorted(topology.crashed)),
+        ),
         driver.view_seq,
         algorithms,
         ("chain", chain),
@@ -273,143 +188,11 @@ def state_fingerprint(driver) -> tuple:
     no serialization); use :func:`state_digest` when a compact stable
     string is wanted instead.
     """
-    return canonical_driver_state(driver, None)
+    return canonical_driver_state(driver)
 
 
 def state_digest(driver) -> str:
     """Stable SHA-256 hex digest of the canonical state encoding."""
     return hashlib.sha256(
-        repr(canonical_driver_state(driver, None)).encode("utf-8")
+        repr(canonical_driver_state(driver)).encode("utf-8")
     ).hexdigest()
-
-
-def _is_view_node(node: object) -> bool:
-    return (
-        isinstance(node, tuple)
-        and len(node) == 3
-        and node[0] == "view"
-        and isinstance(node[1], int)
-        and isinstance(node[2], tuple)
-    )
-
-
-def _collect_view_seqs(node: object, by_members: Dict[tuple, set]) -> None:
-    if isinstance(node, tuple):
-        if _is_view_node(node):
-            by_members.setdefault(node[2], set()).add(node[1])
-        for child in node:
-            _collect_view_seqs(child, by_members)
-
-
-def normalize_view_seqs(encoded: tuple) -> tuple:
-    """An encoding with raw view sequence numbers quotiented out.
-
-    Every ``("view", seq, members)`` node has its seq replaced by the
-    rank of that seq among the seqs carried by views with the *same*
-    member set anywhere in the encoding.  Views over identical members
-    are never same-round siblings (siblings are the disjoint halves of
-    a partition), so their seq order is pure install-time order, which
-    relabeling preserves — the replacement is exactly equivariant.
-    Containers the encoder sorted by ``repr`` are re-sorted, since the
-    rewrite can reorder them.
-
-    The quotient deliberately erases the *cross*-member creation order
-    (the part the driver's raw-pid tie-break makes arbitrary), so it is
-    for symmetry comparisons only — the explorer's dedup memo keeps
-    using the exact :func:`state_fingerprint`.
-    """
-    by_members: Dict[tuple, set] = {}
-    _collect_view_seqs(encoded, by_members)
-    rank = {
-        (seq, members): index
-        for members, seqs in by_members.items()
-        for index, seq in enumerate(sorted(seqs))
-    }
-
-    def rewrite(node: object) -> object:
-        if not isinstance(node, tuple):
-            return node
-        if _is_view_node(node):
-            return ("view", rank[(node[1], node[2])], node[2])
-        children = tuple(rewrite(child) for child in node)
-        if len(children) == 2 and children[0] == "set":
-            return ("set", tuple(sorted(children[1], key=repr)))
-        if len(children) == 2 and children[0] == "map":
-            return (
-                "map",
-                tuple(sorted(children[1], key=lambda pair: repr(pair[0]))),
-            )
-        if len(children) == 4 and children[0] == "knowledge":
-            return (
-                "knowledge",
-                children[1],
-                tuple(sorted(children[2], key=repr)),
-                tuple(sorted(children[3], key=repr)),
-            )
-        return children
-
-    return rewrite(encoded)
-
-
-def _all_mappings(n_processes: int) -> List[Dict[ProcessId, ProcessId]]:
-    universe = tuple(range(n_processes))
-    return [
-        dict(zip(universe, perm)) for perm in itertools.permutations(universe)
-    ]
-
-
-def symmetric_fingerprint(driver) -> tuple:
-    """The minimum quotiented encoding over all process relabelings.
-
-    Two states get the same symmetric fingerprint iff some permutation
-    of process ids carries one to the other, up to the induced renaming
-    of view sequence numbers (:func:`normalize_view_seqs` — the raw
-    numbers are a pid-order artifact of the driver's global counter).
-    Exhaustive over ``n!`` permutations — intended for the explorer's
-    small systems (n ≤ 5), where it is the collapse of isomorphic
-    schedules, not the permutation loop, that dominates.
-    """
-    best: Optional[tuple] = None
-    best_repr = ""
-    for mapping in _all_mappings(driver.n_processes):
-        encoded = normalize_view_seqs(canonical_driver_state(driver, mapping))
-        encoded_repr = repr(encoded)
-        if best is None or encoded_repr < best_repr:
-            best, best_repr = encoded, encoded_repr
-    return best
-
-
-def canonical_first_step(
-    n_processes: int,
-    gap: int,
-    change: ConnectivityChange,
-    late: frozenset,
-) -> tuple:
-    """Orbit key of a first exploration step under process relabeling.
-
-    From the fully connected, fully symmetric initial state the only
-    feasible changes are partitions; a first step's behaviour is
-    determined by the quiet gap, the *unordered* split it induces and
-    the late-set, all up to renaming.  Steps with equal keys lead to
-    isomorphic subtrees, so the explorer runs one representative and
-    multiplies (soundness: the enumeration itself is
-    permutation-equivariant and availability/violation existence are
-    permutation-invariant — see ``docs/model-checking.md``).
-    """
-    if not isinstance(change, PartitionChange):
-        raise TypeError(
-            "first-step canonicalization only applies to partitions of "
-            "the fully connected initial topology"
-        )
-    moved = frozenset(change.moved)
-    remaining = frozenset(change.component) - moved
-    best: Optional[tuple] = None
-    best_repr = ""
-    for mapping in _all_mappings(n_processes):
-        m = mapping.__getitem__
-        split = tuple(sorted((_sorted_pids(moved, m), _sorted_pids(remaining, m))))
-        key = (gap, split, _sorted_pids(late, m))
-        key_repr = repr(key)
-        if best is None or key_repr < best_repr:
-            best, best_repr = key, key_repr
-    return best

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.experiments.cli import COMMANDS, main
 
 
 class TestList:
@@ -300,3 +300,51 @@ class TestServe:
         out = capsys.readouterr().out
         assert "replica 0 on http://" in out
         assert "smoke passed" in out
+
+
+class TestGcs:
+    def test_help_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gcs", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: repro-experiments gcs" in capsys.readouterr().out
+
+    def test_unknown_schedule_exits_2_without_spawning(
+        self, capsys, monkeypatch
+    ):
+        from repro.gcs.proc import controller
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no node process may be spawned")
+
+        monkeypatch.setattr(controller.ProcCluster, "__init__", refuse)
+        monkeypatch.setattr(controller, "run_differential", refuse)
+        assert main(["gcs", "--schedule", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown schedule 'nope'")
+        assert captured.out == ""
+
+
+class TestRegistry:
+    """Every subcommand is one complete record, dispatched by ``main``."""
+
+    def test_the_fourteen_subcommands(self):
+        assert [name for name, *_ in COMMANDS] == [
+            "list", "run", "all", "compare", "soak", "verify", "trace",
+            "profile", "check", "explain", "serve", "load", "telemetry",
+            "gcs",
+        ]
+
+    @pytest.mark.parametrize(
+        "record", COMMANDS, ids=[name for name, *_ in COMMANDS]
+    )
+    def test_entry_is_complete(self, record, capsys):
+        # main() builds its parser from COMMANDS and dispatches through
+        # the record's run, so a complete record cannot go undispatched.
+        name, help_text, configure, run = record
+        assert help_text.strip()
+        assert callable(configure) and callable(run)
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: repro-experiments {name}" in capsys.readouterr().out

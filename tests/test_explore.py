@@ -9,7 +9,6 @@ from repro.sim.explore import (
     enumerate_changes,
     enumerate_cuts,
     explore,
-    explore_all,
 )
 
 
@@ -70,14 +69,6 @@ class TestExplore:
         )
         assert result.scenarios == 10
         assert result.truncated
-
-    def test_explore_all_shape(self):
-        results = explore_all(
-            ["ykd", "simple_majority"], n_processes=3, depth=1,
-            gap_options=(0,),
-        )
-        assert set(results) == {"ykd", "simple_majority"}
-        assert all(isinstance(r, ExplorationResult) for r in results.values())
 
     def test_nan_availability_when_empty(self):
         import math

@@ -53,6 +53,17 @@ class EverythingCounter(Subscriber):
 
 
 class TestOverrideDetection:
+    def test_protocol_is_exactly_the_ten_documented_hooks(self):
+        # docs/observability.md tabulates these ten; HOOK_NAMES and the
+        # methods Subscriber declares must both be that list.
+        assert HOOK_NAMES == (
+            "on_run_start", "on_round", "on_change", "on_broadcast",
+            "on_quiescence", "on_run_end", "on_case_start", "on_case_end",
+            "on_gcs_tick", "on_gcs_event",
+        )
+        declared = {n for n in vars(Subscriber) if n.startswith("on_")}
+        assert declared == set(HOOK_NAMES)
+
     def test_base_subscriber_overrides_nothing(self):
         subscriber = Subscriber()
         assert not any(overrides_hook(subscriber, h) for h in HOOK_NAMES)

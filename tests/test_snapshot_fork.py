@@ -8,19 +8,15 @@ The fork-based explorer is sound only if two primitives are exact:
   Checked here over fuzzer-generated schedules (reusing
   ``repro.check``'s plan machinery), including mid-exchange snapshot
   points, crashes in the schedule, and every registered algorithm.
-* **canonical hashing** — the encoding must be *structurally*
-  relabeling-equivariant: pushing a permutation through an already
-  built encoding (an independent reference relabeler over the tagged
-  tuples, defined here) must equal what the encoder produces when
-  handed the mapping directly.  Full *execution* equivariance is
-  deliberately not claimed: dynamic linear voting breaks exact-half
+* **canonical hashing** — the fingerprint must separate states that
+  differ and ignore bookkeeping that cannot influence behaviour, and
+  the encoder must refuse types it has no rule for.  States are only
+  ever merged when identical: dynamic linear voting breaks exact-half
   quorum ties in favour of the lexically smallest member
-  (``repro.core.quorum.is_subquorum``), so a relabeled schedule can
-  genuinely diverge — a pinned regression below demonstrates it, and
-  it is why ``explore(symmetry=True)`` is gated to three processes.
+  (``repro.core.quorum.is_subquorum``), so a schedule with its process
+  ids renamed can genuinely diverge — a pinned regression below
+  demonstrates it.
 """
-
-import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,21 +24,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.check.fuzzer import FuzzConfig, generate_plan
 from repro.check.plan import driver_steps
 from repro.core.registry import algorithm_names
-from repro.net.changes import (
-    CrashChange,
-    MergeChange,
-    PartitionChange,
-    RecoverChange,
-)
+from repro.net.changes import MergeChange, PartitionChange
 from repro.sim.driver import DriverLoop
 from repro.sim.invariants import InvariantChecker
 from repro.sim.rng import derive_rng
 from repro.sim.statehash import (
-    canonical_driver_state,
-    normalize_view_seqs,
+    encode_value,
     state_digest,
     state_fingerprint,
-    symmetric_fingerprint,
 )
 from repro.sim.trace import TraceRecorder
 
@@ -175,192 +164,24 @@ def relabel_members(members, mapping):
 
 
 def relabel_change(change, mapping):
-    """A connectivity change through a process-id permutation."""
-    if isinstance(change, PartitionChange):
-        return PartitionChange(
-            component=relabel_members(change.component, mapping),
-            moved=relabel_members(change.moved, mapping),
-        )
-    if isinstance(change, MergeChange):
-        return MergeChange(
-            first=relabel_members(change.first, mapping),
-            second=relabel_members(change.second, mapping),
-        )
-    if isinstance(change, CrashChange):
-        return CrashChange(pid=mapping[change.pid])
-    if isinstance(change, RecoverChange):
-        return RecoverChange(pid=mapping[change.pid])
-    raise TypeError(type(change).__name__)
-
-
-#: Dataclass/algorithm attribute names that hold a bare process id —
-#: mirrors the encoder's pid-position knowledge, independently.
-_PID_FIELDS = ("pid", "sender", "owner")
-
-
-def relabel_encoding(node, mapping):
-    """Reference relabeler: push a permutation through a built encoding.
-
-    Independently re-implements, purely on the tagged tuples, what
-    passing ``mapping`` into the encoder is specified to do: remap
-    every pid-bearing position and re-sort every container the encoder
-    keeps sorted.  Keyed only on node tags, so an encoder rule that
-    forgets to remap or re-sort shows up as a mismatch — and unknown
-    tags fail loudly rather than passing through unrelabeled.
-    """
-
-    def pids(tup):
-        return tuple(sorted(mapping[pid] for pid in tup))
-
-    def rec(child):
-        return relabel_encoding(child, mapping)
-
-    if not isinstance(node, tuple):
-        return node
-    tag = node[0] if node else None
-    if tag == "pids":
-        return ("pids", pids(node[1]))
-    if tag == "session":
-        return ("session", node[1], pids(node[2]))
-    if tag == "view":
-        return ("view", node[1], pids(node[2]))
-    if tag == "stateitem":
-        return (
-            "stateitem",
-            node[1],
-            tuple(rec(v) for v in node[2]),
-            rec(node[3]),
-            tuple(sorted((mapping[p], rec(v)) for p, v in node[4])),
-        )
-    if tag == "knowledge":
-        return (
-            "knowledge",
-            mapping[node[1]],
-            tuple(
-                sorted(
-                    ((rec(s), pids(members)) for s, members in node[2]),
-                    key=repr,
-                )
-            ),
-            tuple(sorted((rec(s) for s in node[3]), key=repr)),
-        )
-    if tag == "pidmap":
-        return (
-            "pidmap",
-            tuple(sorted((mapping[k], rec(v)) for k, v in node[1])),
-        )
-    if tag == "set":
-        return ("set", tuple(sorted((rec(v) for v in node[1]), key=repr)))
-    if tag == "map":
-        return (
-            "map",
-            tuple(
-                sorted(
-                    ((rec(k), rec(v)) for k, v in node[1]),
-                    key=lambda pair: repr(pair[0]),
-                )
-            ),
-        )
-    if tag == "seq":
-        return ("seq", tuple(rec(v) for v in node[1]))
-    if tag == "dc":
-        return (
-            "dc",
-            node[1],
-            tuple(
-                (
-                    name,
-                    mapping[value]
-                    if name in _PID_FIELDS and isinstance(value, int)
-                    else rec(value),
-                )
-                for name, value in node[2]
-            ),
-        )
-    if tag == "algorithm":
-        encoded = []
-        for name, value in node[2]:
-            if name == "pid":
-                encoded.append((name, mapping[value]))
-            elif name in ("_early_attempts", "_early_confirms"):
-                encoded.append(
-                    (name, tuple((mapping[p], rec(v)) for p, v in value))
-                )
-            else:
-                encoded.append((name, rec(value)))
-        return ("algorithm", node[1], tuple(encoded))
-    if tag == "topology":
-        return (
-            "topology",
-            tuple(sorted(pids(component) for component in node[1])),
-            pids(node[2]),
-        )
-    if tag == "chain":
-        return (
-            "chain",
-            tuple(sorted((key, pids(members)) for key, members in node[1])),
-        )
-    if tag == "driver":
-        return (
-            "driver",
-            rec(node[1]),
-            node[2],
-            tuple(sorted((mapping[pid], rec(alg)) for pid, alg in node[3])),
-            rec(node[4]),
-        )
-    raise AssertionError(f"unknown encoding node tag: {tag!r}")
+    """A partition through a process-id permutation."""
+    return PartitionChange(
+        component=relabel_members(change.component, mapping),
+        moved=relabel_members(change.moved, mapping),
+    )
 
 
 class TestCanonicalHashing:
-    """Structural relabeling equivariance, and its documented limit."""
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @given(
-        index=st.integers(min_value=0, max_value=40),
-        permutation_index=st.integers(min_value=1, max_value=119),
-    )
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_relabeling_round_trip(self, algorithm, index, permutation_index):
-        # For any reachable state (mid-schedule volatile state AND the
-        # settled end state) and any permutation: relabeling the built
-        # encoding with the independent walker equals asking the
-        # encoder to relabel — every pid position is remapped, every
-        # sorted container re-sorted, nothing forgotten.
-        plan = generate_plan(PLANS, index)
-        steps = driver_steps(plan)
-        n = plan.n_processes
-        permutations = list(itertools.permutations(range(n)))
-        mapping = dict(
-            zip(range(n), permutations[permutation_index % len(permutations)])
-        )
-        identity = {pid: pid for pid in range(n)}
-
-        driver = build_driver(algorithm, n)
-        run_steps(driver, steps)
-        mid = canonical_driver_state(driver)
-        assert relabel_encoding(mid, mapping) == canonical_driver_state(
-            driver, mapping
-        )
-        assert relabel_encoding(mid, identity) == mid
-
-        driver.run_until_quiescent()
-        settled = canonical_driver_state(driver)
-        assert relabel_encoding(settled, mapping) == canonical_driver_state(
-            driver, mapping
-        )
+    """What the fingerprint separates, ignores and refuses."""
 
     def test_linear_voting_tie_break_defeats_relabeling(self):
-        # Why full *execution* equivariance is not claimed (and why
-        # explore()'s symmetry mode is gated to n=3 first-step orbits):
-        # dynamic linear voting breaks the exact-half quorum tie in
-        # favour of the lexically smallest member, so under the swap
-        # 1<->2 process 1 wins the {1}|{2} split in BOTH tellings.
-        # The twin's final state is therefore NOT the relabeling of
-        # the original's, even after the view-seq quotient.
+        # Why states equal up to a renaming of process ids are never
+        # merged (and why explore() has no orbit counting): dynamic
+        # linear voting breaks the exact-half quorum tie in favour of
+        # the lexically smallest member, so under the swap 1<->2
+        # process 1 wins the {1}|{2} split in BOTH tellings.  The
+        # twin's outcome is therefore NOT the relabeling of the
+        # original's.
         mapping = {0: 0, 1: 2, 2: 1}
         first = PartitionChange(
             component=frozenset({0, 1, 2}), moved=frozenset({0})
@@ -383,16 +204,17 @@ class TestCanonicalHashing:
         # process 1 ends as the surviving primary in both executions.
         for driver in drivers.values():
             assert driver.checker.formed_chain[-1][1] == frozenset({1})
-        # Hence the relabeled encoding (which predicts process 2 as
-        # the twin's survivor) cannot match the twin's actual state.
-        assert normalize_view_seqs(
-            canonical_driver_state(drivers["original"], mapping)
-        ) != normalize_view_seqs(canonical_driver_state(drivers["twin"]))
+        # Relabeling the original's outcome predicts process 2 as the
+        # twin's survivor; the twin says otherwise.
+        predicted = relabel_members(
+            drivers["original"].checker.formed_chain[-1][1], mapping
+        )
+        assert predicted == frozenset({2})
+        assert drivers["twin"].checker.formed_chain[-1][1] != predicted
 
     def test_plain_fingerprints_distinguish_relabeled_twins(self):
-        # Generic sanity: a nontrivial relabeling changes the plain
-        # fingerprint (here: which process is isolated) even though the
-        # symmetric one collapses it.
+        # Generic sanity: a nontrivial relabeling changes the
+        # fingerprint (here: which process is isolated).
         mapping = {0: 2, 1: 1, 2: 0}
         a = build_driver("ykd", 3)
         whole = a.topology.components[0]
@@ -409,7 +231,6 @@ class TestCanonicalHashing:
             frozenset(),
         )
         assert state_fingerprint(a) != state_fingerprint(b)
-        assert symmetric_fingerprint(a) == symmetric_fingerprint(b)
 
     def test_fingerprint_excludes_bookkeeping(self):
         # Quiet rounds at quiescence advance counters but not
@@ -424,10 +245,8 @@ class TestCanonicalHashing:
     def test_unknown_state_raises(self):
         # The encoder must fail loudly on types it has no rule for —
         # silent mis-encoding would corrupt the explorer's dedup memo.
-        from repro.sim.statehash import encode_value
-
         class Opaque:
             """A type the canonical encoder has no rule for."""
 
         with pytest.raises(TypeError):
-            encode_value(Opaque(), lambda pid: pid)
+            encode_value(Opaque())
