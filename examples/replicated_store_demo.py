@@ -8,10 +8,9 @@ network, show that only the primary component accepts writes, heal the
 partition, and watch every replica converge on the primary's history.
 
 ``--transport memory`` (the default) runs the classic single-process
-simulation.  ``--transport udp`` / ``--transport tcp`` runs the same
-five replicas as **real OS processes** exchanging canonical-JSON
-datagrams over real localhost sockets (`repro.gcs.proc`): same
-algorithm, same store, genuine packets.
+simulation.  ``--transport udp`` runs the same five replicas as **real
+OS processes** exchanging canonical-JSON datagrams over real localhost
+sockets (`repro.gcs.proc`): same algorithm, same store, genuine packets.
 """
 
 import argparse
@@ -69,13 +68,11 @@ def main_memory() -> None:
     assert snapshots[0]["motd"] == "majority rules"
 
 
-def main_proc(transport: str) -> None:
+def main_proc() -> None:
     from repro.gcs.proc import ProcCluster
 
-    print(f"== Five replicas as real OS processes over {transport} ==")
-    with ProcCluster(
-        5, algorithm="ykd", transport=transport, endpoint_kind="store"
-    ) as cluster:
+    print("== Five replicas as real OS processes over udp ==")
+    with ProcCluster(5, algorithm="ykd", endpoint_kind="store") as cluster:
         cluster.apply_stage(FULL)
         outcome = cluster.await_stable()
         print("initial primary claimants:", outcome.primaries)
@@ -132,15 +129,15 @@ def main() -> None:
     parser.add_argument(
         "--transport",
         default="memory",
-        choices=("memory", "udp", "tcp"),
-        help="memory: single-process simulation (default); udp/tcp: "
+        choices=("memory", "udp"),
+        help="memory: single-process simulation (default); udp: "
         "real OS processes over real localhost sockets",
     )
     args = parser.parse_args()
     if args.transport == "memory":
         main_memory()
     else:
-        main_proc(args.transport)
+        main_proc()
 
 
 if __name__ == "__main__":

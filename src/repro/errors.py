@@ -88,9 +88,7 @@ class UnsupportedTransportConfig(ReproError):
     transports (:mod:`repro.gcs.transport`) refuse loudly instead of
     silently degrading.  Examples: the batched campaign kernel combined
     with a network transport (the kernel has no packet boundary to
-    attach one to), wire loss or reordering injected into the TCP
-    backend (a byte stream cannot lose or reorder frames), or an
-    unknown transport name.
+    attach one to) or an unknown transport name.
     """
 
 

@@ -18,7 +18,7 @@ Examples::
     repro-experiments explain --replay case.trace.jsonl
     repro-experiments serve --replicas 3 --port 8080
     repro-experiments load --seed 7 --schedule cascade --verify-replay
-    repro-experiments gcs --schedule flip_flop --transport tcp
+    repro-experiments gcs --schedule flip_flop --loss-permille 100
 
 Every subcommand is one ``(name, help, configure, run)`` record in
 :data:`COMMANDS`; :func:`main` builds the parser from the registry and
@@ -63,6 +63,20 @@ from repro.sim.rng import derive_rng
 from repro.sim.trace import TraceRecorder, render_timeline
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type=`` accepting integers no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, not {value}"
+            )
+        return value
+
+    return integer
+
+
 def _add_case_options(
     parser: argparse.ArgumentParser,
     processes: int,
@@ -71,12 +85,14 @@ def _add_case_options(
     runs: Optional[int] = None,
 ) -> None:
     """The flags naming one simulated case; ``runs`` brings ``--mode``."""
-    parser.add_argument("--processes", type=int, default=processes)
-    parser.add_argument("--changes", type=int, default=changes)
+    parser.add_argument(
+        "--processes", type=_int_at_least(2), default=processes
+    )
+    parser.add_argument("--changes", type=_int_at_least(0), default=changes)
     if rate is not None:
         parser.add_argument("--rate", type=float, default=rate)
     if runs is not None:
-        parser.add_argument("--runs", type=int, default=runs)
+        parser.add_argument("--runs", type=_int_at_least(1), default=runs)
         parser.add_argument(
             "--mode", choices=["fresh", "cascading"], default="fresh"
         )
@@ -153,7 +169,7 @@ def _configure_profile(parser: argparse.ArgumentParser) -> None:
     _add_case_options(parser, processes=16, changes=6, rate=2.0, runs=200)
     parser.add_argument(
         "--every",
-        type=int,
+        type=_int_at_least(1),
         default=25,
         help="progress reporting interval in runs (default: 25)",
     )

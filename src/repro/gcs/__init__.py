@@ -3,7 +3,7 @@
 The simulation driver in `repro.sim` plays the group-communication role
 directly, exactly as the thesis' testing system did.  This package
 builds the real thing the thesis originally deployed YKD on: a
-pluggable packet transport (in-memory, UDP or TCP — see
+pluggable packet transport (in-memory or UDP — see
 :mod:`repro.gcs.transport`), failure detection, coordinator-based
 membership agreement, view-synchronous multicast, and an adapter that
 runs any registered primary-component algorithm over the negotiated
@@ -17,7 +17,6 @@ from repro.gcs.stack import Delivered, GCSCluster, GCSEvent, GCStack, ViewInstal
 from repro.gcs.transport import (
     Datagram,
     MemoryTransport,
-    TcpTransport,
     Transport,
     UdpTransport,
     resolve_transport,
@@ -35,7 +34,6 @@ __all__ = [
     "MembershipAgent",
     "MemoryTransport",
     "PrimaryComponentService",
-    "TcpTransport",
     "Transport",
     "UdpTransport",
     "ViewId",

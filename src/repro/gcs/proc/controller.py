@@ -22,10 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import (
-    SimulationError,
-    UnsupportedTransportConfig,
-)
+from repro.errors import SimulationError
 from repro.faults.model import LinkFaults
 from repro.gcs.proc.node import node_main
 from repro.gcs.proc.schedule import (
@@ -35,16 +32,14 @@ from repro.gcs.proc.schedule import (
 )
 from repro.types import ProcessId
 
-NETWORK_TRANSPORTS = ("udp", "tcp")
-
 
 class ProcCluster:
-    """N real OS processes, each hosting one GCS stack on real sockets.
+    """N real OS processes, each hosting one GCS stack on a UDP socket.
 
     Use as a context manager — the children are daemonic but holding
     sockets; :meth:`close` stops them deterministically::
 
-        with ProcCluster(5, algorithm="ykd", transport="udp") as cluster:
+        with ProcCluster(5, algorithm="ykd") as cluster:
             outcomes = cluster.run_schedule(STOCK_SCHEDULES["cascade"])
     """
 
@@ -52,7 +47,6 @@ class ProcCluster:
         self,
         n_processes: int,
         algorithm: str = "ykd",
-        transport: str = "udp",
         link: Optional[LinkFaults] = None,
         endpoint_kind: str = "bare",
         tick_interval: float = 0.005,
@@ -60,22 +54,8 @@ class ProcCluster:
         telemetry_dir: Optional[str] = None,
         flight_capacity: int = 2048,
     ) -> None:
-        if transport not in NETWORK_TRANSPORTS:
-            raise UnsupportedTransportConfig(
-                f"a multi-process cluster needs a network transport "
-                f"(udp or tcp), not {transport!r} — the in-memory "
-                "backend cannot cross process boundaries"
-            )
-        if transport == "tcp" and link is not None and (
-            link.loss_permille > 0 or link.link_loss or link.reorder
-        ):
-            raise UnsupportedTransportConfig(
-                "the TCP backend cannot lose or reorder frames; run "
-                "wire-fault schedules over udp"
-            )
         self.n_processes = n_processes
         self.algorithm = algorithm
-        self.transport = transport
         self.tick_interval = tick_interval
         self.telemetry_dir = (
             str(telemetry_dir) if telemetry_dir is not None else None
@@ -92,7 +72,6 @@ class ProcCluster:
                     pid,
                     n_processes,
                     algorithm,
-                    transport,
                     link,
                     child_conn,
                     endpoint_kind,
@@ -347,7 +326,6 @@ class DifferentialResult:
 
     schedule: str
     algorithm: str
-    transport: str
     reference: Tuple[StageOutcome, ...]
     observed: Tuple[StageOutcome, ...]
 
@@ -377,7 +355,6 @@ class DifferentialResult:
 def run_differential(
     schedule: RecordedSchedule,
     algorithm: str = "ykd",
-    transport: str = "udp",
     link: Optional[LinkFaults] = None,
     stage_timeout: float = 30.0,
     tick_interval: float = 0.005,
@@ -385,14 +362,13 @@ def run_differential(
     """The convergence battery for one (schedule, algorithm) pair.
 
     Runs the deterministic in-memory reference first, then the real
-    multi-process cluster on the requested network transport, and
-    packages both outcome sequences for comparison.
+    multi-process cluster over UDP, and packages both outcome sequences
+    for comparison.
     """
     reference = simulate_reference(schedule, algorithm)
     with ProcCluster(
         schedule.n_processes,
         algorithm=algorithm,
-        transport=transport,
         link=link,
         tick_interval=tick_interval,
     ) as cluster:
@@ -400,7 +376,6 @@ def run_differential(
     return DifferentialResult(
         schedule=schedule.name,
         algorithm=algorithm,
-        transport=transport,
         reference=tuple(reference),
         observed=tuple(observed),
     )

@@ -3,7 +3,7 @@
 Each node hosts exactly one :class:`~repro.gcs.stack.GCStack` and its
 algorithm endpoint, bound to a network transport
 (:mod:`repro.gcs.transport.asyncnet`) that carries length-prefixed
-canonical-JSON datagrams over localhost UDP or TCP.  The parent
+canonical-JSON datagrams over localhost UDP.  The parent
 controller speaks a small tuple protocol over a multiprocessing pipe:
 
 * ``("ports", {pid: port})`` — the full rendezvous map (phase two of
@@ -44,19 +44,9 @@ from repro.errors import ReproError
 from repro.faults.model import LinkFaults
 from repro.gcs.adapter import AlgorithmOnGCS
 from repro.gcs.stack import GCStack, ViewInstalled
-from repro.gcs.transport.asyncnet import TcpTransport, UdpTransport
+from repro.gcs.transport.asyncnet import UdpTransport
 from repro.obs.telemetry.recorder import FlightRecorder, write_crash_dump
 from repro.types import ProcessId
-
-
-def _build_transport(
-    kind: str, link: Optional[LinkFaults], tick_interval: float
-):
-    if kind == "udp":
-        return UdpTransport(link=link, tick_interval=tick_interval)
-    if kind == "tcp":
-        return TcpTransport(link=link, tick_interval=tick_interval)
-    raise ReproError(f"node cannot host a {kind!r} transport")
 
 
 def _build_endpoint(endpoint_kind: str, algorithm: str, pid: ProcessId, n: int):
@@ -74,7 +64,6 @@ def node_main(
     pid: ProcessId,
     n_processes: int,
     algorithm: str,
-    transport_kind: str,
     link: Optional[LinkFaults],
     conn: Any,
     endpoint_kind: str = "bare",
@@ -87,7 +76,7 @@ def node_main(
     recorder = FlightRecorder(pid, capacity=flight_capacity)
     try:
         universe = frozenset(range(n_processes))
-        transport = _build_transport(transport_kind, link, tick_interval)
+        transport = UdpTransport(link=link, tick_interval=tick_interval)
         transport.bind(universe, frozenset({pid}))
         conn.send(("port", pid, transport.ports[pid]))
 

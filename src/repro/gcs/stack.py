@@ -7,7 +7,7 @@ delivered messages.
 
 ``GCSCluster`` is the simulation harness: it owns a pluggable packet
 :class:`~repro.gcs.transport.Transport` (in-memory by default, real
-UDP/TCP sockets on request) and one stack per process, advances
+UDP sockets on request) and one stack per process, advances
 everything in lock-step ticks, and lets tests reshape the topology
 between ticks.  Unlike the `repro.sim` driver — which plays the group
 communication role itself, as the thesis' testing system did — every
@@ -160,7 +160,7 @@ class GCSCluster:
 
     ``transport`` is the single packet-backend attachment point: pass
     ``None`` (in-memory default), a backend name (``"memory"``,
-    ``"udp"``, ``"tcp"``) or a constructed
+    ``"udp"``) or a constructed
     :class:`~repro.gcs.transport.Transport` — e.g. a
     ``MemoryTransport(link=LinkFaults(...))`` to inject wire faults.
     """

@@ -5,10 +5,10 @@ The supported surface (see ``docs/transports.md``):
 * :class:`Transport` — the driver interface every backend implements.
 * :class:`Datagram` — the unicast packet as the stack sees it.
 * :class:`MemoryTransport` — the deterministic in-memory default.
-* :class:`UdpTransport` / :class:`TcpTransport` — asyncio localhost
-  backends running a go-back-N ARQ over real sockets.
+* :class:`UdpTransport` — the asyncio localhost backend running a
+  go-back-N ARQ over real sockets.
 * :func:`resolve_transport` — the ``transport=`` argument resolver
-  (``None`` | ``"memory"`` | ``"udp"`` | ``"tcp"`` | instance).
+  (``None`` | ``"memory"`` | ``"udp"`` | instance).
 """
 
 from repro.gcs.transport.arq import (
@@ -17,7 +17,7 @@ from repro.gcs.transport.arq import (
     DEFAULT_WINDOW,
     ReliableLinkMap,
 )
-from repro.gcs.transport.asyncnet import TcpTransport, UdpTransport
+from repro.gcs.transport.asyncnet import UdpTransport
 from repro.gcs.transport.base import Datagram, Transport, resolve_transport
 from repro.gcs.transport.memory import MemoryTransport
 from repro.gcs.transport.wire import (
@@ -29,7 +29,6 @@ from repro.gcs.transport.wire import (
     encode_datagram,
     encode_value,
     frame,
-    frame_incomplete,
     wire_registry,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     # Backends.
     "MemoryTransport",
     "UdpTransport",
-    "TcpTransport",
     # Reliable-link machinery.
     "ArqSender",
     "ArqReceiver",
@@ -56,6 +54,5 @@ __all__ = [
     "frame",
     "deframe",
     "deframe_prefix",
-    "frame_incomplete",
     "wire_registry",
 ]

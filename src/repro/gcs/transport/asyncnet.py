@@ -1,22 +1,20 @@
-"""Asyncio network transports: real sockets under the GCS stack.
+"""Asyncio network transport: real UDP sockets under the GCS stack.
 
-Both backends run a private asyncio event loop on a daemon thread and
-present the same synchronous :class:`~repro.gcs.transport.base.Transport`
+The backend runs a private asyncio event loop on a daemon thread and
+presents the same synchronous :class:`~repro.gcs.transport.base.Transport`
 face the in-memory backend does — ``send`` marshals into the loop,
 ``deliver_tick`` drains a thread-safe queue of decoded datagrams.  On
 the wire every frame is length-prefixed canonical JSON
-(:mod:`repro.gcs.transport.wire`); above the carrier both backends run
-the ARQ of :mod:`repro.gcs.transport.arq`, so the stack sees reliable
-FIFO links even across genuine (or injected) packet loss.
+(:mod:`repro.gcs.transport.wire`); above the carrier runs the ARQ of
+:mod:`repro.gcs.transport.arq`, so the stack sees reliable FIFO links
+even across genuine (or injected) packet loss.
 
 Wire faults (``link=LinkFaults(...)``) are injected at the transmit
 boundary, below the ARQ — exactly where a flaky network would sit.
 Every draw is a pure hash of ``(link.seed, transmission serial, src,
 dst)`` through :mod:`repro.faults.link`, so a given seed always loses
-and delays the same transmissions; only the wall-clock interleaving is
-real.  Loss and reordering cannot exist on a TCP byte stream, so the
-TCP backend refuses them loudly with
-:class:`~repro.errors.UnsupportedTransportConfig`; delay works on both.
+and delays the same transmissions; only the wall-clock interleaving
+is real.
 
 Reachability (a partition schedule's view of the world) gates links at
 both ends: a sender holds frames queued for unreachable destinations
@@ -33,9 +31,9 @@ from __future__ import annotations
 import asyncio
 import queue
 import threading
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.errors import SimulationError, UnsupportedTransportConfig, WireFormatError
+from repro.errors import SimulationError, WireFormatError
 from repro.faults.link import delivery_delay, delivery_lost
 from repro.faults.model import LinkFaults
 from repro.gcs.transport.arq import ReliableLinkMap
@@ -43,10 +41,8 @@ from repro.gcs.transport.base import Datagram, Transport
 from repro.gcs.transport.wire import (
     decode_datagram,
     deframe,
-    deframe_prefix,
     encode_datagram,
     frame,
-    frame_incomplete,
 )
 from repro.net.topology import Topology
 from repro.sim.rng import derive_seed
@@ -383,111 +379,3 @@ class UdpTransport(_AsyncTransportBase):
         endpoint = self._endpoints.get(src)
         if endpoint is not None and not endpoint.is_closing():
             endpoint.sendto(data, (HOST, port))
-
-
-class TcpTransport(_AsyncTransportBase):
-    """One TCP server per local pid; frames multiplexed over streams.
-
-    A byte stream cannot lose or reorder frames, so ``link`` specs with
-    ``loss_permille``/``link_loss``/``reorder`` are refused with
-    :class:`~repro.errors.UnsupportedTransportConfig`; injected *delay*
-    is supported (applied before the write).  The ARQ still runs — the
-    reachability filter can drop frames mid-stream during partitions,
-    and retransmission restores them afterwards.
-    """
-
-    kind = "tcp"
-
-    def __init__(self, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        if self.link is not None and (
-            self.link.loss_permille > 0
-            or self.link.link_loss
-            or self.link.reorder
-        ):
-            raise UnsupportedTransportConfig(
-                "the TCP backend cannot lose or reorder frames on a "
-                "byte stream; inject loss/reorder through the UDP "
-                "backend (or keep only delay for TCP)"
-            )
-        self._servers: Dict[ProcessId, asyncio.AbstractServer] = {}
-        self._writers: Dict[Tuple[ProcessId, ProcessId], asyncio.StreamWriter] = {}
-        self._dialing: Set[Tuple[ProcessId, ProcessId]] = set()
-        self._serve_tasks: Set[asyncio.Task] = set()
-
-    async def _open_endpoints(self) -> None:
-        for pid in sorted(self.local_pids):
-            requested = self.ports.get(pid, 0)
-            server = await asyncio.start_server(
-                lambda reader, writer, pid=pid: self._track_serve(pid, reader),
-                HOST,
-                requested,
-            )
-            self._servers[pid] = server
-            self.ports[pid] = server.sockets[0].getsockname()[1]
-
-    async def _track_serve(
-        self, local_pid: ProcessId, reader: asyncio.StreamReader
-    ) -> None:
-        task = asyncio.current_task()
-        self._serve_tasks.add(task)
-        try:
-            await self._serve(local_pid, reader)
-        except asyncio.CancelledError:
-            pass  # shutdown: end quietly so stream callbacks stay silent
-        finally:
-            self._serve_tasks.discard(task)
-
-    async def _serve(
-        self, local_pid: ProcessId, reader: asyncio.StreamReader
-    ) -> None:
-        buffer = b""
-        while True:
-            chunk = await reader.read(65536)
-            if not chunk:
-                return
-            buffer += chunk
-            while buffer and not frame_incomplete(buffer):
-                try:
-                    body, consumed = deframe_prefix(buffer)
-                except WireFormatError:
-                    self.dropped_count += 1
-                    return  # the stream is corrupt; drop the connection
-                buffer = buffer[consumed:]
-                try:
-                    self._on_frame(local_pid, body)
-                except WireFormatError:
-                    self.dropped_count += 1
-
-    async def _close_endpoints(self) -> None:
-        for task in list(self._serve_tasks):
-            task.cancel()
-        for server in self._servers.values():
-            server.close()
-        for writer in self._writers.values():
-            writer.close()
-
-    def _carrier_send(self, src: ProcessId, dst: ProcessId, data: bytes) -> None:
-        writer = self._writers.get((src, dst))
-        if writer is not None and not writer.is_closing():
-            writer.write(data)
-            return
-        key = (src, dst)
-        if key in self._dialing:
-            return  # a connection attempt is in progress; ARQ retries
-        port = self.ports.get(dst)
-        if port is None:
-            return
-        self._dialing.add(key)
-
-        async def dial() -> None:
-            try:
-                _, writer = await asyncio.open_connection(HOST, port)
-                self._writers[key] = writer
-                writer.write(data)
-            except OSError:
-                pass  # peer not up yet; the ARQ retransmits
-            finally:
-                self._dialing.discard(key)
-
-        asyncio.get_event_loop().create_task(dial())

@@ -5,9 +5,9 @@ Every packet the GCS exchanges crosses exactly one seam: a
 algorithm adapter) sends ``(src, dst, payload)`` unicasts into it and
 periodically drains whatever has become deliverable; it neither knows
 nor cares whether the datagrams moved through an in-memory queue
-(:class:`~repro.gcs.transport.memory.MemoryTransport`), a real UDP
-socket, or a TCP stream — the separation JBotSim and QUANTAS get their
-leverage from, applied to this repository's substrate.
+(:class:`~repro.gcs.transport.memory.MemoryTransport`) or a real UDP
+socket — the separation JBotSim and QUANTAS get their leverage from,
+applied to this repository's substrate.
 
 The contract every backend honours:
 
@@ -54,8 +54,7 @@ class Transport(ABC):
     :meth:`set_topology` cycles → :meth:`close`.
 
     Attributes:
-        kind: stable name of the backend (``"memory"``, ``"udp"``,
-            ``"tcp"``) — what ``--transport`` selects.
+        kind: stable name of the backend (``"memory"``, ``"udp"``).
         realtime: True when delivery is driven by the wall clock rather
             than by :meth:`deliver_tick` calls; stability detection then
             requires :attr:`quiet_ticks_for_stability` consecutive
@@ -144,7 +143,7 @@ def resolve_transport(
     """Turn the ``transport=`` argument into a bound-ready instance.
 
     Accepts ``None`` (the in-memory default), a backend name
-    (``"memory"``, ``"udp"``, ``"tcp"``), or an already constructed
+    (``"memory"``, ``"udp"``), or an already constructed
     :class:`Transport`.  Unknown names raise
     :class:`~repro.errors.UnsupportedTransportConfig` — loudly, in the
     :class:`~repro.errors.UnsupportedBatchConfig` tradition.
@@ -166,13 +165,9 @@ def resolve_transport(
             from repro.gcs.transport.asyncnet import UdpTransport
 
             return UdpTransport()
-        if transport == "tcp":
-            from repro.gcs.transport.asyncnet import TcpTransport
-
-            return TcpTransport()
         raise UnsupportedTransportConfig(
             f"unknown transport {transport!r}; known backends: "
-            "memory, udp, tcp"
+            "memory, udp"
         )
     raise UnsupportedTransportConfig(
         f"transport must be None, a backend name or a Transport "

@@ -7,7 +7,7 @@ in one self-describing encoding:
   exactly that many bytes of canonical JSON (sorted keys, default
   separators — the same :mod:`repro.obs.canonical` convention every
   other byte-pinned artifact in the project uses).  UDP carries one
-  frame per datagram; TCP carries a stream of frames.
+  frame per datagram.
 
 * **Values** — JSON scalars (``None``, ``bool``, ``int``, ``float``,
   ``str``) encode as themselves.  Containers and protocol dataclasses
@@ -242,8 +242,7 @@ def deframe_prefix(data: bytes) -> Tuple[Any, int]:
     """Decode the first frame of ``data`` → ``(body, bytes consumed)``.
 
     Raises :class:`~repro.errors.WireFormatError` for anything short of
-    one complete well-formed frame — stream carriers buffer and retry
-    only on :func:`frame_incomplete` saying more bytes may help.
+    one complete well-formed frame.
     """
     if len(data) < _LENGTH.size:
         raise WireFormatError("truncated frame: missing length prefix")
@@ -263,18 +262,3 @@ def deframe_prefix(data: bytes) -> Tuple[Any, int]:
         return json.loads(raw.decode("utf-8")), end
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireFormatError(f"frame body is not canonical JSON: {exc}") from exc
-
-
-def frame_incomplete(data: bytes) -> bool:
-    """Whether ``data`` is a (so far) well-formed *prefix* of a frame.
-
-    True means a stream reader should wait for more bytes; False means
-    the buffer already holds at least one complete frame (or bytes that
-    can never become one — :func:`deframe_prefix` will then raise).
-    """
-    if len(data) < _LENGTH.size:
-        return True
-    (length,) = _LENGTH.unpack_from(data)
-    if length > MAX_FRAME_BYTES:
-        return False
-    return len(data) < _LENGTH.size + length

@@ -12,26 +12,15 @@ until it recovers.
 
 ``Topology`` is immutable; every change produces a new value.  This
 keeps fault plans replayable and lets tests snapshot histories cheaply.
-Immutability is also what makes the hot-path caches below sound: the
-pid→component map, the universe and the active set are each computed at
-most once per value and memoized on the instance (memoized attributes
-live in ``__dict__`` outside the declared fields, so equality and
-hashing are untouched).
-
-Construction validates the partition invariants.  The transformation
-methods (:meth:`partition`, :meth:`merge`, :meth:`crash`,
-:meth:`recover`) perform their own targeted precondition checks and
-then build the result via the private trusted constructor, skipping the
-full revalidation — a transformation of a valid topology cannot
-introduce overlap or empty components, and the property tests in
-``tests/test_topology_fastpath.py`` hold the fast path to the validated
-constructor's behaviour.
+Construction validates the partition invariants, and every
+transformation (:meth:`partition`, :meth:`merge`, :meth:`crash`,
+:meth:`recover`) returns through that same validating constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 from repro.errors import TopologyError
 from repro.types import Members, ProcessId, sorted_members
@@ -86,62 +75,24 @@ class Topology:
             raise TopologyError("need at least one process")
         return cls(components=(frozenset(range(n_processes)),))
 
-    @classmethod
-    def _from_trusted(
-        cls,
-        components: Iterable[Component],
-        crashed: FrozenSet[ProcessId],
-    ) -> "Topology":
-        """Build from components already known to satisfy the invariants.
-
-        Internal fast path for the transformation methods: the inputs
-        are frozensets derived from an already-validated topology, so
-        only normalization (the canonical component order) runs —
-        ``__post_init__``'s overlap and crash-singleton scans are
-        skipped.  Never call this with untrusted data.
-        """
-        topology = object.__new__(cls)
-        object.__setattr__(topology, "components", _normalize_components(components))
-        object.__setattr__(topology, "crashed", crashed)
-        return topology
-
     # ------------------------------------------------------------------
     # Queries.
     # ------------------------------------------------------------------
 
     @property
     def universe(self) -> Members:
-        cached = self.__dict__.get("_universe")
-        if cached is None:
-            cached = frozenset().union(*self.components)
-            object.__setattr__(self, "_universe", cached)
-        return cached
-
-    @property
-    def _component_map(self) -> Dict[ProcessId, Component]:
-        cached = self.__dict__.get("_component_map_cache")
-        if cached is None:
-            cached = {}
-            for component in self.components:
-                for pid in component:
-                    cached[pid] = component
-            object.__setattr__(self, "_component_map_cache", cached)
-        return cached
+        return frozenset().union(*self.components)
 
     def component_of(self, pid: ProcessId) -> Component:
         """The component containing ``pid``."""
-        try:
-            return self._component_map[pid]
-        except KeyError:
-            raise TopologyError(f"process {pid} is not in the topology") from None
+        for component in self.components:
+            if pid in component:
+                return component
+        raise TopologyError(f"process {pid} is not in the topology")
 
     def active_processes(self) -> Members:
         """Processes that participate in rounds (i.e. are not crashed)."""
-        cached = self.__dict__.get("_active")
-        if cached is None:
-            cached = self.universe - self.crashed
-            object.__setattr__(self, "_active", cached)
-        return cached
+        return self.universe - self.crashed
 
     def is_crashed(self, pid: ProcessId) -> bool:
         """Whether the process is currently down."""
@@ -157,8 +108,7 @@ class Topology:
 
     def mergeable_pairs_exist(self) -> bool:
         """A merge needs two components of non-crashed processes."""
-        live = [c for c in self.components if not (c & self.crashed)]
-        return len(live) >= 2
+        return len(self.live_components()) >= 2
 
     def live_components(self) -> List[Component]:
         """Components containing no crashed process."""
@@ -191,7 +141,7 @@ class Topology:
         remaining = component - moved
         new_components = [c for c in self.components if c != component]
         new_components.extend([remaining, moved])
-        return Topology._from_trusted(new_components, self.crashed)
+        return Topology(tuple(new_components), self.crashed)
 
     def merge(self, first: Component, second: Component) -> "Topology":
         """Unify two distinct components into one."""
@@ -208,7 +158,7 @@ class Topology:
                 )
         new_components = [c for c in self.components if c not in (first, second)]
         new_components.append(first | second)
-        return Topology._from_trusted(new_components, self.crashed)
+        return Topology(tuple(new_components), self.crashed)
 
     def crash(self, pid: ProcessId) -> "Topology":
         """Crash a process: isolate it and mark it non-participating."""
@@ -218,13 +168,13 @@ class Topology:
         topology = self
         if len(component) > 1:
             topology = topology.partition(component, frozenset({pid}))
-        return Topology._from_trusted(topology.components, self.crashed | {pid})
+        return Topology(topology.components, self.crashed | {pid})
 
     def recover(self, pid: ProcessId) -> "Topology":
         """Recover a crashed process; it stays isolated until a merge."""
         if pid not in self.crashed:
             raise TopologyError(f"process {pid} is not crashed")
-        return Topology._from_trusted(self.components, self.crashed - {pid})
+        return Topology(self.components, self.crashed - {pid})
 
     def describe(self) -> str:
         """Compact rendering, e.g. ``{0,1} {2,3,4}``."""

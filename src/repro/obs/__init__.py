@@ -74,7 +74,6 @@ _CAUSAL_EXPORTS = frozenset(
         "SpanSet",
         "render_forensics_report",
         "render_html_report",
-        "spans_from_events",
         "spans_from_jsonl",
         "spans_from_recorder",
         "spans_to_jsonl",

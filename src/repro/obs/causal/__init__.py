@@ -24,7 +24,6 @@ See ``docs/forensics.md`` for the model and a walkthrough of the
 from repro.obs.causal.builder import (
     SpanBuilder,
     spans_from_dicts,
-    spans_from_events,
     spans_from_jsonl,
     spans_from_recorder,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "render_forensics_report",
     "render_html_report",
     "spans_from_dicts",
-    "spans_from_events",
     "spans_from_jsonl",
     "spans_from_recorder",
     "spans_to_jsonl",

@@ -532,16 +532,6 @@ def spans_from_dicts(dicts: Iterable[Mapping[str, Any]]) -> SpanSet:
     return builder.finalize()
 
 
-def spans_from_events(events: Iterable[Any]) -> SpanSet:
-    """Reconstruct spans from recorded :class:`~repro.sim.trace.TraceEvent`s.
-
-    Goes through each event's ``to_dict()`` — the same dicts the live
-    observer feeds — so offline reconstruction of a recorded trace is
-    byte-identical to having watched the run live.
-    """
-    return spans_from_dicts(event.to_dict() for event in events)
-
-
 def spans_from_recorder(recorder: Any) -> SpanSet:
     """Reconstruct spans from a whole :class:`~repro.sim.trace.TraceRecorder`.
 

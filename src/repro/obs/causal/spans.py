@@ -207,10 +207,6 @@ class RunSpan:
         """Rounds without a live primary — exactly the blamed rounds."""
         return self.rounds - self.primary_rounds
 
-    def blame_dict(self) -> Dict[str, int]:
-        """The blame breakdown as a plain ``{category: rounds}`` dict."""
-        return dict(self.blame)
-
     def describe(self) -> str:
         """One line: round extent, verdict and nonzero blame."""
         verdict = (

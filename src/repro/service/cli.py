@@ -444,12 +444,11 @@ def _configure_gcs(gcs: argparse.ArgumentParser) -> None:
         f"(stock: {', '.join(sorted(STOCK_SCHEDULES))})",
     )
     _add_algorithm(gcs)
-    gcs.add_argument("--transport", default="udp", choices=("udp", "tcp"))
     gcs.add_argument(
         "--loss-permille",
         type=int,
         default=0,
-        help="injected per-transmission wire loss (udp only)",
+        help="injected per-transmission wire loss",
     )
     gcs.add_argument(
         "--link-seed", type=int, default=0, help="wire-fault draw seed"
@@ -491,7 +490,6 @@ def run_gcs(args: argparse.Namespace) -> int:
         with ProcCluster(
             schedule.n_processes,
             algorithm=args.algorithm,
-            transport=args.transport,
             link=link,
             tick_interval=args.tick_interval,
         ) as cluster:
@@ -506,7 +504,6 @@ def run_gcs(args: argparse.Namespace) -> int:
     result = run_differential(
         schedule,
         algorithm=args.algorithm,
-        transport=args.transport,
         link=link,
         stage_timeout=args.stage_timeout,
         tick_interval=args.tick_interval,
@@ -522,7 +519,7 @@ def run_gcs(args: argparse.Namespace) -> int:
     if result.matches:
         print(
             f"MATCH: {result.schedule} x {result.algorithm} over "
-            f"{result.transport} converged to the simulated reference"
+            "udp converged to the simulated reference"
         )
         return 0
     print("DIVERGENCE:")
@@ -560,7 +557,7 @@ COMMANDS = (
     (
         "gcs",
         "run a recorded partition schedule on a real multi-process GCS "
-        "cluster (UDP/TCP sockets) and compare against the simulated "
+        "cluster (UDP sockets) and compare against the simulated "
         "reference",
         _configure_gcs,
         run_gcs,

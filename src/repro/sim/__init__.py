@@ -18,12 +18,7 @@ from repro.sim.explore import (
     explore_replay,
 )
 from repro.sim.invariants import InvariantChecker
-from repro.sim.parallel import (
-    merge_case_results,
-    run_case_sharded,
-    run_cases_parallel,
-    shard_configs,
-)
+from repro.sim.parallel import run_cases_parallel
 from repro.sim.rng import derive_rng, derive_seed
 from repro.sim.statehash import (
     canonical_driver_state,
@@ -79,10 +74,7 @@ __all__ = [
     "state_digest",
     "state_fingerprint",
     "run_case",
-    "merge_case_results",
-    "run_case_sharded",
     "run_cases_parallel",
-    "shard_configs",
     "run_single",
     "trace_canonical_json",
     "trace_digest",

@@ -265,7 +265,6 @@ def _environment_key(config) -> Optional[tuple]:
         tuple(str(label) for label in labels),
         config.n_processes,
         config.n_changes,
-        config.run_offset,
         config.runs,
         config.cut_probability,
         generator_key,
@@ -294,7 +293,7 @@ def compile_case(config) -> List[CompiledRun]:
     if generator is None:
         generator = UniformChangeGenerator()
     compiled: List[CompiledRun] = []
-    for run_index in range(config.run_offset, config.run_offset + config.runs):
+    for run_index in range(config.runs):
         fault_rng = derive_rng(
             config.master_seed, *config.case_label(), run_index
         )

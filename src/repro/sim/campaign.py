@@ -54,12 +54,6 @@ class CaseConfig:
     runs: int = 1000
     mode: str = MODE_FRESH
     master_seed: int = 0
-    #: First run index to execute (fresh mode only).  Fresh-start runs
-    #: are RNG-labelled by (seed, case, run index), so a case can be
-    #: split into shards covering disjoint index ranges — each shard
-    #: executes exactly the runs the unsharded case would, and the
-    #: merged statistics are identical (see ``repro.sim.parallel``).
-    run_offset: int = 0
     check_invariants: bool = True
     max_quiescence_rounds: int = 400
     collect_ambiguous: bool = False
@@ -72,7 +66,7 @@ class CaseConfig:
     #: :attr:`CaseResult.metrics` registry (shared with
     #: ``collect_metrics`` when both are set).  Because the registry is
     #: the cross-process channel of ``run_cases_parallel``, this flag —
-    #: not an observer instance — is how sharded campaigns collect
+    #: not an observer instance — is how parallel campaigns collect
     #: causal statistics with deterministic merge.
     collect_causal: bool = False
     change_generator: Optional[UniformChangeGenerator] = None
@@ -84,13 +78,6 @@ class CaseConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.runs < 1:
             raise ValueError("a case needs at least one run")
-        if self.run_offset < 0:
-            raise ValueError("run_offset cannot be negative")
-        if self.run_offset and self.mode != MODE_FRESH:
-            raise ValueError(
-                "run_offset requires fresh mode — cascading runs consume "
-                "one sequential RNG stream and cannot be split"
-            )
 
     def case_label(self) -> Tuple:
         """The RNG label shared by all algorithms under this case."""
@@ -124,9 +111,6 @@ class CaseResult:
     ambiguous_max: int = 0
     message_max_bytes: float = 0.0
     message_mean_bytes: float = 0.0
-    #: Piggybacking broadcasts behind ``message_mean_bytes`` (the
-    #: weight needed to merge means across shards exactly).
-    message_broadcasts: int = 0
     #: Metrics registry filled during the case, when
     #: :attr:`CaseConfig.collect_metrics` was set (else ``None``).
     metrics: Optional[MetricsRegistry] = None
@@ -205,7 +189,7 @@ def run_case(
     changes_total = 0
 
     if config.mode == MODE_FRESH:
-        for run_index in range(config.run_offset, config.run_offset + config.runs):
+        for run_index in range(config.runs):
             fault_rng = derive_rng(
                 config.master_seed, *config.case_label(), run_index
             )
@@ -238,7 +222,6 @@ def run_case(
     if sizes is not None:
         result.message_max_bytes = sizes.max_bytes
         result.message_mean_bytes = sizes.mean_bytes
-        result.message_broadcasts = sizes.broadcasts
     if registry is not None:
         result.metrics = registry
     for subscriber in subscribers:

@@ -252,45 +252,11 @@ class DriverLoop:
         #: violating run can be turned into an explicit repro plan.
         self._recorded_steps: List[Tuple[int, ConnectivityChange, frozenset]] = []
         self._rounds_since_change: int = 0
-        #: Reused across rounds (cleared, not reallocated); populated in
-        #: ascending pid order, so iterating it IS sender-id order.
-        self._bundles: Dict[ProcessId, Message] = {}
 
     @property
     def observers(self) -> List[Subscriber]:
         """The attached subscribers (excluding the extracted checker)."""
         return list(self.bus.subscribers)
-
-    # ------------------------------------------------------------------
-    # Topology installation.  The poll order (sorted active pids) and
-    # the per-sender delivery order (sorted component members) are
-    # functions of the topology alone, and a topology lives for many
-    # rounds; precomputing them here removes the per-round/per-sender
-    # ``sorted`` calls that dominated campaign profiles.  The orders
-    # are exactly the tuples the per-round sorts produced.
-    # ------------------------------------------------------------------
-
-    @property
-    def topology(self) -> Topology:
-        return self._topology
-
-    @topology.setter
-    def topology(self, topology: Topology) -> None:
-        self._topology = topology
-        self._active_order = tuple(sorted(topology.active_processes()))
-        endpoints = self.endpoints
-        delivery: Dict[ProcessId, Tuple[ProcessId, ...]] = {}
-        deliver_calls: Dict[ProcessId, tuple] = {}
-        for component in topology.components:
-            order = tuple(sorted(component))
-            calls = tuple(endpoints[pid].deliver for pid in order)
-            for pid in component:
-                delivery[pid] = order
-                deliver_calls[pid] = calls
-        self._delivery_order = delivery
-        #: Bound ``deliver`` methods in the same recipient order — the
-        #: tight loop for rounds with no mid-round cut and no crash.
-        self._deliver_calls = deliver_calls
 
     # ------------------------------------------------------------------
     # One round.
@@ -310,10 +276,9 @@ class DriverLoop:
 
         # 1. Poll every endpoint (Fig. 2-2's application behaviour),
         #    in ascending pid order.
-        bundles = self._bundles
-        bundles.clear()
+        bundles: Dict[ProcessId, Message] = {}
         endpoints = self.endpoints
-        for pid in self._active_order:
+        for pid in sorted(self.topology.active_processes()):
             message = endpoints[pid].poll()
             if message is not None:
                 bundles[pid] = message
@@ -352,26 +317,17 @@ class DriverLoop:
         had_matured = False
         if self._injector is not None:
             had_matured = self._deliver_faulted(bundles, late, dead)
-        elif late or dead:
-            delivery_order = self._delivery_order
+        else:
+            topology = self.topology
             for sender, message in bundles.items():
                 for hook in broadcast_hooks:
                     hook(self, sender, message)
-                for recipient in delivery_order[sender]:
+                for recipient in sorted(topology.component_of(sender)):
                     if recipient in dead:
                         continue
                     if recipient != sender and recipient in late:
                         continue
                     endpoints[recipient].deliver(message, sender)
-        else:
-            # No mid-round cut: everyone in the sender's component
-            # receives — the overwhelmingly common round shape.
-            deliver_calls = self._deliver_calls
-            for sender, message in bundles.items():
-                for hook in broadcast_hooks:
-                    hook(self, sender, message)
-                for deliver in deliver_calls[sender]:
-                    deliver(message, sender)
         if profiler is not None:
             wall_mark, cpu_mark = profiler.lap("deliver", wall_mark, cpu_mark)
 
@@ -387,8 +343,8 @@ class DriverLoop:
                 # comes back with its algorithm freshly initialized —
                 # every session it ever formed is forgotten — before
                 # the recovery view is installed.  The endpoint object
-                # persists so the precomputed delivery bindings stay
-                # valid.
+                # persists: a real application's replicated state lives
+                # on it and survives the algorithm's amnesia.
                 endpoint = self.endpoints[change.pid]
                 endpoint.algorithm = create_algorithm(
                     self.algorithm_name, change.pid, self.initial_view
@@ -442,12 +398,12 @@ class DriverLoop:
         assert injector is not None
         round_index = self.round_index
         broadcast_hooks = self._broadcast_hooks
-        delivery_order = self._delivery_order
+        topology = self.topology
         had_matured = False
         for pid in dead:
             injector.drop_for(pid)
         if injector.has_pending():
-            for recipient in self._active_order:
+            for recipient in sorted(topology.active_processes()):
                 if recipient in dead:
                     continue
                 matured = injector.matured(round_index, recipient)
@@ -459,7 +415,7 @@ class DriverLoop:
         for sender, message in bundles.items():
             for hook in broadcast_hooks:
                 hook(self, sender, message)
-            component = delivery_order[sender]
+            component = sorted(topology.component_of(sender))
             attacked = injector.attacked(round_index, sender)
             for recipient in component:
                 if recipient in dead:
@@ -657,7 +613,7 @@ class DriverLoop:
         explorers emit their own progress events instead.
         """
         return DriverSnapshot(
-            topology=self._topology,
+            topology=self.topology,
             view_seq=self.view_seq,
             round_index=self.round_index,
             changes_injected=self.changes_injected,
@@ -680,18 +636,16 @@ class DriverLoop:
     def restore(self, snapshot: DriverSnapshot) -> None:
         """Rewind this system to a previously captured snapshot.
 
-        The endpoint objects persist (their identities anchor the
-        precomputed delivery fast path); each one receives a fresh fork
-        of the stored algorithm clone, so the snapshot itself stays
-        pristine and can be restored again later.
+        The endpoint objects persist (application state and subclass
+        identity live on them, outside the snapshot); each one receives
+        a fresh fork of the stored algorithm clone, so the snapshot
+        itself stays pristine and can be restored again later.
         """
         for pid, stored in snapshot.algorithms.items():
             self.endpoints[pid].algorithm = stored.fork()
         self.algorithms = {
             pid: endpoint.algorithm for pid, endpoint in self.endpoints.items()
         }
-        # Through the setter: recomputes poll/delivery orders against
-        # the persistent endpoint objects.
         self.topology = snapshot.topology
         self.view_seq = snapshot.view_seq
         self.round_index = snapshot.round_index
@@ -703,7 +657,6 @@ class DriverLoop:
         self.checker.restore_state(snapshot.checker_state)
         if self._injector is not None:
             self._injector.restore_state(snapshot.fault_state)
-        self._bundles = {}
 
     # ------------------------------------------------------------------
     # Queries.

@@ -6,38 +6,18 @@ and analysis" (§2.2).  The single-machine equivalent is a process pool:
 cases are independent (each carries its own labelled RNG streams), so
 they parallelize embarrassingly and deterministically — results are
 identical to a serial run of the same configs, whatever the worker
-count or scheduling order.
-
-Two granularities are available:
-
-* **case-level** (:func:`run_cases_parallel`) — whole cases fan out
-  across the pool; used by the CLI's ``--workers`` option.
-* **run-level** (:func:`run_case_sharded`) — one fresh-start case is
-  split into shards over disjoint run-index ranges.  A fresh run's
-  fault RNG is labelled by (seed, case, run index), never by which
-  shard executed it, so each shard runs exactly the runs the unsharded
-  case would, and :func:`merge_case_results` reassembles the exact
-  statistics in deterministic shard order (outcomes concatenate in run
-  order, counters sum, maxima take the max, the mean message size
-  merges weighted by broadcast count).  Cascading cases consume one
-  sequential RNG stream and fall back to a single in-process run.
-
-Safe to use directly::
-
-    from repro.sim.parallel import run_case_sharded, run_cases_parallel
-    results = run_cases_parallel(configs, workers=8)
-    result = run_case_sharded(config, shards=8, workers=8)
+count or scheduling order.  Whole cases fan out across the pool
+(:func:`run_cases_parallel`, the CLI's ``--workers`` option); a single
+fresh-start case that needs to be fast runs on the batched kernel
+instead (``kernel="batched"``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from collections import Counter
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import MetricsRegistry, merge_registries
-from repro.sim.campaign import MODE_FRESH, CaseConfig, CaseResult, run_case
+from repro.sim.campaign import CaseConfig, CaseResult, run_case
 
 
 def _run_indexed(
@@ -77,138 +57,3 @@ def run_cases_parallel(
         ):
             results[index] = result
     return [results[index] for index in range(len(configs))]
-
-
-# ----------------------------------------------------------------------
-# Run-level sharding of one fresh-start case.
-# ----------------------------------------------------------------------
-
-
-def shard_configs(config: CaseConfig, shards: int) -> List[CaseConfig]:
-    """Split one fresh case into configs over disjoint run-index ranges.
-
-    Shard sizes differ by at most one run (the first ``runs % shards``
-    shards take the extra); concatenating the shards' index ranges in
-    order reproduces ``range(run_offset, run_offset + runs)`` exactly.
-    """
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    if config.mode != MODE_FRESH:
-        raise ValueError("only fresh-start cases can be sharded")
-    if config.collect_causal:
-        # The trace stream a causal reconstruction consumes only emits
-        # primary events on *change*, so consecutive fresh runs are not
-        # independent: the first run of a shard would see a different
-        # event stream than it does mid-sequence.  Causal collection
-        # parallelizes at case granularity (run_cases_parallel), where
-        # every case's stream is complete.
-        raise ValueError(
-            "collect_causal cases cannot be run-sharded — parallelize "
-            "them at case granularity with run_cases_parallel"
-        )
-    shards = min(shards, config.runs)
-    base, extra = divmod(config.runs, shards)
-    configs: List[CaseConfig] = []
-    offset = config.run_offset
-    for shard_index in range(shards):
-        size = base + (1 if shard_index < extra else 0)
-        configs.append(replace(config, run_offset=offset, runs=size))
-        offset += size
-    return configs
-
-
-def merge_case_results(
-    config: CaseConfig, results: Sequence[CaseResult]
-) -> CaseResult:
-    """Reassemble shard results (in shard order) into the case result.
-
-    Exact, not approximate: every aggregate the campaign layer reports
-    is either concatenable (outcomes), additive (rounds, changes,
-    histograms, broadcast counts), a maximum, or a mean that merges
-    exactly when weighted by its count.
-    """
-    if not results:
-        raise ValueError("no shard results to merge")
-    outcomes: List[bool] = []
-    rounds_total = 0
-    changes_total = 0
-    stable: Counter = Counter()
-    stable_in_primary: Counter = Counter()
-    in_progress: Counter = Counter()
-    ambiguous_max = 0
-    message_max = 0.0
-    message_bits_weighted = 0.0
-    message_broadcasts = 0
-    for result in results:
-        outcomes.extend(result.outcomes)
-        rounds_total += result.rounds_total
-        changes_total += result.changes_total
-        stable.update(result.ambiguous_stable)
-        stable_in_primary.update(result.ambiguous_stable_in_primary)
-        in_progress.update(result.ambiguous_in_progress)
-        ambiguous_max = max(ambiguous_max, result.ambiguous_max)
-        message_max = max(message_max, result.message_max_bytes)
-        message_bits_weighted += result.message_mean_bytes * result.message_broadcasts
-        message_broadcasts += result.message_broadcasts
-    mean_bytes = (
-        message_bits_weighted / message_broadcasts if message_broadcasts else 0.0
-    )
-    availability = 100.0 * sum(outcomes) / len(outcomes)
-    shard_registries = [
-        result.metrics for result in results if result.metrics is not None
-    ]
-    metrics: Optional[MetricsRegistry] = None
-    if shard_registries:
-        # Shard order == run order, so the merged registry is
-        # bit-identical to the serial case's (all campaign metrics are
-        # integer-valued; see repro.obs.metrics).
-        metrics = merge_registries(shard_registries)
-    return CaseResult(
-        config=config,
-        availability_percent=availability,
-        outcomes=outcomes,
-        rounds_total=rounds_total,
-        changes_total=changes_total,
-        ambiguous_stable=dict(stable),
-        ambiguous_stable_in_primary=dict(stable_in_primary),
-        ambiguous_in_progress=dict(in_progress),
-        ambiguous_max=ambiguous_max,
-        message_max_bytes=message_max,
-        message_mean_bytes=mean_bytes,
-        message_broadcasts=message_broadcasts,
-        metrics=metrics,
-    )
-
-
-def run_case_sharded(
-    config: CaseConfig,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
-    kernel: str = "scalar",
-) -> CaseResult:
-    """Run one case split run-wise across the process pool.
-
-    ``shards=None`` uses the CPU count.  Cascading cases (or a single
-    shard/worker) fall back to a plain in-process :func:`run_case`; the
-    returned result is identical either way.  ``kernel`` is forwarded
-    to every shard's :func:`run_case`; shard RNG labelling is
-    kernel-independent, so merged results are identical whichever
-    backend executed each shard.
-    """
-    if workers is None:
-        workers = multiprocessing.cpu_count()
-    if shards is None:
-        shards = workers
-    if config.mode != MODE_FRESH or shards <= 1 or workers <= 1 or config.runs <= 1:
-        return run_case(config, kernel=kernel)
-    shard_list = shard_configs(config, shards)
-    context = multiprocessing.get_context("spawn")
-    results: Dict[int, CaseResult] = {}
-    with context.Pool(processes=min(workers, len(shard_list))) as pool:
-        for index, result in pool.imap_unordered(
-            _run_indexed,
-            [(i, shard, kernel) for i, shard in enumerate(shard_list)],
-        ):
-            results[index] = result
-    ordered = [results[index] for index in range(len(shard_list))]
-    return merge_case_results(config, ordered)

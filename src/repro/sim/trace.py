@@ -453,11 +453,6 @@ def write_trace_jsonl(
     return path
 
 
-def load_trace_jsonl(path: Union[str, Path]) -> Tuple[List[TraceEvent], bool]:
-    """Read one trace JSONL file back into ``(events, truncated)``."""
-    return events_from_jsonl(Path(path).read_text(encoding="utf-8"))
-
-
 def recorder_from_events(
     events: Iterable[TraceEvent], truncated: bool = False
 ) -> TraceRecorder:

@@ -18,7 +18,6 @@ def silent_node_main(
     pid,
     n_processes,
     algorithm,
-    transport_kind,
     link,
     conn,
     endpoint_kind="bare",
@@ -34,7 +33,6 @@ def mute_node_main(
     pid,
     n_processes,
     algorithm,
-    transport_kind,
     link,
     conn,
     endpoint_kind="bare",
@@ -58,7 +56,6 @@ def crashing_node_main(
     pid,
     n_processes,
     algorithm,
-    transport_kind,
     link,
     conn,
     endpoint_kind="bare",

@@ -239,20 +239,6 @@ def test_shared_burst_schedule_is_never_served_from_the_last_compile() -> None:
         assert fast.changes_total == reference.changes_total
 
 
-def test_run_offset_shard_equivalence() -> None:
-    assert_equivalent(
-        CaseConfig(
-            algorithm="ykd",
-            n_processes=8,
-            n_changes=5,
-            mean_rounds_between_changes=2.0,
-            runs=20,
-            master_seed=5,
-            run_offset=17,
-        )
-    )
-
-
 def test_zero_change_runs() -> None:
     """No changes: every process stays in the initial primary."""
     result = assert_equivalent(
@@ -455,12 +441,11 @@ def test_algorithms_sharing_an_environment_compile_it_once(monkeypatch) -> None:
         replace(ENVIRONMENT, n_changes=7),
         replace(ENVIRONMENT, mean_rounds_between_changes=2),  # labelled "2"
         replace(ENVIRONMENT, runs=10),
-        replace(ENVIRONMENT, run_offset=1),
         replace(ENVIRONMENT, cut_probability=0.25),
         replace(ENVIRONMENT, change_generator=SkewedPartitionGenerator("even")),
     ],
     ids=[
-        "seed", "processes", "changes", "rate-label", "runs", "offset", "cut",
+        "seed", "processes", "changes", "rate-label", "runs", "cut",
         "generator",
     ],
 )

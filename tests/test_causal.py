@@ -39,7 +39,7 @@ from repro.obs.causal import (
 from repro.sim.campaign import CaseConfig, run_case
 from repro.sim.driver import DriverLoop
 from repro.sim.explore import explore
-from repro.sim.parallel import run_cases_parallel, shard_configs
+from repro.sim.parallel import run_cases_parallel
 from repro.sim.rng import derive_rng
 from repro.sim.trace import TraceRecorder, trace_to_jsonl
 
@@ -323,14 +323,6 @@ class TestCausalMetrics:
             ]
         )
         assert registry_to_jsonl(parallel) == registry_to_jsonl(serial)
-
-    def test_run_sharding_rejects_causal_collection(self):
-        # Fresh-run ranges are not independent for the causal stream
-        # (the recorder emits primary events on change only), so the
-        # sharding layer refuses rather than merging subtly different
-        # histograms.
-        with pytest.raises(ValueError, match="case granularity"):
-            shard_configs(_case(runs=24, collect_causal=True), 4)
 
 
 # ----------------------------------------------------------------------

@@ -348,3 +348,22 @@ class TestRegistry:
             main([name, "--help"])
         assert exit_info.value.code == 0
         assert f"usage: repro-experiments {name}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "ykd", "dfls", "--runs", "0"],
+        ["compare", "ykd", "dfls", "--processes", "1"],
+        ["trace", "ykd", "--processes", "1"],
+        ["compare", "ykd", "dfls", "--changes", "-1"],
+        ["profile", "ykd", "--every", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_case_parameters_exit_2(argv, capsys):
+    """Bad input is exit code 2 and one ``error:`` line, not a traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "error: argument" in capsys.readouterr().err

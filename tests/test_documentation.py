@@ -66,3 +66,14 @@ def test_public_classes_and_functions_documented(module):
                     f"{module.__name__}.{name}.{member_name}"
                 )
     assert not undocumented, f"undocumented public items: {undocumented}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    """A deletion that forgets a package's ``__all__`` fails here."""
+    missing = [
+        f"{module.__name__}.{name}"
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not missing, f"__all__ names that do not resolve: {missing}"

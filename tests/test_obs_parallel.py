@@ -1,22 +1,15 @@
-"""Metrics merge determinism: sharded/parallel campaigns vs serial.
+"""Metrics merge determinism: parallel campaigns vs serial.
 
 The acceptance criterion for the observability layer: the metrics a
-parallel campaign exports must be byte-identical to the serial export,
-at any worker count.  Shard registries merge in shard order, campaign
-metrics are integer-valued, and the JSONL exporter is canonical — so
-equality here is literal text equality.
+parallel campaign exports must be byte-identical to the serial export.
+Case registries merge in case order, campaign metrics are
+integer-valued, and the JSONL exporter is canonical — so equality here
+is literal text equality.
 """
-
-import pytest
 
 from repro.obs import merge_registries, registry_to_jsonl
 from repro.sim.campaign import CaseConfig, run_case
-from repro.sim.parallel import (
-    merge_case_results,
-    run_case_sharded,
-    run_cases_parallel,
-    shard_configs,
-)
+from repro.sim.parallel import run_cases_parallel
 
 
 def _config(**overrides):
@@ -31,44 +24,6 @@ def _config(**overrides):
     )
     base.update(overrides)
     return CaseConfig(**base)
-
-
-class TestShardedMetrics:
-    def test_in_process_shard_merge_matches_serial(self):
-        config = _config()
-        serial = run_case(config)
-        shards = [run_case(shard) for shard in shard_configs(config, 4)]
-        merged = merge_case_results(config, shards)
-        assert registry_to_jsonl(merged.metrics) == registry_to_jsonl(
-            serial.metrics
-        )
-        assert merged.outcomes == serial.outcomes
-
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_sharded_jsonl_byte_identical_to_serial(self, workers):
-        config = _config()
-        serial_text = registry_to_jsonl(run_case(config).metrics)
-        sharded = run_case_sharded(config, shards=workers, workers=workers)
-        assert sharded.metrics is not None
-        assert registry_to_jsonl(sharded.metrics) == serial_text
-
-    def test_shard_count_independent(self):
-        config = _config()
-        by_shards = [
-            registry_to_jsonl(
-                merge_case_results(
-                    config,
-                    [run_case(shard) for shard in shard_configs(config, n)],
-                ).metrics
-            )
-            for n in (2, 3, 8)
-        ]
-        assert len(set(by_shards)) == 1
-
-    def test_metrics_absent_when_not_collected(self):
-        config = _config(collect_metrics=False)
-        shards = [run_case(shard) for shard in shard_configs(config, 2)]
-        assert merge_case_results(config, shards).metrics is None
 
 
 class TestParallelCases:
@@ -89,7 +44,8 @@ class TestParallelCases:
 
     def test_cascading_falls_back_but_still_collects(self):
         config = _config(mode="cascading", runs=6)
-        result = run_case_sharded(config, shards=4, workers=4)
+        # A single config runs in-process whatever the worker count.
+        (result,) = run_cases_parallel([config], workers=4)
         serial = run_case(config)
         assert registry_to_jsonl(result.metrics) == registry_to_jsonl(
             serial.metrics

@@ -16,7 +16,7 @@ alongside.
 
 import pytest
 
-from repro.errors import SimulationError, UnsupportedTransportConfig
+from repro.errors import SimulationError
 from repro.faults import LinkFaults
 from repro.gcs.proc import (
     DifferentialResult,
@@ -62,20 +62,10 @@ class TestScheduleValidation:
 
 
 class TestRefusals:
-    def test_memory_transport_refused(self):
-        with pytest.raises(UnsupportedTransportConfig, match="network"):
-            ProcCluster(3, transport="memory")
-
-    def test_tcp_with_loss_refused(self):
-        with pytest.raises(UnsupportedTransportConfig, match="lose or reorder"):
-            ProcCluster(
-                3, transport="tcp", link=LinkFaults(loss_permille=100, seed=0)
-            )
-
     def test_schedule_size_mismatch_refused(self):
         schedule = STOCK_SCHEDULES["flip_flop"]  # wants 4 processes
         with pytest.raises(SimulationError, match="wants 4 processes"):
-            with ProcCluster(3, transport="udp") as cluster:
+            with ProcCluster(3) as cluster:
                 cluster.run_schedule(schedule)
 
 
@@ -84,7 +74,7 @@ class TestOutcomeComparison:
         ref = StageOutcome.build({0: (0, 1), 1: (0, 1)}, [0, 1])
         obs = StageOutcome.build({0: (0, 1), 1: (1,)}, [1])
         result = DifferentialResult(
-            schedule="s", algorithm="ykd", transport="udp",
+            schedule="s", algorithm="ykd",
             reference=(ref, ref), observed=(ref, obs),
         )
         assert not result.matches
@@ -95,7 +85,7 @@ class TestOutcomeComparison:
     def test_matching_outcomes_have_no_divergences(self):
         ref = StageOutcome.build({0: (0,)}, [0])
         result = DifferentialResult(
-            schedule="s", algorithm="ykd", transport="udp",
+            schedule="s", algorithm="ykd",
             reference=(ref,), observed=(ref,),
         )
         assert result.matches and result.divergences() == []
@@ -122,14 +112,7 @@ class TestSimulatedReference:
 def test_differential_battery_udp(schedule_name, algorithm):
     """Real processes over UDP converge exactly like the simulation."""
     result = run_differential(
-        STOCK_SCHEDULES[schedule_name], algorithm=algorithm, transport="udp"
-    )
-    assert result.matches, "\n".join(result.divergences())
-
-
-def test_differential_battery_tcp():
-    result = run_differential(
-        STOCK_SCHEDULES["split_restore"], algorithm="dfls", transport="tcp"
+        STOCK_SCHEDULES[schedule_name], algorithm=algorithm
     )
     assert result.matches, "\n".join(result.divergences())
 
@@ -139,7 +122,6 @@ def test_differential_battery_udp_under_packet_loss():
     result = run_differential(
         STOCK_SCHEDULES["split_restore"],
         algorithm="ykd",
-        transport="udp",
         link=LinkFaults(loss_permille=100, seed=7),
     )
     assert result.matches, "\n".join(result.divergences())

@@ -31,7 +31,6 @@ def cluster():
     with ProcCluster(
         3,
         algorithm="ykd",
-        transport="udp",
         endpoint_kind="store",
         tick_interval=0.002,
     ) as built:

@@ -1,5 +1,7 @@
 """Tests for the component topology, including hypothesis properties."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -152,7 +154,42 @@ def random_walks(draw):
     return n, steps
 
 
+MAX_PROCESSES = 12
+
+
+@st.composite
+def topologies(draw):
+    """An arbitrary valid topology over a small process universe."""
+    n = draw(st.integers(min_value=1, max_value=MAX_PROCESSES))
+    pids = list(range(n))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    rng.shuffle(pids)
+    n_components = draw(st.integers(min_value=1, max_value=n))
+    cuts = sorted(rng.sample(range(1, n), n_components - 1)) if n_components > 1 else []
+    components = []
+    previous = 0
+    for cut in cuts + [n]:
+        components.append(frozenset(pids[previous:cut]))
+        previous = cut
+    crashed = frozenset(
+        next(iter(c)) for c in components
+        if len(c) == 1 and draw(st.booleans())
+    )
+    return Topology(components=tuple(components), crashed=crashed)
+
+
 class TestProperties:
+    @given(topologies())
+    def test_generated_topologies_expose_consistent_queries(self, topology):
+        """The queries agree with the raw field definitions."""
+        union = frozenset().union(*topology.components)
+        assert topology.universe == union
+        assert topology.active_processes() == union - topology.crashed
+        for component in topology.components:
+            for pid in component:
+                assert topology.component_of(pid) == component
+
     @given(random_walks())
     def test_random_walk_preserves_the_universe(self, walk):
         """Partitions and merges never create or destroy processes."""

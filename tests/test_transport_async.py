@@ -1,4 +1,4 @@
-"""The asyncio network transports under a single-process cluster.
+"""The asyncio UDP transport under a single-process cluster.
 
 These run the full GCS stack over *real localhost sockets* — the same
 membership/vsync objects, but every datagram crosses the OS network
@@ -11,9 +11,8 @@ multi-process battery (``test_proc_cluster.py``).
 
 import pytest
 
-from repro.errors import UnsupportedTransportConfig
 from repro.faults import LinkFaults
-from repro.gcs import GCSCluster, PrimaryComponentService, TcpTransport, UdpTransport
+from repro.gcs import GCSCluster, PrimaryComponentService, UdpTransport
 from repro.net.topology import Topology
 
 
@@ -85,27 +84,6 @@ class TestUdp:
             assert service.primary_members() == (1, 2, 3)
         finally:
             service.close()
-
-
-class TestTcp:
-    def test_partition_heal_convergence(self):
-        cluster = GCSCluster(4, transport="tcp")
-        assert cluster.transport.kind == "tcp"
-        assert partition_heal_trace(cluster) == EXPECTED_TRACE
-
-    def test_loss_and_reorder_refused(self):
-        with pytest.raises(UnsupportedTransportConfig, match="byte stream"):
-            TcpTransport(link=LinkFaults(loss_permille=1, seed=0))
-        with pytest.raises(UnsupportedTransportConfig, match="byte stream"):
-            TcpTransport(link=LinkFaults(reorder=True, seed=0))
-        with pytest.raises(UnsupportedTransportConfig, match="byte stream"):
-            TcpTransport(link=LinkFaults(link_loss=((0, 1, 500),), seed=0))
-
-    def test_delay_only_link_accepted(self):
-        transport = TcpTransport(
-            link=LinkFaults(delay_permille=200, delay_max=2, seed=1)
-        )
-        transport.close()  # never bound; close must be a no-op
 
 
 class TestLifecycle:

@@ -35,7 +35,6 @@ from repro.gcs.transport.wire import (
     encode_datagram,
     encode_value,
     frame,
-    frame_incomplete,
     wire_registry,
 )
 from repro.gcs.vsync import ViewMessage
@@ -216,17 +215,6 @@ class TestRejection:
 
 
 class TestStreamBuffering:
-    def test_incomplete_prefix_waits(self):
-        data = frame({"k": "v"})
-        for cut in range(len(data)):
-            assert frame_incomplete(data[:cut])
-        assert not frame_incomplete(data)
-
-    def test_hostile_length_never_completes(self):
-        import struct
-
-        assert not frame_incomplete(struct.pack(">I", MAX_FRAME_BYTES + 1))
-
     def test_two_frames_split_by_prefix(self):
         first, second = frame({"a": 1}), frame({"b": 2})
         buffer = first + second
