@@ -84,25 +84,10 @@ def run_availability_figure(
     collection, tracing).
     """
     figure = AvailabilityFigure(spec=spec, scale=scale)
-    grid = [
-        (algorithm, rate)
-        for algorithm in spec.algorithms
-        for rate in scale.rates
-    ]
-    configs = [
-        CaseConfig(
-            algorithm=algorithm,
-            n_processes=scale.n_processes,
-            n_changes=spec.n_changes,
-            mean_rounds_between_changes=rate,
-            runs=scale.runs,
-            mode=spec.mode,
-            master_seed=master_seed,
-            check_invariants=check_invariants,
-            collect_metrics=metrics is not None,
-        )
-        for algorithm, rate in grid
-    ]
+    grid = _grid(spec, scale)
+    configs = case_configs(
+        spec, scale, master_seed, check_invariants, metrics is not None
+    )
     if trace_dir is None and spans_dir is None:
         # The grid is algorithm-major (it is the order of the series);
         # the cases run rate-major, so that the algorithms facing one
@@ -129,6 +114,39 @@ def run_availability_figure(
         if metrics is not None and result.metrics is not None:
             metrics.merge(result.metrics)
     return figure
+
+
+def _grid(spec: ExperimentSpec, scale: Scale):
+    """The figure's cases as (algorithm, rate), in series order."""
+    return [
+        (algorithm, rate)
+        for algorithm in spec.algorithms
+        for rate in scale.rates
+    ]
+
+
+def case_configs(
+    spec: ExperimentSpec,
+    scale: Scale,
+    master_seed: int = 0,
+    check_invariants: bool = True,
+    collect_metrics: bool = False,
+) -> list:
+    """One :class:`CaseConfig` per case of the figure, in grid order."""
+    return [
+        CaseConfig(
+            algorithm=algorithm,
+            n_processes=scale.n_processes,
+            n_changes=spec.n_changes,
+            mean_rounds_between_changes=rate,
+            runs=scale.runs,
+            mode=spec.mode,
+            master_seed=master_seed,
+            check_invariants=check_invariants,
+            collect_metrics=collect_metrics,
+        )
+        for algorithm, rate in _grid(spec, scale)
+    ]
 
 
 def _run_case_recorded(

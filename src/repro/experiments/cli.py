@@ -53,7 +53,7 @@ from repro.experiments.report import (
     write_ambiguous_csv,
     write_availability_csv,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import batched_fallback_reason, run_experiment
 from repro.experiments.spec import SCALES, SPECS, all_spec_ids, get_scale
 from repro.sim.campaign import CaseConfig, run_case
 from repro.sim.driver import DriverLoop
@@ -339,7 +339,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default="scalar",
         help="campaign execution backend: the object-graph driver, or "
         "the vectorized bitmask kernel (availability figures; exact "
-        "same numbers, per-case scalar fallback outside its surface)",
+        "same numbers; outside its surface the scalar driver runs "
+        "and a note on stderr says why)",
     )
 
 
@@ -358,6 +359,20 @@ def _run_one(experiment_id: str, args: argparse.Namespace) -> None:
     trace_dir, spans_dir = args.trace_out, args.spans_out
     started = time.time()
     metrics = MetricsRegistry() if args.metrics_out is not None else None
+    if args.kernel == "batched":
+        # Said before the run, not after: at paper scale the scalar
+        # driver is hours where the kernel is seconds.
+        reason = batched_fallback_reason(
+            experiment_id,
+            args.scale,
+            collect_metrics=metrics is not None,
+            recorded=trace_dir is not None or spans_dir is not None,
+        )
+        if reason is not None:
+            print(
+                f"note: {experiment_id}: runs on the scalar driver — {reason}",
+                file=sys.stderr,
+            )
     result = run_experiment(
         experiment_id,
         scale=args.scale,

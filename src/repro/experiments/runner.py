@@ -9,7 +9,11 @@ from repro.errors import ExperimentError
 from repro.obs import MetricsRegistry
 from repro.experiments.ablation import AblationResult, run_ablation
 from repro.experiments.ambiguous import AmbiguousFigure, run_ambiguous_figure
-from repro.experiments.availability import AvailabilityFigure, run_availability_figure
+from repro.experiments.availability import (
+    AvailabilityFigure,
+    case_configs,
+    run_availability_figure,
+)
 from repro.experiments.longrun import LongRunSeries, run_longrun
 from repro.experiments.extras import (
     BlockingTable,
@@ -59,6 +63,39 @@ def run_experiment(
         spec, scale, master_seed, workers, metrics, trace_dir, spans_dir,
         kernel=kernel,
     )
+
+
+def batched_fallback_reason(
+    experiment_id: str,
+    scale: Union[str, Scale],
+    collect_metrics: bool = False,
+    recorded: bool = False,
+) -> Optional[str]:
+    """Why ``run_experiment(..., kernel="batched")`` runs on the scalar
+    driver after all — the first case's ``UnsupportedBatchConfig``
+    message — or None where every case is inside the batched surface.
+    ``collect_metrics`` and ``recorded`` say a metrics registry, resp.
+    a trace or span directory, goes with the run."""
+    from repro.errors import UnsupportedBatchConfig
+    from repro.sim.batch import ensure_batchable
+
+    spec = get_spec(experiment_id)
+    if spec.kind != "availability":
+        return (
+            f"{spec.kind} experiments read statistics off the object "
+            "engine; only availability figures route through the "
+            "batched kernel"
+        )
+    if isinstance(scale, str):
+        scale = get_scale(scale)
+    # ensure_batchable only asks whether anything would attach.
+    observers = ["trace/span recorder"] if recorded else []
+    for config in case_configs(spec, scale, collect_metrics=collect_metrics):
+        try:
+            ensure_batchable(config, observers)
+        except UnsupportedBatchConfig as unsupported:
+            return str(unsupported)
+    return None
 
 
 def run_experiment_spec(

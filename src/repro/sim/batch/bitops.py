@@ -139,6 +139,23 @@ def session_gt(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
     return members_gt(a[1], b[1])
 
 
+#: Swaps the digits of a binary numeral.
+_SWAP_BITS = str.maketrans("01", "10")
+
+
+def session_sort_key(session: Tuple[int, int]) -> Tuple[int, str]:
+    """Sort key realizing the session total order (:func:`session_gt`).
+
+    The mask's numeral read from bit 0 up ends at its last member, so
+    as a string it orders like the sorted member tuple once a member
+    sorts before a gap: at the first pid two sets differ on, the one
+    holding it is the smaller tuple unless the other has run out of
+    members — the shorter numeral, a proper prefix, and the smaller
+    string.
+    """
+    return session[0], bin(session[1])[:1:-1].translate(_SWAP_BITS)
+
+
 def max_session_pair(sessions: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
     """The maximum of non-empty ``(number, mask)`` pairs under session order."""
     best = None

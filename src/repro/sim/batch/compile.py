@@ -16,8 +16,9 @@ the identical calls in the identical order.
 The generators are fed a :class:`_MirrorTopology` — a lean stand-in
 for :class:`~repro.net.topology.Topology` that maintains the identical
 component frozensets in the identical canonical order but skips the
-full topology machinery (validation, memoized caches, dataclass
-construction) the compiler's hot loop would otherwise pay per change.
+full topology machinery (validation, dataclass construction and a
+fresh canonical sort) the compiler's hot loop would otherwise pay per
+change.
 The mirror is sound because the batched surface excludes crashes:
 partition/merge on a crash-free topology touch exactly the query
 surface the mirror implements (``splittable_components``,

@@ -11,15 +11,16 @@ at a time, over packed bitmask state:
   change step;
 * the simple-majority baseline is evaluated entirely vectorized (one
   ``SUBQUORUM`` lane per installed view across the whole batch);
-* the dynamic voting algorithms keep sparse per-process *books*
-  (sessions as ``(number, member-mask)`` pairs, ``lastFormed`` as an
-  inverted session→member-mask map, knowledge as bitmask fact sets)
-  and process each view's message exchange as an *episode* — exploiting
-  that between a view's installation and its interruption, a member's
-  state is touched by nothing but that view's own protocol rounds;
-* MR1p, whose episode really is a message exchange, runs it once per
-  class of members that nothing has told apart, sharing one book
-  between them.
+* the dynamic voting algorithms keep sparse *books* (sessions as
+  ``(number, member-mask)`` pairs, ``lastFormed`` as an inverted
+  session→member-mask map, knowledge as bitmask fact sets), one per
+  class of processes in the same state, and process each view's
+  message exchange as an *episode* — exploiting that between a view's
+  installation and its interruption, a member's state is touched by
+  nothing but that view's own protocol rounds;
+* an episode — the YKD family's staged exchange, and MR1p's, which
+  really is a message exchange — runs once per class of members that
+  nothing has told apart, not once per member.
 
 Equivalence contract: for every supported configuration the kernel
 reproduces the scalar driver's per-run availability outcomes, final
@@ -32,18 +33,18 @@ algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.batch.bitops import (
-    bits_list,
     expand_bits,
     is_subquorum_mask,
     is_subquorum_vec,
     iter_bits,
     session_gt,
+    session_sort_key,
 )
 from repro.sim.batch.compile import CompiledRun
 
@@ -128,8 +129,9 @@ def execute_batch(
     # way DriverLoop.execute_run + run_until_quiescent do.
     rounds_total = 0
     changes_total = 0
+    formed = np.zeros(batch, dtype=np.uint64)
     for b, run in enumerate(runs):
-        last_send = engine.finish_run(b, run, in_primary)
+        last_send, formed[b] = engine.finish_run(b, run)
         settle = last_send - run.t_last + 1 if last_send > run.t_last else 1
         if settle > max_quiescence_rounds:
             # Mirrors DriverLoop.run_until_quiescent, including the
@@ -141,6 +143,7 @@ def execute_batch(
         rounds_total += run.t_last + settle
         changes_total += len(run.changes)
 
+    in_primary |= expand_bits(formed, n)
     shifts = np.arange(n, dtype=np.uint64)
     packed = np.bitwise_or.reduce(
         in_primary.astype(np.uint64) << shifts[None, :], axis=1
@@ -154,18 +157,106 @@ def execute_batch(
     )
 
 
+#: The members of a view grouped by the book they hold.
+_Groups = List[Tuple[int, Any]]
+
+
 class _Engine:
-    """Per-algorithm protocol engine behind the lockstep loop."""
+    """Per-algorithm protocol engine behind the lockstep loop.
+
+    The message-exchanging algorithms keep, per run, the processes
+    partitioned twice over in ``states[b]``: by the view they are in,
+    and within it by the *book* (persistent protocol state) they hold.
+    Books are shared by reference and never written once stored — an
+    episode copies before it writes — so a stored book doubles as its
+    holders' install-time snapshot.  A view's message exchange is
+    played as one *episode*, lazily, when the change that interrupts it
+    (or the end of the run) arrives: between a view's installation and
+    its interruption a member's state is touched by nothing but that
+    view's own protocol rounds.  The unit of protocol work is the class
+    of members holding one book, not the member.
+    """
+
+    def __init__(self, batch: int, universe: int, initial) -> None:
+        self.universe = universe
+        #: Per run: view mask -> (view seq, install round, its groups).
+        #: The initial view has no install round: nothing to play.
+        self.states: List[Dict[int, Tuple[int, Optional[int], _Groups]]] = [
+            {universe: (0, None, [(universe, initial)])} for _ in range(batch)
+        ]
 
     def on_change(self, b: int, change) -> None:
-        """A change lands in run ``b``: settle interrupted episodes."""
+        """A change lands in run ``b``: settle the interrupted episodes
+        and hand their members' books on to the views it installs."""
+        views = self.states[b]
+        affected = change.affected_mask
+        pool: _Groups = []
+        for mask in [m for m in views if m & affected]:
+            seq, installed, groups = views.pop(mask)
+            if installed is not None:
+                groups = self._episode(
+                    groups, mask, seq, installed,
+                    change.round_index, change.late_mask,
+                )[0]
+            pool += groups
+        # The installs of a change cover exactly the views it affects.
+        for mask, seq in change.installs:
+            views[mask] = (seq, change.round_index, _slice(pool, mask))
 
     def on_installs(self, r_idx, pid_idx, k_idx, mask_arr, in_primary) -> None:
         """Vectorized install effect on the ``in_primary`` array."""
+        in_primary[r_idx, pid_idx] = False  # YKD._on_view, MR1p._on_view
 
-    def finish_run(self, b: int, run: CompiledRun, in_primary) -> int:
-        """Settle run ``b``'s surviving episodes; return its last send round."""
-        return 0
+    def finish_run(self, b: int, run: CompiledRun) -> Tuple[int, int]:
+        """Settle run ``b``'s surviving episodes; returns its last send
+        round and the members whose final view made it a primary."""
+        last_send = formed = 0
+        # A final episode is one cut with nobody late, far enough past
+        # the livelock bound that the settle check in execute_batch
+        # sees the overrun and raises exactly where the scalar engine
+        # would.
+        horizon = run.t_last + 10_000
+        for mask, (seq, installed, groups) in self.states[b].items():
+            if installed is None:
+                continue  # never left the initial primary
+            _, sent, primary = self._episode(
+                groups, mask, seq, installed, horizon, 0
+            )
+            last_send = max(last_send, sent)
+            formed |= primary
+        return last_send, formed
+
+    def _episode(
+        self,
+        held: _Groups,
+        mask: int,
+        seq: int,
+        installed: int,
+        cut_round: int,
+        late: int,
+    ) -> Tuple[_Groups, int, int]:
+        """Play the view ``(mask, seq)``, installed at round
+        ``installed`` with its members holding ``held``, until it
+        quiesces or the change at ``cut_round`` with late mask ``late``
+        interrupts it.  Returns what the members hold afterwards, the
+        last round anything was sent in, and who ends in the primary."""
+        raise NotImplementedError
+
+
+def _slice(pool: _Groups, mask: int) -> _Groups:
+    """The groups of ``pool`` inside the view ``mask``, one per distinct
+    book: books that went separate ways and ended up equal again (the
+    late members of one cut round, mostly) rejoin here."""
+    held = [(group & mask, book) for group, book in pool if group & mask]
+    if len(held) > 1:
+        joined: Dict[tuple, Tuple[int, Any]] = {}
+        for group, book in held:
+            key = book.key()
+            if key in joined:
+                group |= joined[key][0]
+            joined[key] = (group, book)
+        held = list(joined.values())
+    return held
 
 
 # ----------------------------------------------------------------------
@@ -179,12 +270,15 @@ class _MajorityEngine(_Engine):
     def __init__(self, universe: int) -> None:
         self._universe = np.uint64(universe)
 
+    def on_change(self, b: int, change) -> None:
+        pass  # no messages, so no episodes and no books
+
     def on_installs(self, r_idx, pid_idx, k_idx, mask_arr, in_primary) -> None:
         flags = is_subquorum_vec(mask_arr, self._universe)
         in_primary[r_idx, pid_idx] = flags[k_idx]
 
-    def finish_run(self, b: int, run: CompiledRun, in_primary) -> int:
-        return 0  # never sends a message
+    def finish_run(self, b: int, run: CompiledRun) -> Tuple[int, int]:
+        return 0, 0  # never sends a message; on_installs said it all
 
 
 # ----------------------------------------------------------------------
@@ -193,29 +287,125 @@ class _MajorityEngine(_Engine):
 
 
 class _YkdBook:
-    """One process's persistent state, in bitmask form.
+    """The persistent state of the processes holding it, in bitmask form.
 
-    ``lf`` is the inverted ``lastFormed`` table: session → mask of the
-    processes whose ``lastFormed`` entry is that session (every process
-    appears in exactly one value mask).  ``kf``/``ki`` mirror the
+    ``lf`` is the inverted ``lastFormed`` table: (session, mask of the
+    processes whose ``lastFormed`` entry is that session) pairs, every
+    process in exactly one mask.  ``kf``/``ki`` mirror the
     :class:`~repro.core.knowledge.KnowledgeBook` fact sets: sessions
-    proven formed, and session → mask of members proven innocent.
+    proven formed, and session → mask of members proven innocent.  A
+    holder's own bit is implicit in every ``ki`` mask — it is the one
+    thing ``KnowledgeBook.open_session`` records differently for each
+    member, and spelling it out would give every member its own book.
+
+    Every field holds a value that is replaced, never changed in
+    place, so copies share them all.  ``lp`` is the best session in
+    ``lf``: an adoption always raises it (ACCEPT by its own test; a
+    formed attempt because it is numbered past ``snum``, and a member
+    of a formed session opened it, so its ``snum`` is no lower).
     """
 
-    __slots__ = ("snum", "lp", "lf", "amb", "kf", "ki")
+    __slots__ = ("snum", "lp", "lf", "amb", "kf", "ki", "_key")
 
-    def __init__(self, initial: SessionPair, universe: int) -> None:
+    def __init__(self, initial: SessionPair) -> None:
         self.snum = 0
         self.lp = initial
-        self.lf: Dict[SessionPair, int] = {initial: universe}
-        self.amb: List[SessionPair] = []
-        self.kf: Set[SessionPair] = set()
+        self.lf: FrozenSet[Tuple[SessionPair, int]] = frozenset(
+            [(initial, initial[1])]
+        )
+        self.amb: Tuple[SessionPair, ...] = ()
+        self.kf: FrozenSet[SessionPair] = frozenset()
         self.ki: Dict[SessionPair, int] = {}
+        self._key: Optional[tuple] = None
+
+    def clone(self) -> "_YkdBook":
+        twin = _YkdBook.__new__(_YkdBook)
+        twin.snum = self.snum
+        twin.lp = self.lp
+        twin.lf = self.lf
+        twin.amb = self.amb
+        twin.kf = self.kf
+        twin.ki = self.ki
+        twin._key = None
+        return twin
+
+    def key(self) -> tuple:
+        """Equal keys, equal books (memoized: a stored book is final)."""
+        if self._key is None:
+            self._key = (
+                self.snum,
+                self.lp,
+                self.amb,
+                self.lf,
+                self.kf,
+                frozenset(self.ki.items()),
+            )
+        return self._key
 
 
-#: Install-time snapshot: (session_number, ambiguous tuple,
-#: last_primary, lastFormed copy) — the bitmask StateItem.
-_Snapshot = Tuple[int, Tuple[SessionPair, ...], SessionPair, Dict[SessionPair, int]]
+class _BookClass:
+    """Members of a view that hold one book and have heard the same
+    stages since.  The book is copied before its first write
+    (:meth:`own`); a class only ever splits (:meth:`fork`), and only
+    where the protocol can tell two of its members apart."""
+
+    __slots__ = ("mask", "book", "fresh")
+
+    def __init__(self, mask: int, book: _YkdBook) -> None:
+        self.mask = mask
+        self.book = book
+        self.fresh = False
+
+    def own(self) -> _YkdBook:
+        """The class's book, writable."""
+        if not self.fresh:
+            self.book = self.book.clone()
+            self.fresh = True
+        return self.book
+
+    def fork(self, mask: int) -> "_BookClass":
+        """Split ``mask`` off into a class of its own, book shared."""
+        self.mask &= ~mask
+        self.fresh = False
+        return _BookClass(mask, self.book)
+
+
+class _Exchange:
+    """One view's state exchange: the install-time snapshot ``held``
+    (stored books are never written, so they are it) and what the
+    members pool from it, worked out on first use and shared by every
+    class."""
+
+    __slots__ = ("held", "_evidence", "_best_first", "rows", "never_formed")
+
+    def __init__(self, held: List[Tuple[int, _YkdBook]]) -> None:
+        self.held = held
+        self._evidence: Optional[Set[SessionPair]] = None
+        self._best_first: Optional[List[SessionPair]] = None
+        #: LEARN's evidence per pending session: (index of the
+        #: reporting group in ``held``, its members inside the session,
+        #: what their book proves: 1 formed, -1 not formed).
+        self.rows: Dict[SessionPair, List[Tuple[int, int, int]]] = {}
+        #: 1-pending's owner-independent never-formed verdicts.
+        self.never_formed: Dict[SessionPair, bool] = {}
+
+    def evidence(self) -> Set[SessionPair]:
+        """Every last_primary and lastFormed entry any member reports."""
+        if self._evidence is None:
+            self._evidence = {
+                session for _, book in self.held for session, _ in book.lf
+            }
+        return self._evidence
+
+    def best_first(self) -> List[SessionPair]:
+        """The evidence in descending session order: the first entry
+        containing a member is the best formed session containing it
+        (the max over members of ``best_formed_by_member``)."""
+        if self._best_first is None:
+            self._best_first = sorted(
+                self.evidence(), key=session_sort_key, reverse=True
+            )
+        return self._best_first
 
 
 class _YkdFamilyEngine(_Engine):
@@ -228,455 +418,376 @@ class _YkdFamilyEngine(_Engine):
     round T delivers the in-flight stage-T messages to the non-late
     members only (a singleton's self-delivery always lands), and the
     view install then discards everything still queued.
+
+    Every stage runs once per :class:`_BookClass`.  A class forks in
+    three kinds of place, each where the scalar rule reads the
+    member's own pid:
+
+    * a cut round's late mask, in each of the three stages
+      (``_episode`` for the exchange, :func:`_cut` after it) — the
+      late members keep the book they have;
+    * ACCEPT's "best formed session *containing p*" (:meth:`_exchange`);
+    * ``ykd_aggressive``'s never-formed verdict when the only member
+      not proven innocent is the holder itself
+      (:meth:`_delete_settled`).
+
+    Two more rules read the pid without forking anything.  1-pending's
+    resolvability asks for a later formation *containing the owner*
+    (:func:`_resolvable`): across a whole group that decides whether
+    the view may attempt, but within a class ACCEPT has peeled it is
+    all or none — a formation numbered past the pending session that
+    contains some of the class is the one the class has just adopted,
+    or no better than the last primary that contains it all.  And
+    LEARN's "skip my own row" (:meth:`_learn`) reads the class's size:
+    it drops a row only for a member that held its book alone.
     """
 
     def __init__(self, variant: str, batch: int, universe: int) -> None:
+        super().__init__(batch, universe, _YkdBook((0, universe)))
         self.optimized = variant in ("ykd", "ykd_aggressive")
         self.aggressive = variant == "ykd_aggressive"
         self.dfls = variant == "dfls"
         self.one_pending = variant == "one_pending"
-        self.universe = universe
-        initial = (0, universe)
-        self.books: List[List[_YkdBook]] = [
-            [_YkdBook(initial, universe) for _ in range(universe.bit_count())]
-            for _ in range(batch)
-        ]
-        #: Live episodes per run: component mask -> (view seq, install round).
-        self.episodes: List[Dict[int, Tuple[int, int]]] = [
-            {} for _ in range(batch)
-        ]
-        #: Component mask -> sorted member list, shared across runs.
-        self._members_cache: Dict[int, List[int]] = {}
-
-    def _session_sort_key(self, session: SessionPair):
-        """Sort key realizing the session total order (``session_gt``):
-        number first, then the sorted-member-tuple tie-break."""
-        members = self._members_cache.get(session[1])
-        if members is None:
-            members = bits_list(session[1])
-            self._members_cache[session[1]] = members
-        return (session[0], members)
-
-    # -- lockstep hooks -------------------------------------------------
-
-    def on_change(self, b: int, change) -> None:
-        episodes = self.episodes[b]
-        affected = change.affected_mask
-        for mask in [m for m in episodes if m & affected]:
-            seq, installed = episodes.pop(mask)
-            self._episode(
-                b, mask, seq, installed, change.round_index, change.late_mask
-            )
-        for mask, seq in change.installs:
-            episodes[mask] = (seq, change.round_index)
-
-    def on_installs(self, r_idx, pid_idx, k_idx, mask_arr, in_primary) -> None:
-        in_primary[r_idx, pid_idx] = False  # YKD._on_view
-
-    def finish_run(self, b: int, run: CompiledRun, in_primary) -> int:
-        last_send = 0
-        for mask, (seq, installed) in self.episodes[b].items():
-            sent, formed = self._episode(b, mask, seq, installed, None, 0)
-            last_send = max(last_send, sent)
-            if formed:
-                for pid in iter_bits(mask):
-                    in_primary[b, pid] = True
-        return last_send
-
-    # -- one episode ----------------------------------------------------
 
     def _episode(
         self,
-        b: int,
+        held: List[Tuple[int, _YkdBook]],
         mask: int,
         seq: int,
         installed: int,
-        cut_round: Optional[int],
+        cut_round: int,
         late: int,
-    ) -> Tuple[int, bool]:
-        """Play out one view's stages; returns (last send round, formed).
-
-        ``cut_round`` is the interrupting change's round (None for a
-        final episode); ``late`` the late mask of that change.
-        """
-        books = self.books[b]
-        members = self._members_cache.get(mask)
-        if members is None:
-            members = bits_list(mask)
-            self._members_cache[mask] = members
-        size = len(members)
+    ) -> Tuple[List[Tuple[int, _YkdBook]], int, int]:
+        # A singleton's self-delivery always lands.
+        late = late & mask if mask & (mask - 1) else 0
         exchange_round = installed + 1
         attempt_round = installed + 2
-
-        # One pass over the live books: the pooled formed evidence
-        # (every last_primary and lastFormed entry any member reports —
-        # the max over members of per-member "best formed containing p"
-        # equals the max over this union, which turns the O(|C|^2)
-        # resolve scan into O(|C| x |evidence|)), the shared decision
-        # inputs, and whether anyone carries a pending session.
-        evidence: Set[SessionPair] = set()
-        max_session = 0
-        max_primary = None
-        amb_any = False
-        for p in members:
-            book = books[p]
-            if book.snum > max_session:
-                max_session = book.snum
-            lp = book.lp
-            evidence.add(lp)
-            evidence.update(book.lf)
-            if max_primary is None or session_gt(lp, max_primary):
-                max_primary = lp
-            if book.amb:
-                amb_any = True
-        assert max_primary is not None
-
-        # Install-time snapshots (books are untouched between install
-        # and this call — the lazy-episode soundness property).  Only
-        # pending sessions are judged against other members' snapshots
-        # (LEARN, RESOLVE's settled scan, 1-pending's resolvability),
-        # so when nobody carries one the copies are skipped entirely —
-        # the dominant case at realistic change rates.
-        snaps: Optional[Dict[int, _Snapshot]] = None
-        if amb_any:
-            snaps = {
-                p: (
-                    books[p].snum,
-                    tuple(books[p].amb),
-                    books[p].lp,
-                    dict(books[p].lf),
-                )
-                for p in members
-            }
-
-        # Evidence sorted best-first: each member's ACCEPT picks the
-        # first entry containing it (the max of the per-member subset),
-        # so the per-member scan short-circuits after one hit.  Sessions
-        # order primarily by number; ties fall back to the member-tuple
-        # order, which the cached sorted member lists compare as-is.
-        if len(evidence) == 1:
-            ev_sorted = list(evidence)
-        else:
-            ev_sorted = sorted(
-                evidence, key=self._session_sort_key, reverse=True
-            )
-        # Per-episode memos: _outcome rows per pending session (shared
-        # by every learner — the snapshots are fixed for the episode)
-        # and 1-pending's owner-independent never-formed verdicts.
-        outcome_rows: Dict[SessionPair, List[Tuple[int, int]]] = {}
-        nf_cache: Dict[SessionPair, bool] = {}
+        confirm_round = installed + 3
 
         # The shared, deterministic decision (thesis Figs. 3-2/3-4):
         # every member computes it from the same snapshot, so the
         # attempt round is all-or-none.
-        if not amb_any:
-            allowed = is_subquorum_mask(mask, max_primary[1])
-        elif self.one_pending:
-            assert snaps is not None
-            allowed = is_subquorum_mask(mask, max_primary[1]) and not any(
-                not _resolvable(snaps, evidence, owner, pending, nf_cache)
-                for owner, snap in snaps.items()
-                for pending in snap[1]
-            )
-        else:
-            assert snaps is not None
-            if self.dfls:
-                constraints = {
-                    s for snap in snaps.values() for s in snap[1]
-                }
+        exchange = _Exchange(held)
+        max_session = 0
+        best = held[0][1].lp
+        pending_any = False
+        for _, book in held:
+            if book.snum > max_session:
+                max_session = book.snum
+            if book.lp != best and session_gt(book.lp, best):
+                best = book.lp
+            if book.amb:
+                pending_any = True
+        allowed = is_subquorum_mask(mask, best[1])
+        if allowed and pending_any:
+            if self.one_pending:
+                allowed = all(
+                    _resolvable(exchange, group, pending) == group
+                    for group, book in held
+                    for pending in book.amb
+                )
             else:
-                constraints = {
-                    s
-                    for snap in snaps.values()
-                    for s in snap[1]
-                    if s[0] > max_primary[0]
-                }
-            allowed = is_subquorum_mask(mask, max_primary[1]) and all(
-                is_subquorum_mask(mask, c[1]) for c in constraints
-            )
-        new_session = (max_session + 1, mask) if allowed else None
+                allowed = all(
+                    is_subquorum_mask(mask, pending[1])
+                    for _, book in held
+                    for pending in book.amb
+                    if self.dfls or pending[0] > best[0]
+                )
+        new_session = (max_session + 1, mask)
+        # When the attempt is already known to form with every member
+        # present — for DFLS, to be confirmed by every member — the
+        # session opened in stage 1 is deleted again within this very
+        # episode, so recording it is skipped.
+        forms = allowed and cut_round > (
+            confirm_round if self.dfls else attempt_round
+        )
 
         # Stage 1 — the state exchange at R+1.  Completers run
         # LEARN/RESOLVE/DECIDE; a late member only hears itself and
         # (unless alone) resets on the incoming view with no effects.
-        if cut_round is None or cut_round > exchange_round:
-            completers = members
-        else:  # cut_round == exchange_round
-            completers = (
-                members
-                if size == 1
-                else [p for p in members if not (late >> p) & 1]
+        done: List[Tuple[int, _YkdBook]] = []
+        classes: List[_BookClass] = []
+        deaf = late if cut_round == exchange_round else 0
+        for index, (group, book) in enumerate(held):
+            if group & deaf:
+                done.append((group & deaf, book))
+                if not group & ~deaf:
+                    continue
+            self._exchange(
+                _BookClass(group & ~deaf, book),
+                index,
+                not group & (group - 1),
+                best,
+                exchange,
+                classes,
             )
-        if not amb_any:
-            # Nobody carried a pending session, so LEARN, the settled
-            # scan, and the resolvability checks are all vacuous — a
-            # completed exchange reduces to ACCEPT plus (when allowed)
-            # opening the new session.  And when the attempt is already
-            # known to form with *every* member present — for DFLS,
-            # to be confirmed by every member — the opened session is
-            # deleted again within this very episode, so recording it
-            # (amb append + KnowledgeBook.open_session) is skipped.
-            if self.dfls:
-                forms = allowed and (
-                    cut_round is None or cut_round > installed + 3
-                )
-            else:
-                forms = allowed and (
-                    cut_round is None or cut_round > attempt_round
-                )
-            snum = new_session[0] if allowed else 0
-            for p in completers:
-                book = books[p]
-                best = book.lp
-                for session in ev_sorted:
-                    if (session[1] >> p) & 1:
-                        if session_gt(session, best):
-                            best = session
-                        break
-                if best != book.lp:
-                    _adopt(book, best)
-                if allowed:
-                    book.snum = snum
-                    if not forms:
-                        book.amb.append(new_session)
-                        if self.optimized:
-                            book.ki[new_session] = 1 << p
-        else:
-            for p in completers:
-                self._exchange_effects(
-                    books[p], p, snaps, evidence, ev_sorted, allowed,
-                    new_session, outcome_rows, nf_cache,
-                )
-
-        if not allowed or (cut_round is not None and cut_round <= exchange_round):
+        if allowed:
+            for members in classes:
+                book = members.own()
+                book.snum = new_session[0]
+                if not forms:
+                    book.amb += (new_session,)
+                    if self.optimized:
+                        # KnowledgeBook.open_session, own bit implicit.
+                        book.ki = {**book.ki, new_session: 0}
+        if not allowed or cut_round == exchange_round:
             # Attempts were never sent (not allowed, or queued at R+1
             # and wiped by the interrupting install).
-            return exchange_round, False
+            done.extend((members.mask, members.book) for members in classes)
+            return done, exchange_round, 0
 
         # Stage 2 — the attempt round at R+2: receiving attempts from
         # everyone forms the primary (YKD._form_primary).
-        if cut_round is None or cut_round > attempt_round:
-            formers = members
-        else:  # cut_round == attempt_round
-            formers = (
-                members
-                if size == 1
-                else [p for p in members if not (late >> p) & 1]
-            )
-        for p in formers:
-            book = books[p]
+        if cut_round == attempt_round:
+            classes = _cut(classes, late, done)
+        for members in classes:
+            book = members.own()
             _adopt(book, new_session)
             if not self.dfls:
-                book.amb = []
-                if self.optimized:
-                    book.kf.clear()
-                    book.ki.clear()
-        if not self.dfls:
-            return attempt_round, True
+                book.amb = ()
+                book.kf = frozenset()
+                book.ki = {}
+        sent, formed = attempt_round, not self.dfls
+        if self.dfls and cut_round > attempt_round:
+            # Stage 3 — DFLS's confirm round at R+3: only once
+            # *everyone* formed (and so broadcast a confirm); hearing
+            # all confirms finally deletes the ambiguous sessions.
+            if cut_round == confirm_round:
+                classes = _cut(classes, late, done)
+            for members in classes:
+                members.own().amb = ()
+            sent, formed = confirm_round, True
+        done.extend((members.mask, members.book) for members in classes)
+        return done, sent, mask if formed else 0
 
-        # Stage 3 — DFLS's confirm round at R+3: only once *everyone*
-        # formed (and so broadcast a confirm); hearing all confirms
-        # finally deletes the ambiguous sessions.
-        confirm_round = installed + 3
-        if cut_round is not None and cut_round <= attempt_round:
-            return attempt_round, False
-        if cut_round is None or cut_round > confirm_round:
-            confirmers = members
-        else:  # cut_round == confirm_round
-            confirmers = (
-                members
-                if size == 1
-                else [p for p in members if not (late >> p) & 1]
-            )
-        for p in confirmers:
-            books[p].amb = []
-        return confirm_round, True
-
-    def _exchange_effects(
+    def _exchange(
         self,
-        book: _YkdBook,
-        pid: int,
-        snaps: Optional[Dict[int, _Snapshot]],
-        evidence: Set[SessionPair],
-        ev_sorted: List[SessionPair],
-        allowed: bool,
-        new_session: Optional[SessionPair],
-        outcome_rows: Dict[SessionPair, List[Tuple[int, int]]],
-        nf_cache: Dict[SessionPair, bool],
+        members: _BookClass,
+        index: int,
+        alone: bool,
+        best: SessionPair,
+        exchange: _Exchange,
+        classes: List[_BookClass],
     ) -> None:
-        """One member's persistent effects of a completed exchange.
+        """One class's persistent effects of a completed exchange,
+        short of opening the new session; what it splits into is
+        appended to ``classes``.
 
-        The ACCEPT scan (max over members of ``best_formed_by_member``)
-        takes the first ``ev_sorted`` entry containing ``pid`` — the
-        list is sorted best-first, so that entry is the max of the
-        member's evidence subset.  ``snaps`` is None exactly when no
-        member carries a pending session, in which case neither LEARN
-        nor the resolvability checks can reach it (their loops run over
-        the empty ``amb``).
+        ``index`` is the class's group in the snapshot and ``alone``
+        whether that group was a single member; ``best`` is the best
+        last primary, and so the best of the pooled evidence.
         """
-        if self.one_pending:
-            # ACCEPT (OnePending._all_states_received).
-            best = book.lp
-            for session in ev_sorted:
-                if (session[1] >> pid) & 1:
-                    if session_gt(session, best):
-                        best = session
+        if self.optimized and members.book.amb:
+            self._learn(members, index, alone, exchange)
+        # ACCEPT (YKD._resolve, OnePending._all_states_received): a
+        # member adopts the best formed session containing it, if that
+        # beats its last primary.  The class peels off session by
+        # session, best first, down to its own last primary, which
+        # contains it all.
+        last_primary = members.book.lp
+        if last_primary != best:
+            for session in exchange.best_first():
+                if session == last_primary:
                     break
-            if best != book.lp:
-                _adopt(book, best)
-            if book.amb and _resolvable(
-                snaps, evidence, pid, book.amb[0], nf_cache
-            ):
-                book.amb = []
-        else:
-            if self.optimized:
-                self._learn(book, pid, snaps, outcome_rows)
-            # RESOLVE: ACCEPT then (optimized) DELETE (YKD._resolve).
-            best = book.lp
-            for session in ev_sorted:
-                if (session[1] >> pid) & 1:
-                    if session_gt(session, best):
-                        best = session
-                    break
-            if self.optimized:
-                for session in book.amb:
-                    if session in book.kf and session_gt(session, best):
-                        best = session
-            if best != book.lp:
-                _adopt(book, best)
-            if self.optimized:
-                self._delete_settled(book)
-        if allowed:
-            assert new_session is not None
-            book.snum = new_session[0]
-            book.amb.append(new_session)
-            if self.optimized:
-                book.ki[new_session] = 1 << pid  # KnowledgeBook.open_session
+                inside = members.mask & session[1]
+                if inside:
+                    rest = members.mask & ~inside
+                    adopters = members.fork(inside) if rest else members
+                    self._settle(adopters, session, exchange, classes)
+                    if not rest:
+                        return
+        self._settle(members, last_primary, exchange, classes)
+
+    def _settle(
+        self,
+        members: _BookClass,
+        best: SessionPair,
+        exchange: _Exchange,
+        classes: List[_BookClass],
+    ) -> None:
+        """The rest of RESOLVE for a class that agrees on ``best``."""
+        book = members.book
+        pending = book.amb
+        if pending and self.optimized:
+            for session in pending:
+                if session in book.kf and session_gt(session, best):
+                    best = session
+        if best != book.lp:
+            _adopt(members.own(), best)
+        classes.append(members)
+        if not pending:
+            return
+        if self.optimized:
+            self._delete_settled(members, classes)
+        elif self.one_pending:
+            # All or none: the owners a later formation contains are
+            # the ones ACCEPT has just peeled off the others.
+            resolved = _resolvable(exchange, members.mask, pending[0])
+            assert resolved in (0, members.mask)
+            if resolved:
+                members.own().amb = ()
 
     def _learn(
         self,
-        book: _YkdBook,
-        pid: int,
-        snaps: Optional[Dict[int, _Snapshot]],
-        outcome_rows: Dict[SessionPair, List[Tuple[int, int]]],
+        members: _BookClass,
+        index: int,
+        alone: bool,
+        exchange: _Exchange,
     ) -> None:
         """KnowledgeBook.learn_from_states for every pending session.
 
-        The (member, outcome) rows depend only on the episode's fixed
-        snapshots, so they are computed once per session and shared by
-        every learner; each learner skips its own row at use time.
+        The rows depend only on the episode's fixed snapshot, so they
+        are computed once per session and shared by every learner.  A
+        learner skips its own row: for a member that held its book
+        alone that is its group's row, while in a larger group every
+        member hears the row from the others (and the own bit it adds
+        is implicit anyway).
         """
-        if not book.amb:
-            return
-        assert snaps is not None
+        book = members.book
         for session in book.amb:
-            innocents = book.ki.get(session)
-            if innocents is None:
+            known = book.ki.get(session)
+            if known is None:
                 continue
-            rows = outcome_rows.get(session)
+            rows = exchange.rows.get(session)
             if rows is None:
                 smask = session[1]
-                rows = []
-                for member, snap in snaps.items():
-                    if not (smask >> member) & 1:
-                        continue
-                    outcome = _outcome(snap, session)
-                    if outcome:
-                        rows.append((member, outcome))
-                outcome_rows[session] = rows
-            for member, outcome in rows:
-                if member == pid:
+                rows = exchange.rows[session] = []
+                for i, (group, snap) in enumerate(exchange.held):
+                    if group & smask:
+                        outcome = _outcome(snap, session)
+                        if outcome:
+                            rows.append((i, group & smask, outcome))
+            innocents = known
+            formed = False
+            for i, reporters, outcome in rows:
+                if alone and i == index:
                     continue
                 if outcome > 0:
-                    book.kf.add(session)
+                    formed = True
                 else:
-                    innocents |= 1 << member
-            book.ki[session] = innocents
+                    innocents |= reporters
+            if innocents != known:
+                book = members.own()
+                book.ki = {**book.ki, session: innocents}
+            if formed and session not in book.kf:
+                book = members.own()
+                book.kf = book.kf | {session}
 
-    def _delete_settled(self, book: _YkdBook) -> None:
+    def _delete_settled(
+        self, members: _BookClass, classes: List[_BookClass]
+    ) -> None:
         """YKD._delete_settled over bitmask books."""
+        book = members.book
+        lp = book.lp
         kept: List[SessionPair] = []
         for session in book.amb:
-            superseded = session == book.lp or session[0] < book.lp[0]
+            superseded = session == lp or session[0] < lp[0]
             never_formed = False
             if self.aggressive and not superseded:
                 # KnowledgeBook.nobody_formed: every member provably
                 # innocent, and no formation fact recorded.
                 innocents = book.ki.get(session)
-                never_formed = (
-                    innocents is not None
-                    and session not in book.kf
-                    and session[1] & ~innocents == 0
-                )
-            if superseded or never_formed:
-                book.ki.pop(session, None)
-                book.kf.discard(session)
-            else:
+                if innocents is not None and session not in book.kf:
+                    suspects = session[1] & ~innocents
+                    if suspects & (suspects - 1):
+                        pass  # two or more not proven innocent
+                    elif not suspects or suspects == members.mask:
+                        never_formed = True
+                    elif suspects & members.mask:
+                        # The one member not proven innocent is one of
+                        # these, and innocent in its own eyes only.
+                        loner = members.fork(suspects)
+                        classes.append(loner)
+                        self._delete_settled(loner, classes)
+            if not (superseded or never_formed):
                 kept.append(session)
-        book.amb = kept
+        if len(kept) != len(book.amb):
+            # Facts are only ever recorded about pending sessions.
+            book = members.own()
+            book.amb = tuple(kept)
+            book.kf = book.kf.intersection(kept)
+            book.ki = {s: book.ki[s] for s in kept if s in book.ki}
+
+
+def _cut(
+    classes: List[_BookClass], late: int, done: List[Tuple[int, _YkdBook]]
+) -> List[_BookClass]:
+    """A cut round's stage: the late members of every class hear
+    nothing and leave with the book they have (appended to ``done``);
+    returns the classes that do hear the stage."""
+    heard: List[_BookClass] = []
+    for members in classes:
+        deaf = members.mask & late
+        if deaf:
+            done.append((deaf, members.fork(deaf).book))
+            if not members.mask:
+                continue
+        heard.append(members)
+    return heard
 
 
 def _adopt(book: _YkdBook, session: SessionPair) -> None:
     """``last_primary = session; last_formed[m] = session for m in it``."""
     book.lp = session
-    smask = session[1]
-    lf = book.lf
-    for key in list(lf):
-        if key == session:
-            continue
-        remaining = lf[key] & ~smask
-        if remaining:
-            lf[key] = remaining
-        else:
-            del lf[key]
-    lf[session] = lf.get(session, 0) | smask
+    smask = holders = session[1]
+    entries = []
+    for entry in book.lf:
+        other, members = entry
+        if other == session:
+            holders |= members
+        elif not members & smask:
+            entries.append(entry)
+        elif members & ~smask:
+            entries.append((other, members & ~smask))
+    entries.append((session, holders))
+    book.lf = frozenset(entries)
 
 
-def _outcome(snap: _Snapshot, session: SessionPair) -> int:
+def _outcome(snap: _YkdBook, session: SessionPair) -> int:
     """knowledge.outcome_for: 1 formed, -1 not formed, 0 unknown."""
-    if session == snap[2] or session in snap[3]:
-        return 1
     number, smask = session
-    for other, qmask in snap[3].items():
-        if other[0] < number and qmask & smask:
+    outcome = 0
+    for other, members in snap.lf:  # the last primary is one of these
+        if other == session:
+            return 1
+        if other[0] < number and members & smask:
             # Some member's lastFormed entry is still numbered below
             # the session — that member provably never formed it.
-            return -1
-    return 0
+            outcome = -1
+    return outcome
 
 
-def _resolvable(
-    snaps: Dict[int, _Snapshot],
-    evidence: Set[SessionPair],
-    owner: int,
-    pending: SessionPair,
-    nf_cache: Dict[SessionPair, bool],
-) -> bool:
-    """OnePending._session_resolvable over the pooled evidence.
+def _resolvable(exchange: _Exchange, owners: int, pending: SessionPair) -> int:
+    """OnePending._session_resolvable over the pooled evidence: the
+    members of ``owners``, who all hold ``pending``, that can resolve it.
 
-    ``evidence`` is the union of every member's formed evidence, so
-    "formed anywhere" is a membership test, and "some member reports a
-    formation containing ``owner`` numbered past ``pending``" scans the
-    union once instead of every member's book.  The never-formed scan
-    is owner-independent, so its verdict is memoized per episode in
-    ``nf_cache``.
+    The evidence is the union of every member's, so "formed anywhere"
+    is a membership test, and "some member reports a formation
+    containing the owner numbered past ``pending``" — the one test
+    that tells owners apart — scans the union once instead of every
+    member's book.  The never-formed scan is owner-independent, so its
+    verdict is memoized per episode.
     """
+    evidence = exchange.evidence()
     if pending in evidence:
-        return True  # formed_anywhere
+        return owners  # formed_anywhere
     number = pending[0]
+    superseded = 0  # by a later formation
     for session in evidence:
-        if (session[1] >> owner) & 1 and session[0] > number:
-            return True  # superseded by a later formation
-    never_formed = nf_cache.get(pending)
+        if session[0] > number:
+            superseded |= session[1]
+    if not owners & ~superseded:
+        return owners
+    never_formed = exchange.never_formed.get(pending)
     if never_formed is None:
-        never_formed = True
-        for member in iter_bits(pending[1]):
-            snap = snaps.get(member)
-            if snap is None or _outcome(snap, pending) >= 0:
-                never_formed = False
-                break
-        nf_cache[pending] = never_formed
-    return never_formed
+        absent = pending[1]
+        for group, snap in exchange.held:
+            if group & absent:
+                if _outcome(snap, pending) >= 0:
+                    break
+                absent &= ~group
+        never_formed = exchange.never_formed[pending] = not absent
+    return owners if never_formed else owners & superseded
 
 
 # ----------------------------------------------------------------------
@@ -701,6 +812,7 @@ class _MR1pBook:
         "status",
         "in_primary",
         "out",
+        "_key",
     )
 
     def __init__(self, initial: SessionPair) -> None:
@@ -711,6 +823,7 @@ class _MR1pBook:
         self.status = "none"
         self.in_primary = True
         self.out: List[tuple] = []
+        self._key: Optional[tuple] = None
 
     def clone(self) -> "_MR1pBook":
         twin = _MR1pBook.__new__(_MR1pBook)
@@ -721,7 +834,21 @@ class _MR1pBook:
         twin.status = self.status
         twin.in_primary = self.in_primary
         twin.out = list(self.out)
+        twin._key = None
         return twin
+
+    def key(self) -> tuple:
+        """Equal keys, equal books as the next install sees them
+        (memoized: a stored book is final)."""
+        if self._key is None:
+            self._key = (
+                self.cur_primary,
+                self.pending,
+                self.num,
+                self.status,
+                frozenset(self.formed),
+            )
+        return self._key
 
 
 class _Transient:
@@ -847,62 +974,22 @@ class _MR1pEngine(_Engine):
     """
 
     def __init__(self, batch: int, universe: int) -> None:
-        self.universe = universe
-        # Views as (member mask, install seq).  Never written: episodes
-        # clone before they touch a book.
-        initial = _MR1pBook((universe, 0))
-        #: Per run, the processes partitioned by the book they hold.
-        self.states: List[List[Tuple[int, _MR1pBook]]] = [
-            [(universe, initial)] for _ in range(batch)
-        ]
-        self.episodes: List[Dict[int, Tuple[int, int]]] = [
-            {} for _ in range(batch)
-        ]
-
-    # -- lockstep hooks -------------------------------------------------
-
-    def on_change(self, b: int, change) -> None:
-        episodes = self.episodes[b]
-        affected = change.affected_mask
-        for mask in [m for m in episodes if m & affected]:
-            seq, installed = episodes.pop(mask)
-            self._episode(
-                b, mask, seq, installed, change.round_index, change.late_mask, 0
-            )
-        for mask, seq in change.installs:
-            episodes[mask] = (seq, change.round_index)
-
-    def on_installs(self, r_idx, pid_idx, k_idx, mask_arr, in_primary) -> None:
-        in_primary[r_idx, pid_idx] = False  # MR1p._on_view
-
-    def finish_run(self, b: int, run: CompiledRun, in_primary) -> int:
-        last_send = 0
-        # Cap far enough past the livelock bound that the settle check
-        # in execute_batch sees the overrun and raises exactly where
-        # the scalar engine would.
-        cap = run.t_last + 10_000
-        for mask, (seq, installed) in self.episodes[b].items():
-            sent = self._episode(b, mask, seq, installed, None, 0, cap)
-            last_send = max(last_send, sent)
-        for mask, book in self.states[b]:
-            for pid in iter_bits(mask):
-                in_primary[b, pid] = book.in_primary
-        return last_send
+        # Views as (member mask, install seq).
+        super().__init__(batch, universe, _MR1pBook((universe, 0)))
 
     # -- one episode ----------------------------------------------------
 
     def _episode(
         self,
-        b: int,
+        held: List[Tuple[int, _MR1pBook]],
         mask: int,
         seq: int,
         installed: int,
-        cut_round: Optional[int],
+        cut_round: int,
         late: int,
-        cap: int,
-    ) -> int:
+    ) -> Tuple[List[Tuple[int, _MR1pBook]], int, int]:
         view = (mask, seq)
-        classes = self._install(b, mask, view)
+        classes = self._install(held, view)
         # A singleton's self-delivery always lands.
         late = late & mask if mask & (mask - 1) else 0
 
@@ -910,7 +997,7 @@ class _MR1pEngine(_Engine):
         t = installed
         while True:
             t += 1
-            if cut_round is not None and t > cut_round:
+            if t > cut_round:
                 break
             sent: Dict[_MemberClass, List[tuple]] = {}
             for members in classes:
@@ -927,40 +1014,20 @@ class _MR1pEngine(_Engine):
             else:
                 for members in list(classes):
                     self._deliver(members, events, 0, view, classes)
-            if cut_round is None and t > cap:
-                break  # livelock: surface through the settle check
-        self.states[b] = [
-            (group & ~mask, book)
-            for group, book in self.states[b]
-            if group & ~mask
-        ] + [(members.mask, members.book) for members in classes]
-        return last_send
+        primary = 0
+        for members in classes:
+            if members.book.in_primary:
+                primary |= members.mask
+        return (
+            [(members.mask, members.book) for members in classes],
+            last_send,
+            primary,
+        )
 
     def _install(
-        self, b: int, mask: int, view: SessionPair
+        self, held: List[Tuple[int, _MR1pBook]], view: SessionPair
     ) -> List[_MemberClass]:
         """Install effects (MR1p._on_view), one class per distinct book."""
-        held = [
-            (group & mask, book)
-            for group, book in self.states[b]
-            if group & mask
-        ]
-        if len(held) > 1:
-            # Books that went separate ways and ended up equal again
-            # (the late members of one cut round, mostly) rejoin here.
-            joined: Dict[tuple, Tuple[int, _MR1pBook]] = {}
-            for group, book in held:
-                key = (
-                    book.cur_primary,
-                    book.pending,
-                    book.num,
-                    book.status,
-                    frozenset(book.formed),
-                )
-                if key in joined:
-                    group |= joined[key][0]
-                joined[key] = (group, book)
-            held = list(joined.values())
         classes: List[_MemberClass] = []
         for group, book in held:
             book = book.clone()

@@ -33,6 +33,7 @@ from repro.sim.batch.bitops import (
     popcount,
     popcount_vec,
     session_gt,
+    session_sort_key,
     simple_majority_primary_mask,
     simple_majority_primary_vec,
 )
@@ -138,6 +139,7 @@ def test_session_order_matches_session_dataclass(a, b) -> None:
     assert members_gt(pa[1], pb[1]) == (
         tuple(sorted(a[1])) > tuple(sorted(b[1]))
     )
+    assert (session_sort_key(pa) > session_sort_key(pb)) == (sa > sb)
 
 
 @given(st.lists(session_strategy, min_size=1, max_size=8))

@@ -141,7 +141,7 @@ def test_back_to_back_changes_equivalence(algorithm) -> None:
 
 def test_thesis_scale_universe() -> None:
     """n=64 — the full thesis scale, and the uint64 lane boundary."""
-    for algorithm in ("ykd", "mr1p"):
+    for algorithm in ("ykd", "ykd_aggressive", "dfls", "one_pending", "mr1p"):
         assert_equivalent(
             CaseConfig(
                 algorithm=algorithm,
@@ -154,12 +154,26 @@ def test_thesis_scale_universe() -> None:
         )
 
 
-#: MR1p's member classes split in three places: at a cut round's late
-#: mask (everyone late, no one late, a coin each), at a shared session
-#: some members are outside of, and where a run's changes follow one
-#: another so closely that every episode is cut.  Thesis-scale views
-#: are where classes are large enough for a wrong split to hide.
-MR1P_SCALE_GRID = [
+#: The algorithms whose episodes the kernel plays once per class of
+#: members holding the same book instead of once per member.
+CLASS_STEPPED = (
+    "ykd",
+    "ykd_unopt",
+    "ykd_aggressive",
+    "dfls",
+    "one_pending",
+    "mr1p",
+)
+FAMILY = CLASS_STEPPED[:-1]
+
+#: Member classes split where the protocol can tell two members apart:
+#: at a cut round's late mask (everyone late, no one late, a coin
+#: each), at a session some members are outside of (MR1p's shares, the
+#: family's ACCEPT), and where a run's changes follow one another so
+#: closely that every episode is cut.
+#: Thesis-scale views are where classes are large enough for a wrong
+#: split to hide.
+SCALE_GRID = [
     (n, cut, rate)
     for n in (33, 48, 64)
     for cut in (0.0, 0.5, 1.0)
@@ -167,18 +181,39 @@ MR1P_SCALE_GRID = [
 ]
 
 
-@pytest.mark.parametrize("n,cut,rate", MR1P_SCALE_GRID)
-def test_mr1p_member_classes_at_scale(n, cut, rate) -> None:
+def assert_member_classes_at_scale(algorithm, n, cut, rate, runs=5) -> None:
     assert_equivalent(
         CaseConfig(
-            algorithm="mr1p",
+            algorithm=algorithm,
             n_processes=n,
             n_changes=12,
             mean_rounds_between_changes=rate,
-            runs=5,
+            runs=runs,
             master_seed=n,
             cut_probability=cut,
         )
+    )
+
+
+@pytest.mark.parametrize("n,cut,rate", SCALE_GRID)
+def test_mr1p_member_classes_at_scale(n, cut, rate) -> None:
+    assert_member_classes_at_scale("mr1p", n, cut, rate)
+
+
+#: Tier 1 gives each grid row one family algorithm, in rotation, and
+#: the first three of its five runs (the scalar side of a family case
+#: is the slow one); tier 2 runs all five on every row, in full.
+FAMILY_SCALE_GRID = [
+    (algorithm, n, cut, rate)
+    for row, (n, cut, rate) in enumerate(SCALE_GRID)
+    for algorithm in (FAMILY if TIER2 else (FAMILY[row % len(FAMILY)],))
+]
+
+
+@pytest.mark.parametrize("algorithm,n,cut,rate", FAMILY_SCALE_GRID)
+def test_family_member_classes_at_scale(algorithm, n, cut, rate) -> None:
+    assert_member_classes_at_scale(
+        algorithm, n, cut, rate, runs=5 if TIER2 else 3
     )
 
 
@@ -330,6 +365,7 @@ def test_random_configs_equivalent(
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
+    algorithm=st.sampled_from(CLASS_STEPPED),
     n_processes=st.integers(min_value=2, max_value=64),
     n_changes=st.integers(min_value=0, max_value=12),
     rate=st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
@@ -337,12 +373,12 @@ def test_random_configs_equivalent(
     seed=st.integers(min_value=0, max_value=2**32),
     runs=st.integers(min_value=1, max_value=6),
 )
-def test_random_mr1p_configs_equivalent_up_to_thesis_scale(
-    n_processes, n_changes, rate, cut, seed, runs
+def test_random_class_stepped_configs_equivalent_up_to_thesis_scale(
+    algorithm, n_processes, n_changes, rate, cut, seed, runs
 ) -> None:
     assert_equivalent(
         CaseConfig(
-            algorithm="mr1p",
+            algorithm=algorithm,
             n_processes=n_processes,
             n_changes=n_changes,
             mean_rounds_between_changes=rate,
@@ -386,6 +422,51 @@ def test_mr1p_protocol_work_is_per_member_class(monkeypatch) -> None:
     )
     assert result.changes_total == 40 * 12
     assert 0 < handled < 120_000
+
+
+#: Per family algorithm: stage-1 class visits on the pinned case, as
+#: (measured, bound).  The 776 episodes of the case visit 21,650
+#: members; grouped by equal books they are 2,780 / 2,220 / 1,567
+#: groups, and the late members of a cut exchange are not visited.
+FAMILY_CLASS_VISITS = {
+    "ykd": (1830, 3000),
+    "dfls": (2172, 3000),
+    "one_pending": (1550, 3000),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(FAMILY_CLASS_VISITS))
+def test_family_protocol_work_is_per_member_class(monkeypatch, algorithm) -> None:
+    """Exchange effects computed on the same pinned thesis-scale case.
+
+    A count, not a timing: once per class of members holding one book.
+    Once per member it is 21,650 — seven times the bound.
+    """
+    visits = 0
+    members_seen = 0
+    exchange = batch_kernel._YkdFamilyEngine._exchange
+
+    def counting(self, members, *rest):
+        nonlocal visits, members_seen
+        visits += 1
+        members_seen += members.mask.bit_count()
+        return exchange(self, members, *rest)
+
+    monkeypatch.setattr(batch_kernel._YkdFamilyEngine, "_exchange", counting)
+    result = run_case_batched(
+        CaseConfig(
+            algorithm=algorithm,
+            n_processes=64,
+            n_changes=12,
+            mean_rounds_between_changes=2.0,
+            runs=40,
+            master_seed=1,
+        )
+    )
+    assert result.changes_total == 40 * 12
+    measured, bound = FAMILY_CLASS_VISITS[algorithm]
+    assert 0 < visits < bound, f"{visits} visits (was {measured})"
+    assert members_seen > 5 * visits  # the classes are worth having
 
 
 ENVIRONMENT = CaseConfig(

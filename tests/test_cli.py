@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.cli import COMMANDS, main
+from repro.experiments.runner import batched_fallback_reason
 
 
 class TestList:
@@ -31,6 +32,46 @@ class TestRun:
 
     def test_seed_option(self, capsys):
         assert main(["run", "tab_rounds", "--scale", "smoke", "--seed", "5"]) == 0
+
+    def test_batched_kernel_says_nothing_where_it_runs(self, capsys):
+        argv = ["run", "fig4_1", "--scale", "smoke", "--kernel", "batched"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "Figure 4-1" in captured.out
+
+    def test_batched_kernel_names_its_scalar_fallback(self, capsys):
+        argv = ["run", "fig4_4", "--scale", "smoke"]
+        assert main(argv) == 0
+        scalar = capsys.readouterr()
+        assert scalar.err == ""
+        assert main(argv + ["--kernel", "batched"]) == 0
+        batched = capsys.readouterr()
+        (note,) = batched.err.splitlines()
+        assert note.startswith("note: fig4_4: runs on the scalar driver — ")
+        assert "cascading cases thread algorithm state" in note
+        # Same figure; the last line times the run.
+        assert batched.out.splitlines()[:-2] == scalar.out.splitlines()[:-2]
+
+    @pytest.mark.parametrize(
+        "experiment_id,options,reason",
+        [
+            ("fig4_1", {}, None),
+            ("fig4_5", {}, "cascading cases"),
+            ("tab_rounds", {}, "rounds experiments read statistics"),
+            ("fig4_7", {}, "ambiguous experiments read statistics"),
+            ("fig4_1", {"collect_metrics": True}, "collect_metrics"),
+            ("fig4_1", {"recorded": True}, "observers"),
+        ],
+    )
+    def test_every_way_off_the_batched_surface_has_a_reason(
+        self, experiment_id, options, reason
+    ):
+        found = batched_fallback_reason(experiment_id, "paper", **options)
+        if reason is None:
+            assert found is None
+        else:
+            assert reason in found
 
     def test_unknown_experiment_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

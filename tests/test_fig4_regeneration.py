@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.report import (
+    render,
     write_ambiguous_csv,
     write_availability_csv,
 )
@@ -40,12 +41,20 @@ FIG4_IDS = tuple(f"fig4_{index}" for index in range(1, 9))
 
 
 def regenerate_csv(
-    experiment_id: str, scale: str, directory: Path, kernel: str = "scalar"
+    experiment_id: str,
+    scale: str,
+    directory: Path,
+    kernel: str = "scalar",
+    report: bool = False,
 ) -> Path:
-    """Run one figure and export its CSV the way the CLI does."""
+    """Run one figure and export its CSV the way the CLI does (and,
+    with ``report``, the rendered table beside it as ``.txt``)."""
     result = run_experiment(
         experiment_id, scale=scale, master_seed=COMMITTED_SEED, kernel=kernel
     )
+    if report:
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{experiment_id}.txt").write_text(render(result))
     spec = get_spec(experiment_id)
     if spec.kind == "availability":
         return write_availability_csv(result, directory)
@@ -120,6 +129,33 @@ def test_fig4_csv_regenerates_exactly_batched(
         f"{committed} differs when regenerated with kernel='batched' — "
         "the batched kernel diverged from the scalar engine"
     )
+
+
+#: The fresh-start figures at the thesis' own 64 processes x 1000 runs
+#: per case, committed under ``results/paper/`` as ``.csv`` and ``.txt``
+#: (``run <id> --scale paper --kernel batched --seed 0``; a minute for
+#: the three on the batched kernel, hours on the scalar driver).
+PAPER_SCALE_IDS = ("fig4_1", "fig4_2", "fig4_3")
+
+
+@pytest.mark.skipif(
+    not TIER2,
+    reason="thesis-scale batched regeneration runs under REPRO_TIER2=1",
+)
+@pytest.mark.parametrize("experiment_id", PAPER_SCALE_IDS)
+def test_paper_scale_figures_regenerate_exactly_batched(
+    experiment_id: str, tmp_path: Path
+) -> None:
+    committed = RESULTS_DIR / "paper"
+    regenerate_csv(
+        experiment_id, "paper", tmp_path, kernel="batched", report=True
+    )
+    for suffix in (".csv", ".txt"):
+        name = experiment_id + suffix
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), (
+            f"results/paper/{name} no longer matches a scale=paper "
+            f"seed={COMMITTED_SEED} regeneration on the batched kernel"
+        )
 
 
 @pytest.mark.skipif(
