@@ -15,7 +15,6 @@ Run with: PYTHONPATH=src python examples/explain_run.py
 
 from repro.obs.causal import (
     CausalObserver,
-    SpanIndex,
     render_forensics_report,
     spans_from_jsonl,
     spans_to_jsonl,
@@ -44,12 +43,19 @@ def main() -> None:
     print(f"availability: {result.availability_percent:.1f}%\n")
     print(render_forensics_report(spans, labels={"algorithm": "ykd"}))
 
-    # Spans are queryable: which partitions cost us in-flight attempts?
-    index = SpanIndex(spans, labels={"algorithm": config.algorithm})
-    interrupted = index.attempts_with(outcome="interrupted")
+    # Spans are plain tuples of frozen records, so a query is a
+    # comprehension: which partitions cost us in-flight attempts?
+    by_partition = [
+        span
+        for span in spans.attempts
+        if span.outcome == "interrupted" and span.interrupted_by == "partition"
+    ]
     print()
-    print(f"interrupted attempts: {interrupted.describe()}")
-    for span in interrupted.interrupted_by("partition").attempts[:3]:
+    print(
+        f"interrupted attempts: {spans.outcome_counts().get('interrupted', 0)}"
+        f" ({len(by_partition)} by a partition)"
+    )
+    for span in by_partition[:3]:
         cause = span.closed_by
         print(f"  {span.describe()}  (cut landed at {cause.describe()})")
 

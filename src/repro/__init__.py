@@ -62,11 +62,8 @@ from repro.sim import (
     CaseConfig,
     CaseResult,
     DriverLoop,
-    RunConfig,
-    RunResult,
     compare_algorithms,
     run_case,
-    run_single,
 )
 
 __version__ = "1.0.0"
@@ -91,8 +88,6 @@ __all__ = [
     "PrimaryComponentAlgorithm",
     "ProtocolError",
     "ReproError",
-    "RunConfig",
-    "RunResult",
     "ScheduleError",
     "Session",
     "SimpleMajority",
@@ -112,6 +107,5 @@ __all__ = [
     "is_majority",
     "is_subquorum",
     "run_case",
-    "run_single",
     "__version__",
 ]

@@ -30,6 +30,7 @@ from repro.check.plan import (
     plan_from_dict,
     plan_to_dict,
 )
+from repro.obs.canonical import write_text
 
 REPRO_KIND = "repro.check/repro"
 EXPECT_PASS = "pass"
@@ -82,11 +83,8 @@ def repro_from_dict(data: Mapping[str, Any]) -> ReproFile:
 
 def write_repro(path: Path, repro: ReproFile) -> Path:
     """Serialize one repro canonically; returns the written path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(repro_to_dict(repro), sort_keys=True, indent=2) + "\n"
-    path.write_text(text, encoding="utf-8")
-    return path
+    return write_text(path, text)
 
 
 def load_repro(path: Path) -> ReproFile:

@@ -621,7 +621,6 @@ def _profile(args: argparse.Namespace) -> int:
 def _explain(args: argparse.Namespace) -> int:
     """Availability forensics: spans + blame for a case or an artifact."""
     from repro.obs.causal import (
-        CausalObserver,
         render_forensics_report,
         spans_from_recorder,
         write_html_report,
@@ -642,9 +641,8 @@ def _explain(args: argparse.Namespace) -> int:
         return 2
     else:
         recorder = TraceRecorder(max_events=1_000_000)
-        causal = CausalObserver()
         result = run_case(
-            _case_config(args, args.algorithm), observers=[recorder, causal]
+            _case_config(args, args.algorithm), observers=[recorder]
         )
         labels = {
             "algorithm": args.algorithm,
@@ -661,11 +659,13 @@ def _explain(args: argparse.Namespace) -> int:
         )
     spans = spans_from_recorder(recorder)
     print(render_forensics_report(spans, labels))
+    timeline = None
+    if args.timeline or args.html is not None:
+        timeline = render_timeline(recorder, spans=spans.attempts)
     if args.timeline:
         print()
-        print(render_timeline(recorder, spans=spans.attempts))
+        print(timeline)
     if args.html is not None:
-        timeline = render_timeline(recorder, spans=spans.attempts)
         path = write_html_report(
             spans, args.html, labels=labels, timeline=timeline
         )
@@ -689,7 +689,7 @@ def _load_replay_artifact(args: argparse.Namespace):
     from repro.check import PlanError, load_repro
     from repro.check.plan import driver_steps
     from repro.errors import InvariantViolation, SimulationError
-    from repro.sim.trace import recorder_from_events
+    from repro.sim.trace import events_from_jsonl, recorder_from_events
 
     try:
         text = args.replay.read_text(encoding="utf-8")
@@ -700,11 +700,10 @@ def _load_replay_artifact(args: argparse.Namespace):
     try:
         head = json.loads(first)
     except json.JSONDecodeError:
-        head = None
-    if isinstance(head, dict) and "plan" not in head:
-        # One event object per line: a canonical trace JSONL.
-        from repro.sim.trace import events_from_jsonl
-
+        head = None  # a document spread over lines: a repro file
+    if head is not None and not (isinstance(head, dict) and "plan" in head):
+        # One JSON value per line: a canonical trace JSONL, or a file
+        # the trace reader will name the bad line of.
         try:
             events, truncated = events_from_jsonl(text)
         except ValueError as error:

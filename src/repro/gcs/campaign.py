@@ -39,32 +39,18 @@ class GCSCaseConfig:
     runs: int = 50
     master_seed: int = 0
     max_stable_ticks: int = 600
-    #: Attach a :class:`repro.obs.causal.GCSViewSpans` tracker per run
-    #: and collect every view's agreement window on the result — the
-    #: GCS analogue of the driver campaigns' causal spans.
-    collect_view_spans: bool = False
 
 
 @dataclass
 class GCSCaseResult:
     config: GCSCaseConfig
     outcomes: List[bool] = field(default_factory=list)
-    #: View-agreement spans across all runs (when
-    #: :attr:`GCSCaseConfig.collect_view_spans` was set).
-    view_spans: List = field(default_factory=list)
 
     @property
     def availability_percent(self) -> float:
         if not self.outcomes:
             raise ValueError("no runs recorded")
         return 100.0 * sum(self.outcomes) / len(self.outcomes)
-
-    def view_outcome_counts(self) -> Dict[str, int]:
-        """How many collected view spans ended in each outcome."""
-        counts: Dict[str, int] = {}
-        for span in self.view_spans:
-            counts[span.outcome] = counts.get(span.outcome, 0) + 1
-        return counts
 
 
 def run_gcs_case(config: GCSCaseConfig) -> GCSCaseResult:
@@ -85,16 +71,7 @@ def run_gcs_case(config: GCSCaseConfig) -> GCSCaseResult:
             config.mean_ticks_between_changes,
             run_index,
         )
-        tracker = None
-        observers = ()
-        if config.collect_view_spans:
-            from repro.obs.causal import GCSViewSpans
-
-            tracker = GCSViewSpans()
-            observers = (tracker,)
-        service = PrimaryComponentService(
-            config.algorithm, config.n_processes, observers=observers
-        )
+        service = PrimaryComponentService(config.algorithm, config.n_processes)
         injected = 0
         guard = 0
         while injected < config.n_changes:
@@ -111,10 +88,6 @@ def run_gcs_case(config: GCSCaseConfig) -> GCSCaseResult:
             service.tick()
         service.run_until_stable(max_ticks=config.max_stable_ticks)
         result.outcomes.append(service.primary_members() is not None)
-        if tracker is not None:
-            result.view_spans.extend(
-                tracker.finalize(at_tick=service.cluster.ticks)
-            )
     return result
 
 

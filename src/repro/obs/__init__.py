@@ -63,14 +63,12 @@ _CAUSAL_EXPORTS = frozenset(
         "AttemptSpan",
         "BLAME_CATEGORIES",
         "CausalLink",
-        "CausalMetrics",
         "CausalObserver",
         "GCSViewSpans",
         "PrimarySpan",
         "ViewSpan",
         "RunSpan",
         "SpanBuilder",
-        "SpanIndex",
         "SpanSet",
         "render_forensics_report",
         "render_html_report",

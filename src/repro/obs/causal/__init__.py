@@ -11,11 +11,12 @@ links back to the trace events that opened, advanced, and closed it:
   :class:`SpanBuilder` state machine fed either live
   (:class:`CausalObserver` on the event bus) or offline
   (:func:`spans_from_recorder` / :func:`spans_from_jsonl`), the two
-  proven byte-identical; :class:`CausalMetrics` folds spans into a
-  :class:`~repro.obs.MetricsRegistry` for deterministic shard merge;
-* **query + report** (`index`, `report`) — :class:`SpanIndex`
-  composable filters, canonical span JSONL, a terminal report and a
-  self-contained HTML report.
+  proven byte-identical;
+* **report** (`report`) — canonical span JSONL, a terminal report and
+  a self-contained HTML report.  A :class:`SpanSet` holds plain tuples
+  of frozen spans: narrowing it is a comprehension over
+  ``spans.attempts``, its aggregates are ``outcome_counts()``,
+  ``interruption_counts()`` and ``blame_totals()``.
 
 See ``docs/forensics.md`` for the model and a walkthrough of the
 ``repro-experiments explain`` CLI built on this package.
@@ -34,8 +35,7 @@ from repro.obs.causal.gcs import (
     GCSViewSpans,
     ViewSpan,
 )
-from repro.obs.causal.index import SpanIndex
-from repro.obs.causal.observer import SPAN_BUCKETS, CausalMetrics, CausalObserver
+from repro.obs.causal.observer import CausalObserver
 from repro.obs.causal.report import (
     attempt_rounds_histogram,
     render_forensics_report,
@@ -68,7 +68,6 @@ __all__ = [
     "BLAME_IN_FLIGHT",
     "BLAME_NO_QUORUM",
     "CausalLink",
-    "CausalMetrics",
     "CausalObserver",
     "GCSViewSpans",
     "PrimarySpan",
@@ -77,10 +76,8 @@ __all__ = [
     "VIEW_PENDING",
     "VIEW_SUPERSEDED",
     "ViewSpan",
-    "SPAN_BUCKETS",
     "SPAN_KIND",
     "SpanBuilder",
-    "SpanIndex",
     "SpanSet",
     "attempt_rounds_histogram",
     "render_forensics_report",

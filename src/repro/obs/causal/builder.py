@@ -1,8 +1,8 @@
 """Span reconstruction: one state machine, fed live or offline.
 
-:class:`SpanBuilder` consumes the *dict form* of trace events — exactly
-what :meth:`repro.sim.trace.TraceEvent.to_dict` produces and what a
-trace JSONL line parses to — and reconstructs attempt/primary/run
+:class:`SpanBuilder` consumes trace events as they are — the dicts a
+:class:`~repro.sim.trace.TraceRecorder` holds and a trace JSONL line
+parses to — and reconstructs attempt/primary/run
 spans plus the per-round blame breakdown.  Feeding it live (via
 :class:`repro.obs.causal.CausalObserver`, which overrides the trace
 recorder's append point) and feeding it a recorded trace offline run
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -66,6 +65,7 @@ from repro.obs.causal.spans import (
     RunSpan,
     SpanSet,
 )
+from repro.sim.trace import read_trace_jsonl
 
 
 class _OpenAttempt:
@@ -157,35 +157,19 @@ class _OpenPrimary:
         )
 
 
-Sink = Callable[[Any], None]
-
-
 class SpanBuilder:
     """Reconstruct spans and blame from a stream of trace event dicts.
 
     Feed :meth:`ingest` every event dict in stream order (live hooks
     and offline replay both do exactly this), then call
-    :meth:`finalize` for the completed :class:`SpanSet`.  With
-    ``store=False`` completed spans are only handed to the sinks (for
-    O(1)-memory metrics collection over huge campaigns); the returned
-    span set is then empty of spans but still carries the totals.
+    :meth:`finalize` for the completed :class:`SpanSet`.
     """
 
-    def __init__(
-        self,
-        store: bool = True,
-        attempt_sink: Optional[Sink] = None,
-        primary_sink: Optional[Sink] = None,
-        run_sink: Optional[Sink] = None,
-    ) -> None:
-        self.store = store
-        self._attempt_sink = attempt_sink
-        self._primary_sink = primary_sink
-        self._run_sink = run_sink
+    def __init__(self) -> None:
         # Stream position.
         self._index = 0
         self.truncated = False
-        # Completed spans (when storing).
+        # Completed spans.
         self._attempts: List[AttemptSpan] = []
         self._primaries: List[PrimarySpan] = []
         self._runs: List[RunSpan] = []
@@ -274,7 +258,7 @@ class SpanBuilder:
         self._close_open_attempts(self._last_end_link)
         if self._primary is not None:
             members = self._primary.members
-            self._emit_primary(self._primary.close(None, "survived", None))
+            self._primaries.append(self._primary.close(None, "survived", None))
             self._primary = _OpenPrimary(run_index, members, 0, start_link)
         # The universe persists (membership identity is global); the
         # connectivity and quorum base belong to the dead system.
@@ -292,12 +276,12 @@ class SpanBuilder:
                 outcome = OUTCOME_AMBIGUOUS
             else:
                 outcome = OUTCOME_NO_QUORUM
-            self._emit_attempt(record.close(close_round, outcome, closed_by))
+            self._attempts.append(record.close(close_round, outcome, closed_by))
 
     def _close_leftovers(self, closed_by: Optional[CausalLink]) -> None:
         self._close_open_attempts(closed_by)
         if self._primary is not None:
-            self._emit_primary(self._primary.close(None, "survived", None))
+            self._primaries.append(self._primary.close(None, "survived", None))
             self._primary = None
 
     # ------------------------------------------------------------------
@@ -340,7 +324,7 @@ class SpanBuilder:
                 primary_rounds += 1
             else:
                 blame[self._classify(had_broadcast)] += 1
-        self._emit_run(
+        self._runs.append(
             RunSpan(
                 run_index=self._run_index,
                 start_round=self._run_start_round,
@@ -395,7 +379,7 @@ class SpanBuilder:
         for members in list(self._open_attempts):
             if members not in surviving:
                 record = self._open_attempts.pop(members)
-                self._emit_attempt(
+                self._attempts.append(
                     record.close(
                         round_index,
                         OUTCOME_INTERRUPTED,
@@ -432,16 +416,16 @@ class SpanBuilder:
         link = CausalLink(index, "primaryformed", round_index)
         record = self._open_attempts.pop(key, None)
         if record is not None:
-            self._emit_attempt(record.close(round_index, OUTCOME_RESOLVED, link))
+            self._attempts.append(record.close(round_index, OUTCOME_RESOLVED, link))
         elif run_had_broadcast:
             # An attempt we never saw open (no prior view for this
             # exact set) still resolved — synthesize its span so every
             # formation has a cause.  The silent initial declaration of
             # a fresh run (no messages yet) is not an attempt.
             synthetic = _OpenAttempt(self._run_index, key, round_index, link)
-            self._emit_attempt(synthetic.close(round_index, OUTCOME_RESOLVED, link))
+            self._attempts.append(synthetic.close(round_index, OUTCOME_RESOLVED, link))
         if self._primary is not None:
-            self._emit_primary(self._primary.close(round_index, "lost", link))
+            self._primaries.append(self._primary.close(round_index, "lost", link))
         self._primary = _OpenPrimary(self._run_index, members, round_index, link)
         self._quorum_base = key
 
@@ -451,7 +435,7 @@ class SpanBuilder:
         if self._primary is None:
             return
         link = CausalLink(index, "primarylost", round_index)
-        self._emit_primary(self._primary.close(round_index, "lost", link))
+        self._primaries.append(self._primary.close(round_index, "lost", link))
         self._primary = None
 
     # ------------------------------------------------------------------
@@ -478,26 +462,8 @@ class SpanBuilder:
         return BLAME_IDLE
 
     # ------------------------------------------------------------------
-    # Emission and finalization.
+    # Finalization.
     # ------------------------------------------------------------------
-
-    def _emit_attempt(self, span: AttemptSpan) -> None:
-        if self.store:
-            self._attempts.append(span)
-        if self._attempt_sink is not None:
-            self._attempt_sink(span)
-
-    def _emit_primary(self, span: PrimarySpan) -> None:
-        if self.store:
-            self._primaries.append(span)
-        if self._primary_sink is not None:
-            self._primary_sink(span)
-
-    def _emit_run(self, span: RunSpan) -> None:
-        if self.store:
-            self._runs.append(span)
-        if self._run_sink is not None:
-            self._run_sink(span)
 
     def finalize(self) -> SpanSet:
         """Close any dangling state and return the completed span set.
@@ -542,11 +508,9 @@ def spans_from_recorder(recorder: Any) -> SpanSet:
 
 
 def spans_from_jsonl(text: str) -> SpanSet:
-    """Reconstruct spans from canonical trace JSONL text."""
-    import json
+    """Reconstruct spans from canonical trace JSONL text.
 
-    builder = SpanBuilder()
-    for line in text.splitlines():
-        if line.strip():
-            builder.ingest(json.loads(line))
-    return builder.finalize()
+    Every line is held to :func:`repro.sim.trace.check_event` first, so
+    a damaged file is a ``ValueError`` naming the line.
+    """
+    return spans_from_dicts(read_trace_jsonl(text))

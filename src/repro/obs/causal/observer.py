@@ -1,4 +1,4 @@
-"""Live span reconstruction: subscribers that feed the builder.
+"""Live span reconstruction: the subscriber that feeds the builder.
 
 :class:`CausalObserver` is the live half of the differential pair: it
 subclasses :class:`~repro.sim.trace.TraceRecorder` and overrides only
@@ -9,33 +9,15 @@ same hooks, same order, same dicts — and feeds each one to a
 reconstruction of a recorded trace therefore replays the identical
 dict stream through the identical state machine; the byte-identity of
 the two paths is pinned by ``tests/test_causal.py``.
-
-:class:`CausalMetrics` folds the completed spans into a
-:class:`~repro.obs.MetricsRegistry` as integer series (see the table
-in its docstring), labelled with the case identity exactly like
-:class:`~repro.obs.CampaignMetrics` — which is what makes per-shard
-registries merge bit-identically in shard order across
-``run_cases_parallel`` workers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.obs.causal.builder import SpanBuilder
-from repro.obs.causal.spans import (
-    BLAME_CATEGORIES,
-    AttemptSpan,
-    PrimarySpan,
-    RunSpan,
-    SpanSet,
-)
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.sim.trace import TraceEvent, TraceRecorder
-
-#: Buckets for span-extent histograms: attempts settle within a few
-#: rounds, primary lifetimes run to the length of a run.
-SPAN_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+from repro.obs.causal.spans import SpanSet
+from repro.sim.trace import TraceRecorder
 
 
 class CausalObserver(TraceRecorder):
@@ -47,179 +29,13 @@ class CausalObserver(TraceRecorder):
     :class:`~repro.obs.causal.SpanSet`.
     """
 
-    def __init__(self, builder: Optional[SpanBuilder] = None) -> None:
+    def __init__(self) -> None:
         super().__init__(max_events=1)
-        self.builder = builder if builder is not None else SpanBuilder()
-        self.event_count = 0
+        self.builder = SpanBuilder()
 
-    def _append(self, event: TraceEvent) -> None:
-        self.builder.ingest(event.to_dict())
-        self.event_count += 1
+    def _append(self, event: Dict[str, Any]) -> None:
+        self.builder.ingest(event)
 
     def finalize(self) -> SpanSet:
         """The completed span set (idempotent; closes dangling state)."""
         return self.builder.finalize()
-
-
-class CausalMetrics(CausalObserver):
-    """Fold blame and span statistics into a metrics registry.
-
-    ==============================  =========  ===========================
-    series                          type       meaning
-    ==============================  =========  ===========================
-    ``blame_rounds_total``          counter    non-primary rounds per
-                                               category (label ``category``)
-    ``primary_rounds_total``        counter    rounds with a live primary
-    ``nonprimary_rounds_total``     counter    rounds without one
-    ``attempts_total``              counter    attempts per outcome
-                                               (label ``outcome``)
-    ``attempts_interrupted``        counter    interrupted attempts per
-                                               change kind (label ``change``)
-    ``attempt_rounds``              histogram  open-to-close extent per
-                                               outcome (label ``outcome``)
-    ``primary_span_rounds``         histogram  primary lifetimes that ended
-    ==============================  =========  ===========================
-
-    All observations are integers, so shard registries merged in shard
-    order are bit-identical to the serial registry — the same contract
-    :class:`~repro.obs.CampaignMetrics` satisfies.
-    """
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        labels: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        super().__init__(
-            builder=SpanBuilder(
-                store=False,
-                attempt_sink=self._fold_attempt,
-                primary_sink=self._fold_primary,
-                run_sink=self._fold_run,
-            )
-        )
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._extra_labels = dict(labels or {})
-        self._labels: Optional[Dict[str, str]] = None
-        self._bound_for: Optional[Dict[str, str]] = None
-        self._blame: Dict[str, Counter] = {}
-        self._primary_rounds: Counter
-        self._nonprimary_rounds: Counter
-        self._attempts: Dict[str, Counter] = {}
-        self._interrupted: Dict[str, Counter] = {}
-        self._attempt_rounds: Dict[str, Histogram] = {}
-        self._primary_span_rounds: Histogram
-
-    # ------------------------------------------------------------------
-    # Label binding (same protocol as CampaignMetrics).
-    # ------------------------------------------------------------------
-
-    def on_case_start(self, config: Any) -> None:
-        """Adopt the case's identity as the label set for every series."""
-        self._labels = {
-            "algorithm": str(config.algorithm),
-            "mode": str(config.mode),
-            "processes": str(config.n_processes),
-            "changes": str(config.n_changes),
-            "rate": str(config.mean_rounds_between_changes),
-            **{str(k): str(v) for k, v in self._extra_labels.items()},
-        }
-
-    def on_case_end(self, result: Any) -> None:
-        """Settle dangling spans so the registry covers the whole case."""
-        self.finalize()
-
-    def _bind(self, driver: Any) -> None:
-        labels = self._labels
-        if labels is None:
-            labels = {
-                "algorithm": str(driver.algorithm_name),
-                **{str(k): str(v) for k, v in self._extra_labels.items()},
-            }
-        self._bind_labels(labels)
-
-    def _bind_fallback(self) -> None:
-        """Bind with whatever labels exist (offline replay has no driver)."""
-        self._bind_labels(
-            self._labels
-            or {str(k): str(v) for k, v in self._extra_labels.items()}
-        )
-
-    def _bind_labels(self, labels: Dict[str, str]) -> None:
-        if self._bound_for == labels:
-            return
-        registry = self.registry
-        self._blame = {
-            category: registry.counter(
-                "blame_rounds_total", category=category, **labels
-            )
-            for category in BLAME_CATEGORIES
-        }
-        self._primary_rounds = registry.counter(
-            "primary_rounds_total", **labels
-        )
-        self._nonprimary_rounds = registry.counter(
-            "nonprimary_rounds_total", **labels
-        )
-        self._attempts = {}
-        self._interrupted = {}
-        self._attempt_rounds = {}
-        self._primary_span_rounds = registry.histogram(
-            "primary_span_rounds", buckets=SPAN_BUCKETS, **labels
-        )
-        self._bound_for = dict(labels)
-
-    def on_run_start(self, driver: Any) -> None:
-        """Bind label values from the driver, then delegate to the base."""
-        self._bind(driver)
-        super().on_run_start(driver)
-
-    # ------------------------------------------------------------------
-    # Builder sinks.
-    # ------------------------------------------------------------------
-
-    def _fold_run(self, run: RunSpan) -> None:
-        if self._bound_for is None:  # driverless replay: bind bare labels
-            self._bind_fallback()
-        self._primary_rounds.value += run.primary_rounds
-        self._nonprimary_rounds.value += run.nonprimary_rounds
-        for category, count in run.blame:
-            self._blame[category].value += count
-
-    def _fold_attempt(self, span: AttemptSpan) -> None:
-        if self._bound_for is None:
-            self._bind_fallback()
-        labels = dict(self._bound_for or {})
-        counter = self._attempts.get(span.outcome)
-        if counter is None:
-            counter = self.registry.counter(
-                "attempts_total", outcome=span.outcome, **labels
-            )
-            self._attempts[span.outcome] = counter
-        counter.value += 1
-        histogram = self._attempt_rounds.get(span.outcome)
-        if histogram is None:
-            histogram = self.registry.histogram(
-                "attempt_rounds",
-                buckets=SPAN_BUCKETS,
-                outcome=span.outcome,
-                **labels,
-            )
-            self._attempt_rounds[span.outcome] = histogram
-        histogram.observe(span.rounds)
-        if span.interrupted_by is not None:
-            interrupted = self._interrupted.get(span.interrupted_by)
-            if interrupted is None:
-                interrupted = self.registry.counter(
-                    "attempts_interrupted",
-                    change=span.interrupted_by,
-                    **labels,
-                )
-                self._interrupted[span.interrupted_by] = interrupted
-            interrupted.value += 1
-
-    def _fold_primary(self, span: PrimarySpan) -> None:
-        if self._bound_for is None:
-            self._bind_fallback()
-        if span.lost_round is not None:
-            self._primary_span_rounds.observe(span.rounds)

@@ -21,7 +21,7 @@ import html
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.obs.canonical import canonical_jsonl
+from repro.obs.canonical import canonical_jsonl, write_text
 from repro.obs.causal.spans import (
     ATTEMPT_OUTCOMES,
     BLAME_CATEGORIES,
@@ -29,8 +29,8 @@ from repro.obs.causal.spans import (
 )
 from repro.obs.metrics import Histogram
 
-#: Buckets of the report-side attempt-extent distribution (mirrors
-#: ``repro.obs.causal.observer.SPAN_BUCKETS``).
+#: Buckets of the attempt-extent distribution: attempts settle within
+#: a few rounds, the tail runs to the length of a run.
 REPORT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
@@ -41,10 +41,7 @@ def spans_to_jsonl(spans: SpanSet) -> str:
 
 def write_spans_jsonl(spans: SpanSet, path: Union[str, Path]) -> Path:
     """Write the canonical span JSONL; returns the written path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(spans_to_jsonl(spans), encoding="utf-8")
-    return path
+    return write_text(path, spans_to_jsonl(spans))
 
 
 def attempt_rounds_histogram(
@@ -294,7 +291,4 @@ def write_html_report(
     **kwargs: Any,
 ) -> Path:
     """Write the HTML report; returns the written path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_html_report(spans, **kwargs), encoding="utf-8")
-    return path
+    return write_text(path, render_html_report(spans, **kwargs))

@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from repro.obs.canonical import canonical_jsonl
+from repro.obs.canonical import (
+    canonical_jsonl,
+    read_jsonl,
+    require_fields,
+    write_text,
+)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -62,10 +66,15 @@ def write_metrics_jsonl(
     registry: MetricsRegistry, path: Union[str, Path]
 ) -> Path:
     """Write the canonical JSONL export; returns the written path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(registry_to_jsonl(registry), encoding="utf-8")
-    return path
+    return write_text(path, registry_to_jsonl(registry))
+
+
+#: type → the value fields a line of that type must carry.
+_VALUE_FIELDS = {
+    "counter": ("value",),
+    "gauge": ("value",),
+    "histogram": ("bounds", "buckets", "count", "sum", "min", "max"),
+}
 
 
 def _series_from_dict(data: Dict[str, Any]) -> MetricSeries:
@@ -74,9 +83,12 @@ def _series_from_dict(data: Dict[str, Any]) -> MetricSeries:
         raise ValueError(
             f"not a metrics line (kind={data.get('kind')!r})"
         )
+    metric_type = data.get("type")
+    if metric_type not in _VALUE_FIELDS:
+        raise ValueError(f"unknown metric type {metric_type!r}")
+    require_fields(data, ("name", "labels", *_VALUE_FIELDS[metric_type]))
     name = data["name"]
     labels = tuple(sorted((str(k), str(v)) for k, v in data["labels"].items()))
-    metric_type = data.get("type")
     if metric_type == "counter":
         counter = Counter(name, labels)
         counter.value = data["value"]
@@ -86,30 +98,19 @@ def _series_from_dict(data: Dict[str, Any]) -> MetricSeries:
         gauge.value = data["value"]
         gauge.written = bool(data.get("written", True))
         return gauge
-    if metric_type == "histogram":
-        histogram = Histogram(name, labels, tuple(data["bounds"]))
-        histogram.bucket_counts = list(data["buckets"])
-        histogram.count = data["count"]
-        histogram.sum = data["sum"]
-        histogram.min = data["min"]
-        histogram.max = data["max"]
-        return histogram
-    raise ValueError(f"unknown metric type {metric_type!r}")
+    histogram = Histogram(name, labels, tuple(data["bounds"]))
+    histogram.bucket_counts = list(data["buckets"])
+    histogram.count = data["count"]
+    histogram.sum = data["sum"]
+    histogram.min = data["min"]
+    histogram.max = data["max"]
+    return histogram
 
 
 def registry_from_jsonl(text: str) -> MetricsRegistry:
     """Rebuild a registry from :func:`registry_to_jsonl` output."""
     registry = MetricsRegistry()
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(
-                f"metrics line {line_number}: not valid JSON ({error})"
-            ) from error
-        series = _series_from_dict(data)
+    for line_number, series in read_jsonl(text, "metrics", _series_from_dict):
         existing = registry.get(series.name, dict(series.labels))
         if existing is not None:
             raise ValueError(
@@ -164,7 +165,4 @@ def write_metrics_csv(
     registry: MetricsRegistry, path: Union[str, Path]
 ) -> Path:
     """Write the CSV export; returns the written path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(registry_to_csv(registry), encoding="utf-8")
-    return path
+    return write_text(path, registry_to_csv(registry))

@@ -25,12 +25,16 @@ what the dead child saw (:func:`crash_dump_path` names the file).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.obs.canonical import canonical_jsonl
+from repro.obs.canonical import (
+    canonical_jsonl,
+    read_jsonl,
+    require_fields,
+    write_text,
+)
 
 #: Envelope stamp on every recorded event line.
 FLIGHT_KIND = "repro.obs/flight"
@@ -118,10 +122,7 @@ class FlightRecorder:
 
     def dump(self, path: Union[str, Path]) -> Path:
         """Write the canonical dump to ``path``; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl(), encoding="utf-8")
-        return path
+        return write_text(path, self.to_jsonl())
 
 
 # ----------------------------------------------------------------------
@@ -156,32 +157,30 @@ def write_crash_dump(
 # ----------------------------------------------------------------------
 
 
+#: kind → the fields a dumped line of that kind must carry.
+_LINE_FIELDS = {
+    FLIGHT_HEADER_KIND: ("node", "capacity", "recorded", "dropped"),
+    FLIGHT_KIND: ("node", "seq", "event"),
+}
+
+
+def _check_line(data: Dict[str, Any]) -> Dict[str, Any]:
+    kind = data.get("kind")
+    if kind not in _LINE_FIELDS:
+        raise ValueError(f"not a flight line (kind={kind!r})")
+    require_fields(data, _LINE_FIELDS[kind])
+    return data
+
+
 def parse_flight_jsonl(
     text: str,
 ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
     """Split dump text into (headers, events); rejects foreign lines."""
-    headers: List[Dict[str, Any]] = []
-    events: List[Dict[str, Any]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"flight line {line_number}: not valid JSON ({exc})"
-            ) from exc
-        kind = data.get("kind")
-        if kind == FLIGHT_HEADER_KIND:
-            headers.append(data)
-        elif kind == FLIGHT_KIND:
-            events.append(data)
-        else:
-            raise ValueError(
-                f"flight line {line_number}: not a flight line "
-                f"(kind={kind!r})"
-            )
-    return headers, events
+    lines = [data for _, data in read_jsonl(text, "flight", _check_line)]
+    return (
+        [data for data in lines if data["kind"] == FLIGHT_HEADER_KIND],
+        [data for data in lines if data["kind"] == FLIGHT_KIND],
+    )
 
 
 def load_flight_dump(

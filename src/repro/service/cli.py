@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 from repro.core.registry import algorithm_names
+from repro.obs.canonical import canonical_json, canonical_jsonl, write_text
 
 
 def _add_algorithm(parser: argparse.ArgumentParser) -> None:
@@ -215,10 +216,7 @@ def run_load(args: argparse.Namespace) -> int:
             return 1
         print("replay verified: byte-identical report")
     if collector is not None:
-        args.telemetry_out.parent.mkdir(parents=True, exist_ok=True)
-        args.telemetry_out.write_text(
-            collector.aggregated_jsonl(), encoding="utf-8"
-        )
+        write_text(args.telemetry_out, collector.aggregated_jsonl())
         print(
             f"telemetry written: {args.telemetry_out} "
             f"(digest {collector.aggregated_digest()[:16]})"
@@ -230,13 +228,11 @@ def run_load(args: argparse.Namespace) -> int:
         # Re-run the cluster state for the final ops view would be
         # wasteful; the report already carries per-stage rows, so the
         # ops view here is the fault-free shape of the same cluster.
-        from repro.obs.canonical import canonical_line
         from repro.service.cluster import StoreCluster
 
         cluster = StoreCluster(report["n_processes"], args.algorithm)
         cluster.warm_up()
-        args.ops_out.parent.mkdir(parents=True, exist_ok=True)
-        args.ops_out.write_bytes(canonical_line(cluster.ops_view()))
+        write_text(args.ops_out, canonical_jsonl([cluster.ops_view()]))
         print(f"ops view written: {args.ops_out}")
     return 0
 
@@ -274,8 +270,6 @@ def _describe_dump(path: Path, tail: int) -> int:
             f"{first_line[-1] if first_line else 'unknown error'}"
         )
     if tail > 0:
-        from repro.obs.canonical import canonical_json
-
         print(f"  last {min(tail, len(events))} event(s):")
         for event in events[-tail:]:
             print(f"    {canonical_json(event)}")
@@ -305,11 +299,9 @@ def run_telemetry(args: argparse.Namespace) -> int:
             )
             return 1
         print("replay verified: byte-identical telemetry stream")
-    collector.fold()
     print(collector.describe())
     print(f"aggregated digest: {collector.aggregated_digest()}")
     if args.tail > 0:
-        from repro.obs.canonical import canonical_json
         from repro.obs.telemetry import FLIGHT_HEADER_KIND
 
         events = [
@@ -321,16 +313,10 @@ def run_telemetry(args: argparse.Namespace) -> int:
         for event in events[-args.tail:]:
             print(f"  {canonical_json(event)}")
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(
-            collector.aggregated_jsonl(), encoding="utf-8"
-        )
+        write_text(args.out, collector.aggregated_jsonl())
         print(f"telemetry written: {args.out}")
     if args.metrics_out is not None:
-        args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
-        args.metrics_out.write_text(
-            render_prometheus(collector.registry), encoding="utf-8"
-        )
+        write_text(args.metrics_out, render_prometheus(collector.fold()))
         print(f"metrics written: {args.metrics_out}")
     return 0
 

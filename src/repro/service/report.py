@@ -15,7 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.obs.canonical import canonical_json
+from repro.obs.canonical import canonical_json, write_text
 from repro.service.blame import SERVICE_BLAME_CATEGORIES
 from repro.service.load import LoadProfile
 
@@ -87,10 +87,7 @@ def render_report(report: Dict[str, Any]) -> str:
 
 def write_report(report: Dict[str, Any], path: Path) -> Path:
     """Write the canonical report text to ``path`` and return it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_report(report), encoding="utf-8")
-    return path
+    return write_text(path, render_report(report))
 
 
 def describe_report(report: Dict[str, Any]) -> str:

@@ -25,7 +25,6 @@ from repro.sim.statehash import (
     state_digest,
     state_fingerprint,
 )
-from repro.sim.run import RunConfig, RunResult, build_driver, run_single
 from repro.sim.stats import (
     AmbiguousSessionCollector,
     AvailabilityCollector,
@@ -57,11 +56,8 @@ __all__ = [
     "MODE_FRESH",
     "MessageSizeCollector",
     "ProcessEndpoint",
-    "RunConfig",
-    "RunResult",
     "TraceDigester",
     "TraceRecorder",
-    "build_driver",
     "canonical_driver_state",
     "compare_algorithms",
     "derive_rng",
@@ -75,7 +71,6 @@ __all__ = [
     "state_fingerprint",
     "run_case",
     "run_cases_parallel",
-    "run_single",
     "trace_canonical_json",
     "trace_digest",
 ]

@@ -81,7 +81,6 @@ def ensure_batchable(
         "collect_ambiguous",
         "collect_message_sizes",
         "collect_metrics",
-        "collect_causal",
     ):
         if getattr(config, flag):
             raise UnsupportedBatchConfig(

@@ -61,14 +61,6 @@ class CaseConfig:
     #: Attach a :class:`repro.obs.CampaignMetrics` subscriber and return
     #: its registry on :attr:`CaseResult.metrics`.
     collect_metrics: bool = False
-    #: Attach a :class:`repro.obs.causal.CausalMetrics` subscriber: the
-    #: per-round blame breakdown and span statistics land in the same
-    #: :attr:`CaseResult.metrics` registry (shared with
-    #: ``collect_metrics`` when both are set).  Because the registry is
-    #: the cross-process channel of ``run_cases_parallel``, this flag —
-    #: not an observer instance — is how parallel campaigns collect
-    #: causal statistics with deterministic merge.
-    collect_causal: bool = False
     change_generator: Optional[UniformChangeGenerator] = None
     schedule: Optional[ChangeSchedule] = None
     cut_probability: float = 0.5
@@ -159,7 +151,6 @@ def run_case(
     ambiguous: Optional[AmbiguousSessionCollector] = None
     sizes: Optional[MessageSizeCollector] = None
     metrics: Optional[CampaignMetrics] = None
-    registry: Optional[MetricsRegistry] = None
     if config.collect_ambiguous:
         ambiguous = AmbiguousSessionCollector(monitored_pid=0)
         subscribers.append(ambiguous)
@@ -168,17 +159,7 @@ def run_case(
         subscribers.append(sizes)
     if config.collect_metrics:
         metrics = CampaignMetrics()
-        registry = metrics.registry
         subscribers.append(metrics)
-    if config.collect_causal:
-        # Imported here, not at module top: the causal package pulls in
-        # the trace recorder, which this module's own import chain feeds
-        # (see the lazy re-export note in ``repro.obs``).
-        from repro.obs.causal import CausalMetrics
-
-        causal = CausalMetrics(registry=registry)
-        registry = causal.registry
-        subscribers.append(causal)
     subscribers.extend(observers)
 
     for subscriber in subscribers:
@@ -222,8 +203,8 @@ def run_case(
     if sizes is not None:
         result.message_max_bytes = sizes.max_bytes
         result.message_mean_bytes = sizes.mean_bytes
-    if registry is not None:
-        result.metrics = registry
+    if metrics is not None:
+        result.metrics = metrics.registry
     for subscriber in subscribers:
         subscriber.on_case_end(result)
     return result

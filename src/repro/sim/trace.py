@@ -2,23 +2,24 @@
 
 A :class:`TraceRecorder` observes a driver loop and records every
 interesting event — rounds, broadcasts, connectivity changes, view
-installations, primary formations and losses — as typed, timestamped
-(by round) entries.  Traces serve three audiences:
+installations, primary formations and losses — as one dict per event,
+stamped with its ``kind`` and round: the dict the event's line of trace
+JSONL parses back to (:data:`EVENT_FIELDS`).  Traces serve three
+audiences:
 
 * debugging an algorithm implementation (the renderer draws a compact
   per-round timeline of who sent what and which views exist);
 * tests that assert *how* an execution unfolded, not just its outcome;
 * export (`to_dicts`) for external tooling.
 
-Recording is allocation-light: one small dataclass per event, bounded
-by ``max_events`` so long cascading campaigns cannot exhaust memory.
+Recording is allocation-light: one small dict per event, bounded by
+``max_events`` so long cascading campaigns cannot exhaust memory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
@@ -28,191 +29,101 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
 
 from repro.core.message import Message
 from repro.obs import Subscriber
-from repro.obs.canonical import canonical_jsonl, canonical_line
+from repro.obs.canonical import (
+    canonical_digest,
+    canonical_jsonl,
+    canonical_line,
+    read_jsonl,
+    require_fields,
+    write_text,
+)
 from repro.types import ProcessId, sorted_members
 
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """Base class: something that happened at a given round."""
-
-    round_index: int
-
-    @property
-    def kind(self) -> str:
-        return type(self).__name__.replace("Event", "").lower()
-
-    def describe(self) -> str:  # pragma: no cover - overridden
-        """One-line human-readable rendering for the timeline."""
-        return self.kind
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible form of this event."""
-        data: Dict[str, Any] = {"kind": self.kind, "round": self.round_index}
-        data.update(self._fields())
-        return data
-
-    def _fields(self) -> Dict[str, Any]:
-        return {}
-
-
-@dataclass(frozen=True)
-class BroadcastEvent(TraceEvent):
-    sender: ProcessId
-    items: Tuple[str, ...]
-
-    def describe(self) -> str:
-        inner = ", ".join(self.items) if self.items else "app payload"
-        return f"p{self.sender} ⇒ [{inner}]"
-
-    def _fields(self) -> Dict[str, Any]:
-        return {"sender": self.sender, "items": list(self.items)}
-
-
-@dataclass(frozen=True)
-class ChangeEvent(TraceEvent):
-    description: str
-    components_after: Tuple[Tuple[ProcessId, ...], ...]
-
-    def describe(self) -> str:
-        parts = " ".join(
-            "{" + ",".join(map(str, c)) + "}" for c in self.components_after
-        )
-        return f"change {self.description} → {parts}"
-
-    def _fields(self) -> Dict[str, Any]:
-        return {
-            "change": self.description,
-            "components_after": [list(c) for c in self.components_after],
-        }
-
-
-@dataclass(frozen=True)
-class ViewEvent(TraceEvent):
-    view_seq: int
-    members: Tuple[ProcessId, ...]
-
-    def describe(self) -> str:
-        inner = ",".join(map(str, self.members))
-        return f"view#{self.view_seq}{{{inner}}} installed"
-
-    def _fields(self) -> Dict[str, Any]:
-        return {"view_seq": self.view_seq, "members": list(self.members)}
-
-
-@dataclass(frozen=True)
-class PrimaryFormedEvent(TraceEvent):
-    members: Tuple[ProcessId, ...]
-
-    def describe(self) -> str:
-        inner = ",".join(map(str, self.members))
-        return f"PRIMARY {{{inner}}}"
-
-    def _fields(self) -> Dict[str, Any]:
-        return {"members": list(self.members)}
-
-
-@dataclass(frozen=True)
-class PrimaryLostEvent(TraceEvent):
-    members: Tuple[ProcessId, ...]
-
-    def describe(self) -> str:
-        inner = ",".join(map(str, self.members))
-        return f"primary {{{inner}}} dissolved"
-
-    def _fields(self) -> Dict[str, Any]:
-        return {"members": list(self.members)}
-
-
-@dataclass(frozen=True)
-class RunBoundaryEvent(TraceEvent):
-    run_index: int
-    boundary: str  # "start" | "end"
-    available: Optional[bool] = None
-
-    def describe(self) -> str:
-        if self.boundary == "start":
-            return f"— run {self.run_index} begins —"
-        verdict = "available" if self.available else "NO primary"
-        return f"— run {self.run_index} ends: {verdict} —"
-
-    def _fields(self) -> Dict[str, Any]:
-        return {
-            "run_index": self.run_index,
-            "boundary": self.boundary,
-            "available": self.available,
-        }
-
-
-#: kind string → event class, the inverse of :attr:`TraceEvent.kind`.
-_EVENT_TYPES: Dict[str, type] = {
-    "broadcast": BroadcastEvent,
-    "change": ChangeEvent,
-    "view": ViewEvent,
-    "primaryformed": PrimaryFormedEvent,
-    "primarylost": PrimaryLostEvent,
-    "runboundary": RunBoundaryEvent,
+#: One trace event is the dict its JSONL line parses to: ``kind``, and
+#: for each kind the fields below, each of the named shape.  The
+#: recorder's hooks build exactly these dicts; :func:`check_event` holds
+#: a line read from a file to the same table.
+EVENT_FIELDS: Dict[str, Dict[str, str]] = {
+    "broadcast": {"round": "int", "sender": "int", "items": "strs"},
+    "change": {"round": "int", "change": "str", "components_after": "groups"},
+    "view": {"round": "int", "view_seq": "int", "members": "ints"},
+    "primaryformed": {"round": "int", "members": "ints"},
+    "primarylost": {"round": "int", "members": "ints"},
+    "runboundary": {
+        "round": "int",
+        "run_index": "int",
+        "boundary": "str",
+        "available": "flag",
+    },
+    "truncation": {
+        "truncated": "flag",
+        "dropped_events": "int",
+        "max_events": "int",
+    },
 }
 
 
-def event_from_dict(data: Mapping[str, Any]) -> TraceEvent:
-    """Rebuild one :class:`TraceEvent` from its :meth:`~TraceEvent.to_dict` form.
+def _is_list_of(kind: type, value: Any) -> bool:
+    return type(value) is list and all(type(item) is kind for item in value)
 
-    The exact inverse of the export encoding:
-    ``event_from_dict(e.to_dict()).to_dict() == e.to_dict()`` for every
-    event kind (property-tested), which is what lets recorded traces be
-    replayed offline — through the span reconstructor, the timeline
-    renderer, or a fresh digest — from nothing but their JSONL.
+
+_SHAPES = {
+    "int": lambda value: type(value) is int,
+    "str": lambda value: type(value) is str,
+    "flag": lambda value: value is None or type(value) is bool,
+    "ints": lambda value: _is_list_of(int, value),
+    "strs": lambda value: _is_list_of(str, value),
+    "groups": lambda value: (
+        type(value) is list and all(_is_list_of(int, g) for g in value)
+    ),
+}
+
+
+def check_event(data: Dict[str, Any]) -> Dict[str, Any]:
+    """Return ``data`` if it is a well-formed trace event, else ValueError.
+
+    Traces come back from files (``explain --replay``), so an unknown
+    ``kind``, a missing field or a field of the wrong shape is rejected
+    here, by name, before any consumer indexes into the line.  Extra
+    fields are let through.
     """
     kind = data.get("kind")
-    round_index = int(data["round"])
-    if kind == "broadcast":
-        return BroadcastEvent(
-            round_index=round_index,
-            sender=int(data["sender"]),
-            items=tuple(str(item) for item in data["items"]),
-        )
+    fields = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ValueError(f"unknown trace event kind {kind!r}")
+    require_fields(data, fields)
+    for name, shape in fields.items():
+        if not _SHAPES[shape](data[name]):
+            raise ValueError(f"field {name!r} is not {shape}: {data[name]!r}")
+    return data
+
+
+def describe_event(event: Mapping[str, Any]) -> str:
+    """One-line human-readable rendering of a non-broadcast event."""
+    kind = event["kind"]
     if kind == "change":
-        return ChangeEvent(
-            round_index=round_index,
-            description=str(data["change"]),
-            components_after=tuple(
-                tuple(int(p) for p in component)
-                for component in data["components_after"]
-            ),
+        parts = " ".join(
+            "{" + ",".join(map(str, c)) + "}"
+            for c in event["components_after"]
         )
-    if kind == "view":
-        return ViewEvent(
-            round_index=round_index,
-            view_seq=int(data["view_seq"]),
-            members=tuple(int(p) for p in data["members"]),
-        )
-    if kind == "primaryformed":
-        return PrimaryFormedEvent(
-            round_index=round_index,
-            members=tuple(int(p) for p in data["members"]),
-        )
-    if kind == "primarylost":
-        return PrimaryLostEvent(
-            round_index=round_index,
-            members=tuple(int(p) for p in data["members"]),
-        )
+        return f"change {event['change']} → {parts}"
     if kind == "runboundary":
-        available = data.get("available")
-        return RunBoundaryEvent(
-            round_index=round_index,
-            run_index=int(data["run_index"]),
-            boundary=str(data["boundary"]),
-            available=None if available is None else bool(available),
-        )
-    raise ValueError(f"unknown trace event kind {kind!r}")
+        if event["boundary"] == "start":
+            return f"— run {event['run_index']} begins —"
+        verdict = "available" if event["available"] else "NO primary"
+        return f"— run {event['run_index']} ends: {verdict} —"
+    inner = ",".join(map(str, event["members"]))
+    if kind == "view":
+        return f"view#{event['view_seq']}{{{inner}}} installed"
+    if kind == "primaryformed":
+        return f"PRIMARY {{{inner}}}"
+    return f"primary {{{inner}}} dissolved"
 
 
 class TraceRecorder(Subscriber):
@@ -222,7 +133,7 @@ class TraceRecorder(Subscriber):
         if max_events < 1:
             raise ValueError("max_events must be positive")
         self.max_events = max_events
-        self.events: List[TraceEvent] = []
+        self.events: List[Dict[str, Any]] = []
         self.truncated = False
         #: Events that arrived after the cap and were not recorded.
         self.dropped_events = 0
@@ -235,70 +146,75 @@ class TraceRecorder(Subscriber):
 
     def on_run_start(self, driver) -> None:
         self._append(
-            RunBoundaryEvent(
-                round_index=driver.round_index,
-                run_index=self._run_index,
-                boundary="start",
-            )
+            {
+                "kind": "runboundary",
+                "round": driver.round_index,
+                "run_index": self._run_index,
+                "boundary": "start",
+                "available": None,
+            }
         )
 
     def on_broadcast(self, driver, sender: ProcessId, message: Message) -> None:
-        items: Tuple[str, ...] = ()
+        items: List[str] = []
         if message.piggyback is not None:
-            items = tuple(
-                type(item).__name__ for item in message.piggyback.items
-            )
+            items = [type(item).__name__ for item in message.piggyback.items]
         self._append(
-            BroadcastEvent(
-                round_index=driver.round_index, sender=sender, items=items
-            )
+            {
+                "kind": "broadcast",
+                "round": driver.round_index,
+                "sender": sender,
+                "items": items,
+            }
         )
 
     def on_change(self, driver, change) -> None:
         self._append(
-            ChangeEvent(
-                round_index=driver.round_index,
-                description=change.describe(),
-                components_after=tuple(
-                    sorted_members(c) for c in driver.topology.components
-                ),
-            )
+            {
+                "kind": "change",
+                "round": driver.round_index,
+                "change": change.describe(),
+                "components_after": [
+                    list(sorted_members(c)) for c in driver.topology.components
+                ],
+            }
         )
 
     def on_round(self, driver) -> None:
         for view in driver.views_installed_this_round:
             self._append(
-                ViewEvent(
-                    round_index=driver.round_index,
-                    view_seq=view.seq,
-                    members=sorted_members(view.members),
-                )
+                {
+                    "kind": "view",
+                    "round": driver.round_index,
+                    "view_seq": view.seq,
+                    "members": list(sorted_members(view.members)),
+                }
             )
         current = driver.primary_members()
         if current != self._live_primary:
-            if self._live_primary is not None:
-                self._append(
-                    PrimaryLostEvent(
-                        round_index=driver.round_index,
-                        members=self._live_primary,
+            for kind, members in (
+                ("primarylost", self._live_primary),
+                ("primaryformed", current),
+            ):
+                if members is not None:
+                    self._append(
+                        {
+                            "kind": kind,
+                            "round": driver.round_index,
+                            "members": list(members),
+                        }
                     )
-                )
-            if current is not None:
-                self._append(
-                    PrimaryFormedEvent(
-                        round_index=driver.round_index, members=current
-                    )
-                )
             self._live_primary = current
 
     def on_run_end(self, driver) -> None:
         self._append(
-            RunBoundaryEvent(
-                round_index=driver.round_index,
-                run_index=self._run_index,
-                boundary="end",
-                available=driver.primary_exists(),
-            )
+            {
+                "kind": "runboundary",
+                "round": driver.round_index,
+                "run_index": self._run_index,
+                "boundary": "end",
+                "available": driver.primary_exists(),
+            }
         )
         self._run_index += 1
 
@@ -306,7 +222,7 @@ class TraceRecorder(Subscriber):
     # Queries and export.
     # ------------------------------------------------------------------
 
-    def _append(self, event: TraceEvent) -> None:
+    def _append(self, event: Dict[str, Any]) -> None:
         if len(self.events) >= self.max_events:
             self.truncated = True
             self.dropped_events += 1
@@ -316,20 +232,20 @@ class TraceRecorder(Subscriber):
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_kind(self, kind: str) -> List[TraceEvent]:
+    def of_kind(self, kind: str) -> List[Dict[str, Any]]:
         """All recorded events of one kind (e.g. ``"view"``)."""
-        return [event for event in self.events if event.kind == kind]
+        return [event for event in self.events if event["kind"] == kind]
 
-    def formations(self) -> List[PrimaryFormedEvent]:
+    def formations(self) -> List[Dict[str, Any]]:
         """Every primary-formation event, in order."""
-        return [e for e in self.events if isinstance(e, PrimaryFormedEvent)]
+        return self.of_kind("primaryformed")
 
     def rounds_with_traffic(self) -> List[int]:
         """Round indices at which at least one broadcast happened."""
-        return sorted({e.round_index for e in self.events if isinstance(e, BroadcastEvent)})
+        return sorted({e["round"] for e in self.of_kind("broadcast")})
 
     def to_dicts(self) -> List[Dict[str, Any]]:
-        """JSON-ready form of the whole trace.
+        """The whole trace, one JSON-ready dict per line of its JSONL.
 
         A truncated trace ends with an explicit marker entry carrying
         the dropped-event count, so capped exports can never be
@@ -337,7 +253,7 @@ class TraceRecorder(Subscriber):
         their events — no marker — which keeps historical golden files
         byte-stable.
         """
-        dicts = [event.to_dict() for event in self.events]
+        dicts = list(self.events)
         if self.truncated:
             dicts.append(
                 {
@@ -349,16 +265,16 @@ class TraceRecorder(Subscriber):
             )
         return dicts
 
-    def iter_rounds(self) -> Iterator[Tuple[int, List[TraceEvent]]]:
+    def iter_rounds(self) -> Iterator[Tuple[int, List[Dict[str, Any]]]]:
         """Events grouped by round, in order."""
         current_round: Optional[int] = None
-        bucket: List[TraceEvent] = []
+        bucket: List[Dict[str, Any]] = []
         for event in self.events:
             if current_round is None:
-                current_round = event.round_index
-            if event.round_index != current_round:
+                current_round = event["round"]
+            if event["round"] != current_round:
                 yield current_round, bucket
-                current_round, bucket = event.round_index, []
+                current_round, bucket = event["round"], []
             bucket.append(event)
         if bucket:
             assert current_round is not None
@@ -382,29 +298,17 @@ def trace_canonical_json(recorder: TraceRecorder) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _event_line(event: TraceEvent) -> bytes:
-    """One event as a canonical JSON line (sorted keys, newline-framed).
-
-    Delegates to the shared :mod:`repro.obs.canonical` encoder — the
-    same framing the metrics and span exporters use — so every golden
-    digest in the repo is defined by one encoder.
-    """
-    return canonical_line(event.to_dict())
-
-
 def trace_digest(recorder: TraceRecorder) -> str:
     """SHA-256 hex digest over the canonical per-event JSON stream.
 
     Digests let large executions (a 10k-round campaign) be pinned in a
     golden file of a few dozen bytes instead of megabytes of JSON.  The
     digest is defined over the newline-framed canonical JSON of each
-    event in order, which is exactly what :class:`TraceDigester`
-    computes incrementally — the two always agree on the same run.
+    event in order (the truncation marker is not an event), which is
+    exactly what :class:`TraceDigester` computes incrementally — the
+    two always agree on the same run.
     """
-    sha = hashlib.sha256()
-    for event in recorder.events:
-        sha.update(_event_line(event))
-    return sha.hexdigest()
+    return canonical_digest(recorder.events)
 
 
 def trace_to_jsonl(recorder: TraceRecorder) -> str:
@@ -418,43 +322,33 @@ def trace_to_jsonl(recorder: TraceRecorder) -> str:
     return canonical_jsonl(recorder.to_dicts())
 
 
-def events_from_jsonl(text: str) -> Tuple[List[TraceEvent], bool]:
+def read_trace_jsonl(text: str) -> Iterator[Dict[str, Any]]:
+    """Every line of trace JSONL as a checked event dict, marker included."""
+    for _, data in read_jsonl(text, "trace", check_event):
+        yield data
+
+
+def events_from_jsonl(text: str) -> Tuple[List[Dict[str, Any]], bool]:
     """Parse trace JSONL back into events.
 
     Returns ``(events, truncated)`` — ``truncated`` is True when the
-    text ends with a ``truncation`` marker line (which is consumed, not
+    text carries a ``truncation`` marker line (which is consumed, not
     returned as an event).
     """
-    events: List[TraceEvent] = []
-    truncated = False
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(
-                f"trace line {line_number}: not valid JSON ({error})"
-            ) from error
-        if data.get("kind") == "truncation":
-            truncated = True
-            continue
-        events.append(event_from_dict(data))
-    return events, truncated
+    lines = list(read_trace_jsonl(text))
+    events = [data for data in lines if data["kind"] != "truncation"]
+    return events, len(events) < len(lines)
 
 
 def write_trace_jsonl(
     recorder: TraceRecorder, path: Union[str, Path]
 ) -> Path:
     """Write the canonical trace JSONL; returns the written path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(trace_to_jsonl(recorder), encoding="utf-8")
-    return path
+    return write_text(path, trace_to_jsonl(recorder))
 
 
 def recorder_from_events(
-    events: Iterable[TraceEvent], truncated: bool = False
+    events: Iterable[Dict[str, Any]], truncated: bool = False
 ) -> TraceRecorder:
     """A recorder pre-filled with existing events (offline replay).
 
@@ -485,8 +379,8 @@ class TraceDigester(TraceRecorder):
         self._sha = hashlib.sha256()
         self.event_count = 0
 
-    def _append(self, event: TraceEvent) -> None:
-        self._sha.update(_event_line(event))
+    def _append(self, event: Dict[str, Any]) -> None:
+        self._sha.update(canonical_line(event))
         self.event_count += 1
 
     def hexdigest(self) -> str:
@@ -533,17 +427,17 @@ def render_timeline(
             break
         shown += 1
         lines.append(f"r{round_index:>4}:")
-        broadcasts = [e for e in events if isinstance(e, BroadcastEvent)]
-        others = [e for e in events if not isinstance(e, BroadcastEvent)]
+        broadcasts = [e for e in events if e["kind"] == "broadcast"]
         if broadcasts:
-            senders = ",".join(f"p{e.sender}" for e in broadcasts)
+            senders = ",".join(f"p{e['sender']}" for e in broadcasts)
             kinds = sorted(
-                {item for e in broadcasts for item in e.items}
+                {item for e in broadcasts for item in e["items"]}
             )
             suffix = f" [{', '.join(kinds)}]" if kinds else ""
             lines.append(f"       sends: {senders}{suffix}")
-        for event in others:
-            lines.append(f"       {event.describe()}")
+        for event in events:
+            if event["kind"] != "broadcast":
+                lines.append(f"       {describe_event(event)}")
         for span in opened.get(round_index, ()):
             inner = ",".join(map(str, span.members))
             lines.append(f"       ├─ attempt {{{inner}}} opens")

@@ -12,7 +12,10 @@ from repro.core.quorum import is_exact_half, is_majority
 from repro.core.registry import temporary_algorithm
 from repro.core.view import View, initial_view
 from repro.net.changes import MergeChange, PartitionChange
+from repro.net.schedule import GeometricSchedule
 from repro.sim.driver import DriverLoop
+from repro.sim.invariants import InvariantChecker
+from repro.sim.rng import derive_rng
 
 
 class BrokenMajority(SimpleMajority):
@@ -55,6 +58,36 @@ def make_driver(algorithm: str, n: int = 5, seed: int = 1, **kwargs) -> DriverLo
     """A driver with a deterministic fault RNG for scripted scenarios."""
     return DriverLoop(
         algorithm=algorithm, n_processes=n, fault_rng=random.Random(seed), **kwargs
+    )
+
+
+def run_once(
+    algorithm: str, n_processes: int, n_changes: int, rate: float, seed: int
+) -> DriverLoop:
+    """One checked fresh-start run on the thesis' geometric schedule.
+
+    Returns the settled driver.  The fault RNG's label leaves the
+    algorithm out, so every algorithm meets the same faults per seed.
+    """
+    driver = DriverLoop(
+        algorithm=algorithm,
+        n_processes=n_processes,
+        fault_rng=derive_rng(seed, "faults", n_processes, n_changes, rate),
+        observers=[InvariantChecker()],
+    )
+    driver.execute_run(
+        GeometricSchedule(rate).draw_gaps(driver.fault_rng, n_changes)
+    )
+    return driver
+
+
+def outcome(driver: DriverLoop) -> tuple:
+    """What a finished run amounts to, as one comparable value."""
+    return (
+        driver.round_index,
+        driver.changes_injected,
+        driver.topology.describe(),
+        driver.primary_members(),
     )
 
 

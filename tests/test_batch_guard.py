@@ -65,7 +65,6 @@ def test_refuses_unknown_algorithm() -> None:
         "collect_ambiguous",
         "collect_message_sizes",
         "collect_metrics",
-        "collect_causal",
     ],
 )
 def test_refuses_statistics_collection(flag) -> None:

@@ -11,15 +11,26 @@ without tripping here first.
 import hashlib
 import json
 
-from repro.obs import registry_to_jsonl
+import pytest
+
+from repro.obs import registry_from_jsonl, registry_to_jsonl
 from repro.obs.canonical import (
     canonical_digest,
     canonical_json,
     canonical_jsonl,
     canonical_line,
+    read_jsonl,
+    write_text,
 )
+from repro.obs.causal import spans_from_jsonl
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.trace import TraceRecorder, trace_digest, trace_to_jsonl
+from repro.obs.telemetry import parse_flight_jsonl
+from repro.sim.trace import (
+    TraceRecorder,
+    events_from_jsonl,
+    trace_digest,
+    trace_to_jsonl,
+)
 
 from tests.conftest import make_driver, split
 
@@ -103,3 +114,85 @@ class TestAllExportersShareTheEncoder:
         assert text.endswith("\n")
         for line in text.splitlines():
             assert line == canonical_json(json.loads(line))
+
+
+# ----------------------------------------------------------------------
+# The way back in: one reader under the four families.
+# ----------------------------------------------------------------------
+
+GOOD_LINES = {
+    "trace": '{"kind": "view", "members": [0, 1], "round": 1, "view_seq": 2}',
+    "spans": '{"kind": "view", "members": [0, 1], "round": 1, "view_seq": 2}',
+    "flight": '{"event": "put", "kind": "repro.obs/flight", "node": 0, "seq": 0}',
+    "metrics": (
+        '{"kind": "repro.obs/metric", "labels": {}, "name": "n", '
+        '"type": "counter", "value": 1}'
+    ),
+}
+READERS = {
+    "trace": events_from_jsonl,
+    "spans": spans_from_jsonl,
+    "flight": parse_flight_jsonl,
+    "metrics": registry_from_jsonl,
+}
+#: One field every family's good line cannot go without.
+REQUIRED = {
+    "trace": "view_seq", "spans": "view_seq", "flight": "event",
+    "metrics": "value",
+}
+
+
+def _without(line, field):
+    data = json.loads(line)
+    del data[field]
+    return canonical_json(data)
+
+
+HOSTILE = {
+    "not json": lambda family: '{"kind": ',
+    "not an object": lambda family: "[1]",
+    "a bare number": lambda family: "3",
+    "missing field": lambda family: _without(GOOD_LINES[family], REQUIRED[family]),
+    "foreign kind": lambda family: '{"kind": "repro.elsewhere/thing"}',
+}
+
+
+class TestOneReader:
+    @pytest.mark.parametrize("family", sorted(READERS))
+    def test_good_line_reads(self, family):
+        READERS[family](GOOD_LINES[family] + "\n\n")
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    @pytest.mark.parametrize("family", sorted(READERS))
+    def test_bad_line_is_a_value_error_naming_the_line(self, family, case):
+        text = GOOD_LINES[family] + "\n\n" + HOSTILE[case](family) + "\n"
+        with pytest.raises(ValueError, match="line 3") as error:
+            READERS[family](text)
+        assert type(error.value) is ValueError  # not a bare JSONDecodeError
+
+    def test_read_jsonl_yields_numbered_objects(self):
+        text = '{"a": 1}\n\n  \n{"b": 2}\n'
+        assert list(read_jsonl(text, "thing")) == [(1, {"a": 1}), (4, {"b": 2})]
+
+    @pytest.mark.parametrize("command", ["explain --replay", "telemetry --read"])
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_commands_exit_2_with_one_error_line(
+        self, command, case, tmp_path, capsys
+    ):
+        from repro.experiments.cli import main
+
+        family = "trace" if command.startswith("explain") else "flight"
+        path = tmp_path / "hostile.jsonl"
+        path.write_text(
+            GOOD_LINES[family] + "\n" + HOSTILE[case](family) + "\n",
+            encoding="utf-8",
+        )
+        assert main([*command.split(), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "line 2" in captured.err
+
+    def test_write_text_creates_the_directory(self, tmp_path):
+        path = write_text(tmp_path / "a" / "b" / "out.txt", "x\n")
+        assert path.read_text(encoding="utf-8") == "x\n"

@@ -24,14 +24,11 @@ from repro.check.corpus import load_repro
 from repro.check.differential import check_plan, run_plan
 from repro.check.plan import driver_steps
 from repro.errors import InvariantViolation, SimulationError
-from repro.obs import merge_registries, registry_to_jsonl
 from repro.obs.bus import Subscriber
 from repro.obs.causal import (
     ATTEMPT_OUTCOMES,
     BLAME_CATEGORIES,
-    CausalMetrics,
     CausalObserver,
-    SpanIndex,
     spans_from_jsonl,
     spans_from_recorder,
     spans_to_jsonl,
@@ -39,7 +36,6 @@ from repro.obs.causal import (
 from repro.sim.campaign import CaseConfig, run_case
 from repro.sim.driver import DriverLoop
 from repro.sim.explore import explore
-from repro.sim.parallel import run_cases_parallel
 from repro.sim.rng import derive_rng
 from repro.sim.trace import TraceRecorder, trace_to_jsonl
 
@@ -255,8 +251,21 @@ class TestSpanInvariants:
                 if link is None:
                     continue
                 event = events[link.index]
-                assert event.kind == link.kind
-                assert event.round_index == link.round_index
+                assert event["kind"] == link.kind
+                assert event["round"] == link.round_index
+
+    def test_aggregates_agree_with_a_scan_of_the_attempts(self, spans):
+        # What ``docs/forensics.md`` "Querying" promises: narrowing is a
+        # comprehension, and the three aggregates count the same spans.
+        outcomes = spans.outcome_counts()
+        assert sum(outcomes.values()) == len(spans.attempts)
+        for outcome, count in outcomes.items():
+            assert count == len(
+                [s for s in spans.attempts if s.outcome == outcome]
+            )
+        interruptions = spans.interruption_counts()
+        assert sum(interruptions.values()) == outcomes["interrupted"]
+        assert sum(spans.blame_totals().values()) == spans.nonprimary_rounds
 
     def test_primary_spans_tile_the_primary_rounds(self, spans):
         for span in spans.primaries:
@@ -268,114 +277,6 @@ class TestSpanInvariants:
         payload = json.dumps(spans.to_dicts())
         assert '"span": "attempt"' in payload
         assert '"span": "run"' in payload
-
-
-# ----------------------------------------------------------------------
-# Metrics folding and parallel determinism.
-# ----------------------------------------------------------------------
-
-
-class TestCausalMetrics:
-    def test_registry_matches_span_aggregates(self):
-        causal = CausalMetrics()
-        witness = CausalObserver()
-        run_case(_case(), observers=[causal, witness])
-        spans = witness.finalize()
-        lines = registry_to_jsonl(causal.registry)
-        blame = {
-            record["labels"]["category"]: record["value"]
-            for record in map(json.loads, lines.splitlines())
-            if record["name"] == "blame_rounds_total"
-        }
-        assert blame == spans.blame_totals()
-        outcomes = {
-            record["labels"]["outcome"]: record["value"]
-            for record in map(json.loads, lines.splitlines())
-            if record["name"] == "attempts_total"
-        }
-        assert outcomes == spans.outcome_counts()
-
-    def test_collect_causal_fills_case_metrics(self):
-        result = run_case(_case(collect_causal=True))
-        assert result.metrics is not None
-        names = {series.name for series in result.metrics.series()}
-        assert "blame_rounds_total" in names
-
-    def test_collect_causal_shares_registry_with_metrics(self):
-        result = run_case(_case(collect_metrics=True, collect_causal=True))
-        names = {series.name for series in result.metrics.series()}
-        assert "blame_rounds_total" in names  # causal series
-        assert "runs_total" in names  # campaign series, same registry
-
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_parallel_causal_registries_byte_identical(self, workers):
-        configs = [
-            _case(algorithm=algorithm, collect_causal=True)
-            for algorithm in ("ykd", "simple_majority", "dfls")
-        ]
-        serial = merge_registries(
-            [run_case(config).metrics for config in configs]
-        )
-        parallel = merge_registries(
-            [
-                result.metrics
-                for result in run_cases_parallel(configs, workers=workers)
-            ]
-        )
-        assert registry_to_jsonl(parallel) == registry_to_jsonl(serial)
-
-
-# ----------------------------------------------------------------------
-# SpanIndex queries.
-# ----------------------------------------------------------------------
-
-
-class TestSpanIndex:
-    @pytest.fixture(scope="class")
-    def index(self):
-        causal = CausalObserver()
-        run_case(
-            _case(mode="cascading", runs=25, n_changes=5), observers=[causal]
-        )
-        return SpanIndex(causal.finalize(), labels={"algorithm": "ykd"})
-
-    def test_outcome_filter(self, index):
-        resolved = index.attempts_with(outcome="resolved")
-        assert len(resolved) == index.outcome_counts().get("resolved", 0)
-        assert all(s.outcome == "resolved" for s in resolved.attempts)
-
-    def test_filters_compose(self, index):
-        narrowed = index.attempts_with(min_message_rounds=1).attempts_with(
-            involving=0
-        )
-        for span in narrowed.attempts:
-            assert span.message_rounds >= 1
-            assert 0 in span.members
-
-    def test_interrupted_by_filter(self, index):
-        interrupted = index.attempts_with(outcome="interrupted")
-        by_kind = interrupted.interruption_counts()
-        for kind, count in by_kind.items():
-            assert len(interrupted.interrupted_by(kind)) == count
-
-    def test_run_filter_narrows_consistently(self, index):
-        narrowed = index.in_run(0, 1)
-        assert {s.run_index for s in narrowed.attempts} <= {0, 1}
-        assert {s.run_index for s in narrowed.runs} <= {0, 1}
-        assert {s.run_index for s in narrowed.primaries} <= {0, 1}
-
-    def test_round_window_filter(self, index):
-        windowed = index.in_rounds(0, 10)
-        for span in windowed.attempts:
-            assert span.open_round <= 10
-
-    def test_filters_do_not_mutate(self, index):
-        before = len(index)
-        index.attempts_with(outcome="interrupted").in_run(0)
-        assert len(index) == before
-
-    def test_describe_mentions_labels(self, index):
-        assert "algorithm=ykd" in index.describe()
 
 
 # ----------------------------------------------------------------------
@@ -455,37 +356,50 @@ class TestSurfaceWiring:
 
 
 class TestGCSViewSpans:
-    def test_campaign_collects_view_spans(self):
-        from repro.gcs.campaign import GCSCaseConfig, run_gcs_case
-        from repro.obs.causal import VIEW_AGREED
-
-        result = run_gcs_case(
-            GCSCaseConfig(
-                algorithm="ykd",
-                n_processes=5,
-                n_changes=3,
-                runs=4,
-                collect_view_spans=True,
-            )
+    def test_service_observer_collects_view_spans(self):
+        from repro.gcs.adapter import PrimaryComponentService
+        from repro.obs.causal import (
+            VIEW_AGREED,
+            VIEW_PENDING,
+            VIEW_SUPERSEDED,
+            GCSViewSpans,
         )
-        assert result.view_spans
-        counts = result.view_outcome_counts()
-        assert sum(counts.values()) == len(result.view_spans)
-        assert counts.get(VIEW_AGREED, 0) > 0
-        for span in result.view_spans:
+
+        tracker = GCSViewSpans()
+        service = PrimaryComponentService("ykd", 5, observers=[tracker])
+        service.run_until_stable()
+
+        def tick_into_a_window():
+            for _ in range(50):
+                if tracker.open_views():
+                    return
+                service.tick()
+            raise AssertionError("no view began installing within 50 ticks")
+
+        # {0,1,2} is mid-agreement when 0 is cut away again: superseded.
+        topology = service.cluster.topology
+        service.set_topology(topology.partition(range(5), {3, 4}))
+        tick_into_a_window()
+        topology = service.cluster.topology
+        service.set_topology(topology.partition({0, 1, 2}, {0}))
+        service.run_until_stable()
+        # ... and the tracker is read while {1,2,3,4} is half installed.
+        topology = service.cluster.topology
+        service.set_topology(topology.merge({1, 2}, {3, 4}))
+        tick_into_a_window()
+        spans = tracker.finalize(at_tick=service.cluster.ticks)
+
+        outcomes = {span.outcome for span in spans}
+        assert outcomes == {VIEW_AGREED, VIEW_SUPERSEDED, VIEW_PENDING}
+        for span in spans:
             assert span.close_tick >= span.open_tick
             assert span.members == tuple(sorted(span.members))
+            assert set(span.installed) <= set(span.members)
+            if span.outcome == VIEW_AGREED:
+                assert span.installed == span.members
             payload = span.to_dict()
             assert payload["kind"] == "repro.obs/gcs_view_span"
             json.dumps(payload)
-
-    def test_spans_absent_without_flag(self):
-        from repro.gcs.campaign import GCSCaseConfig, run_gcs_case
-
-        result = run_gcs_case(
-            GCSCaseConfig(algorithm="ykd", n_processes=5, n_changes=3, runs=2)
-        )
-        assert result.view_spans == []
 
     def test_open_views_exposes_live_agreement_windows(self):
         from types import SimpleNamespace

@@ -35,7 +35,8 @@ from repro.core.serialize import (
 )
 from repro.core.session import Session
 from repro.core.view import View
-from repro.sim.run import RunConfig, build_driver
+
+from tests.conftest import run_once
 
 pids = st.integers(min_value=0, max_value=40)
 pid_sets = st.frozensets(pids, min_size=1, max_size=12)
@@ -108,16 +109,7 @@ class TestSerializeRoundTrips:
         """Whatever durable state a random run leaves behind, the
         snapshot must survive a real JSON encode/decode and restore to
         an equal-state instance for every process."""
-        config = RunConfig(
-            algorithm=algorithm,
-            n_processes=n_processes,
-            n_changes=n_changes,
-            mean_rounds_between_changes=1.0,
-            seed=seed,
-        )
-        driver = build_driver(config)
-        gaps = config.make_schedule().draw_gaps(driver.fault_rng, n_changes)
-        driver.execute_run(gaps)
+        driver = run_once(algorithm, n_processes, n_changes, 1.0, seed)
         for original in driver.algorithms.values():
             data = json.loads(json.dumps(snapshot(original)))
             restored = restore(data)

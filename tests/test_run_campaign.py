@@ -11,42 +11,38 @@ from repro.sim.campaign import (
     compare_algorithms,
     run_case,
 )
-from repro.sim.run import RunConfig, run_single
+
+from tests.conftest import outcome, run_once
 
 
 class TestRunSingle:
+    """One run through ``DriverLoop.execute_run`` on a drawn schedule."""
+
     def test_injects_requested_changes_and_quiesces(self):
-        config = RunConfig(
-            algorithm="ykd", n_processes=6, n_changes=5,
-            mean_rounds_between_changes=2.0, seed=1,
-        )
-        result = run_single(config)
-        assert result.changes_injected == 5
-        assert result.rounds > 5
-        assert result.n_components >= 1
+        driver = run_once("ykd", 6, n_changes=5, rate=2.0, seed=1)
+        assert driver.changes_injected == 5
+        assert driver.round_index > 5
+        assert len(driver.topology.components) >= 1
 
     def test_primary_membership_consistent_with_availability(self):
-        config = RunConfig(
-            algorithm="ykd", n_processes=6, n_changes=4,
-            mean_rounds_between_changes=3.0, seed=7,
+        driver = run_once("ykd", 6, n_changes=4, rate=3.0, seed=7)
+        assert driver.primary_exists() == (
+            driver.primary_members() is not None
         )
-        result = run_single(config)
-        assert result.available == (result.primary_members is not None)
 
     def test_reproducible(self):
-        config = RunConfig(
-            algorithm="dfls", n_processes=6, n_changes=6,
-            mean_rounds_between_changes=1.0, seed=21,
-        )
-        assert run_single(config) == run_single(config)
+        runs = [
+            run_once("dfls", 6, n_changes=6, rate=1.0, seed=21)
+            for _ in range(2)
+        ]
+        assert outcome(runs[0]) == outcome(runs[1])
 
     def test_seed_changes_outcomes(self):
-        base = RunConfig(
-            algorithm="ykd", n_processes=8, n_changes=8,
-            mean_rounds_between_changes=1.0, seed=0,
-        )
-        results = {run_single(replace(base, seed=s)).rounds for s in range(6)}
-        assert len(results) > 1
+        rounds = {
+            run_once("ykd", 8, n_changes=8, rate=1.0, seed=seed).round_index
+            for seed in range(6)
+        }
+        assert len(rounds) > 1
 
 
 class TestCaseConfig:

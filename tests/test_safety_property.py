@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.registry import algorithm_names
 from repro.net.changes import CrashRecoveryChangeGenerator
 from repro.sim.campaign import CaseConfig, run_case
-from repro.sim.run import RunConfig, run_single
+
+from tests.conftest import run_once
 
 ALL_ALGORITHMS = algorithm_names()
 
@@ -78,13 +79,5 @@ def test_arbitrary_configurations_hold_invariants(
     algorithm, n_processes, n_changes, rate, seed
 ):
     """Hypothesis sweeps the whole configuration space for violations."""
-    config = RunConfig(
-        algorithm=algorithm,
-        n_processes=n_processes,
-        n_changes=n_changes,
-        mean_rounds_between_changes=rate,
-        seed=seed,
-        check_invariants=True,
-    )
-    result = run_single(config)
-    assert result.changes_injected == n_changes
+    driver = run_once(algorithm, n_processes, n_changes, rate, seed)
+    assert driver.changes_injected == n_changes

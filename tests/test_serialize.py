@@ -17,7 +17,6 @@ from repro.core.serialize import (
 )
 from repro.core.session import Session
 from repro.core.view import View
-from repro.sim.run import RunConfig, build_driver
 
 from tests.conftest import heal, make_driver, split
 

@@ -64,11 +64,6 @@ def run_steps(driver, steps):
         driver.run_scripted_round(change, late)
 
 
-def event_dicts(events):
-    """Trace events as comparable primitives."""
-    return [event.to_dict() for event in events]
-
-
 class TestSnapshotRestore:
     """Continuations after restore are byte-identical to the original."""
 
@@ -100,7 +95,7 @@ class TestSnapshotRestore:
         # First continuation: finish the schedule and settle.
         run_steps(driver, steps[split:])
         driver.run_until_quiescent()
-        first_events = event_dicts(recorder.events[mark:])
+        first_events = recorder.events[mark:]
         first_state = state_fingerprint(driver)
         first_digest = state_digest(driver)
 
@@ -114,7 +109,7 @@ class TestSnapshotRestore:
         mark = len(recorder.events)
         run_steps(driver, steps[split:])
         driver.run_until_quiescent()
-        second_events = event_dicts(recorder.events[mark:])
+        second_events = recorder.events[mark:]
         assert second_events == first_events
         assert state_fingerprint(driver) == first_state
         assert state_digest(driver) == first_digest

@@ -116,3 +116,22 @@ class TestFoldedRegistry:
         served = report["requests"]["served"]["gets"]
         get_counter = folded.get("service.requests", {"outcome": "get"})
         assert get_counter is not None and get_counter.value == served
+
+    def test_cli_metrics_out_is_the_fold(self, tmp_path, capsys):
+        # Regression: ``telemetry --metrics-out`` rendered the noted
+        # series only — the flight counters the fold adds never
+        # reached the file its help text promises them in.
+        from repro.experiments.cli import main
+
+        path = tmp_path / "scrape.prom"
+        code = main(
+            [
+                "telemetry", "--seed", "7", "--schedule", "split_restore",
+                "--ticks", "60", "--metrics-out", str(path),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        text = path.read_text(encoding="utf-8")
+        assert "telemetry_flight_events" in text
+        assert "service_requests" in text

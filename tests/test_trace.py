@@ -1,16 +1,14 @@
 """Tests for the execution trace recorder and timeline renderer."""
 
+import json
+
 import pytest
 
+from repro.obs.canonical import canonical_json
 from repro.sim.trace import (
-    BroadcastEvent,
-    ChangeEvent,
-    PrimaryFormedEvent,
-    PrimaryLostEvent,
-    RunBoundaryEvent,
+    EVENT_FIELDS,
     TraceRecorder,
-    ViewEvent,
-    event_from_dict,
+    check_event,
     events_from_jsonl,
     recorder_from_events,
     render_timeline,
@@ -33,40 +31,38 @@ class TestRecording:
         split(driver, {3, 4})
         driver.run_until_quiescent()
         views = recorder.of_kind("view")
-        assert {tuple(v.members) for v in views} == {(0, 1, 2), (3, 4)}
-        broadcasts = [e for e in recorder.events if isinstance(e, BroadcastEvent)]
+        assert {tuple(v["members"]) for v in views} == {(0, 1, 2), (3, 4)}
+        broadcasts = recorder.of_kind("broadcast")
         assert broadcasts
-        assert any("StateItem" in e.items for e in broadcasts)
-        assert any("AttemptItem" in e.items for e in broadcasts)
+        assert any("StateItem" in e["items"] for e in broadcasts)
+        assert any("AttemptItem" in e["items"] for e in broadcasts)
 
     def test_records_primary_transitions(self, traced_driver):
         driver, recorder = traced_driver
         split(driver, {3, 4})
         driver.run_until_quiescent()
         formations = recorder.formations()
-        assert formations[-1].members == (0, 1, 2)
+        assert formations[-1]["members"] == [0, 1, 2]
         # Splitting the primary again records its loss.
         split(driver, {2})
         driver.run_until_quiescent()
-        losses = [e for e in recorder.events if isinstance(e, PrimaryLostEvent)]
-        assert any(e.members == (0, 1, 2) for e in losses)
+        losses = recorder.of_kind("primarylost")
+        assert any(e["members"] == [0, 1, 2] for e in losses)
 
     def test_records_changes_with_topology(self, traced_driver):
         driver, recorder = traced_driver
         split(driver, {3, 4})
         changes = recorder.of_kind("change")
         assert len(changes) == 1
-        assert changes[0].description.startswith("partition")
-        assert (3, 4) in changes[0].components_after
+        assert changes[0]["change"].startswith("partition")
+        assert [3, 4] in changes[0]["components_after"]
 
     def test_records_run_boundaries(self, traced_driver):
         driver, recorder = traced_driver
         driver.execute_run(gaps=[1, 1])
-        boundaries = [
-            e for e in recorder.events if isinstance(e, RunBoundaryEvent)
-        ]
-        assert [b.boundary for b in boundaries] == ["start", "end"]
-        assert boundaries[1].available == driver.primary_exists()
+        boundaries = recorder.of_kind("runboundary")
+        assert [b["boundary"] for b in boundaries] == ["start", "end"]
+        assert boundaries[1]["available"] == driver.primary_exists()
 
     def test_truncation_bound(self):
         recorder = TraceRecorder(max_events=5)
@@ -130,8 +126,6 @@ class TestQueriesAndExport:
         assert len(traffic) >= 2  # state round + attempt round
 
     def test_to_dicts_is_json_ready(self, traced_driver):
-        import json
-
         driver, recorder = traced_driver
         split(driver, {3, 4})
         driver.run_until_quiescent()
@@ -157,7 +151,7 @@ class TestQueriesAndExport:
 
 
 class TestEventRoundTrip:
-    """Every event kind survives to_dict → event_from_dict exactly."""
+    """An event is the dict its canonical line parses back to."""
 
     def _events(self):
         recorder = TraceRecorder()
@@ -172,13 +166,10 @@ class TestEventRoundTrip:
 
     def test_all_kinds_round_trip(self):
         events = self._events()
-        kinds = {e.kind for e in events}
-        assert {"broadcast", "change", "view", "primaryformed",
-                "primarylost", "runboundary"} <= kinds
+        kinds = {e["kind"] for e in events}
+        assert kinds == set(EVENT_FIELDS) - {"truncation"}
         for event in events:
-            clone = event_from_dict(event.to_dict())
-            assert clone == event
-            assert clone.to_dict() == event.to_dict()
+            assert check_event(json.loads(canonical_json(event))) == event
 
     def test_jsonl_round_trip_preserves_stream(self):
         recorder = TraceRecorder()
@@ -202,8 +193,24 @@ class TestEventRoundTrip:
         assert recorder_from_events(events, truncated=True).truncated
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            event_from_dict({"kind": "wormhole", "round": 1})
+        with pytest.raises(ValueError, match="unknown trace event kind"):
+            check_event({"kind": "wormhole", "round": 1})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("round", "1"),
+            ("round", True),
+            ("view_seq", None),
+            ("members", 3),
+            ("members", [0, "1"]),
+        ],
+    )
+    def test_wrong_shape_rejected(self, field, value):
+        event = {"kind": "view", "round": 1, "view_seq": 2, "members": [0, 1]}
+        assert check_event(dict(event)) == event
+        with pytest.raises(ValueError, match=field):
+            check_event({**event, field: value})
 
 
 class TestTimelineSpans:

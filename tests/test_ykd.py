@@ -8,7 +8,7 @@ from repro.core.view import initial_view
 from repro.errors import ProtocolError
 from repro.net.changes import MergeChange, PartitionChange
 
-from tests.conftest import heal, make_driver, split
+from tests.conftest import heal, make_driver, outcome, run_once, split
 
 
 class TestInitialState:
@@ -200,15 +200,9 @@ class TestDeterminism:
             algorithm._on_items(1, ["garbage"])
 
     def test_identical_seeds_give_identical_runs(self):
-        from repro.sim.run import RunConfig, run_single
-
-        config = RunConfig(
-            algorithm="ykd", n_processes=8, n_changes=6,
-            mean_rounds_between_changes=1.0, seed=11,
-        )
-        first = run_single(config)
-        second = run_single(config)
-        assert first == second
+        first = run_once("ykd", 8, n_changes=6, rate=1.0, seed=11)
+        second = run_once("ykd", 8, n_changes=6, rate=1.0, seed=11)
+        assert outcome(first) == outcome(second)
 
 
 class TestIntrospection:
