@@ -68,17 +68,29 @@ def repro_to_dict(repro: ReproFile) -> Dict[str, Any]:
     }
 
 
-def repro_from_dict(data: Mapping[str, Any]) -> ReproFile:
-    """Inverse of :func:`repro_to_dict`."""
+def repro_from_dict(data: Any) -> ReproFile:
+    """Inverse of :func:`repro_to_dict`.
+
+    ``data`` is whatever a file held, so every other shape — not an
+    object, a missing key, a number where an object or a list belongs —
+    is a :class:`PlanError`, never a bare ``KeyError`` or ``TypeError``.
+    """
+    if not isinstance(data, Mapping):
+        raise PlanError(f"not a repro file (a JSON {type(data).__name__})")
     if data.get("kind") != REPRO_KIND:
         raise PlanError(f"not a repro file (kind={data.get('kind')!r})")
-    algorithms = data.get("algorithms")
-    return ReproFile(
-        plan=plan_from_dict(data["plan"]),
-        algorithms=tuple(algorithms) if algorithms else None,
-        expect=str(data.get("expect", EXPECT_PASS)),
-        note=str(data.get("note", "")),
-    )
+    try:
+        algorithms = data.get("algorithms")
+        return ReproFile(
+            plan=plan_from_dict(data["plan"]),
+            algorithms=tuple(algorithms) if algorithms else None,
+            expect=str(data.get("expect", EXPECT_PASS)),
+            note=str(data.get("note", "")),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise PlanError(
+            f"malformed repro ({type(error).__name__}: {error})"
+        ) from error
 
 
 def write_repro(path: Path, repro: ReproFile) -> Path:
@@ -91,7 +103,7 @@ def load_repro(path: Path) -> ReproFile:
     """Parse one repro file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
         raise PlanError(f"{path}: not valid JSON ({error})") from error
     return repro_from_dict(data)
 

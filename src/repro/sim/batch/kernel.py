@@ -42,7 +42,6 @@ from repro.sim.batch.bitops import (
     expand_bits,
     is_subquorum_mask,
     is_subquorum_vec,
-    iter_bits,
     session_gt,
     session_sort_key,
 )
@@ -895,9 +894,9 @@ class _MemberClass:
     They entered the view in the same state and have heard the same
     messages since, so one ``(book, trans)`` pair stands for all of
     them.  A class only ever splits (:meth:`fork`), and only where the
-    protocol can tell two members apart: on which side of a cut
-    round's late mask they are, and whether they are members of a
-    shared session (``_MR1pEngine._handle_share``).
+    protocol can tell two members apart: which cell of a cut round's
+    late members they are in (``_MR1pEngine._late_cells``), and whether
+    they are members of a shared session (``_handle_share``).
     """
 
     __slots__ = ("mask", "book", "trans")
@@ -920,9 +919,10 @@ _Event = Tuple[int, tuple]
 def _round_events(sent: Dict[_MemberClass, List[tuple]]) -> List[_Event]:
     """One round's deliveries in the driver's order, folded.
 
-    The driver delivers bundle by bundle in ascending sender order.
-    Two rewrites of that sequence leave every recipient's end state
-    unchanged:
+    The scalar engine delivers bundle by bundle in ascending sender
+    order, which depends only on who sent which items, so classes
+    sending equal bundles are merged first.  Two rewrites of that
+    sequence leave every recipient's end state unchanged:
 
     * equal items in adjacent deliveries become one delivery from the
       union of their senders — every handler ORs the sender into a
@@ -931,13 +931,16 @@ def _round_events(sent: Dict[_MemberClass, List[tuple]]) -> List[_Event]:
     * a ``share`` of a session already shared this round is dropped —
       the recipient's ``responded`` set makes it a no-op.
     """
-    if len(sent) == 1:
-        ((members, items),) = sent.items()
-        if len(items) == 1:
-            return [(members.mask, items[0])]
-    bundles: List[Tuple[int, List[tuple]]] = []
+    merged: Dict[tuple, int] = {}
     for members, items in sent.items():
-        rest = members.mask
+        key = tuple(items)
+        merged[key] = merged.get(key, 0) | members.mask
+    if len(merged) == 1:
+        ((items, senders),) = merged.items()
+        if len(items) == 1:
+            return [(senders, items[0])]
+    bundles: List[Tuple[int, tuple]] = []
+    for items, rest in merged.items():
         while rest:
             low = rest & -rest
             bundles.append((low, items))
@@ -960,6 +963,30 @@ def _round_events(sent: Dict[_MemberClass, List[tuple]]) -> List[_Event]:
     return events
 
 
+def _answer_round(sent: Dict[_MemberClass, List[tuple]]) -> Optional[dict]:
+    """A round in which every bundle is ``info`` — answers to ``share`` —
+    summarised per session from class masks, or None for any other
+    round: the sender mask of each ``(num, status)`` report and of all
+    of them, of ``formed`` answers and of ``aborted`` answers."""
+    answers: Dict[SessionPair, list] = {}
+    for members, items in sent.items():
+        for item in items:
+            if item[0] != "info":
+                return None
+            entry = answers.get(item[1])
+            if entry is None:
+                entry = answers[item[1]] = [{}, 0, 0, 0]
+            kind = item[2]
+            if kind == "status":
+                reports = entry[0]
+                report = (item[3], item[4])
+                reports[report] = reports.get(report, 0) | members.mask
+                entry[1] |= members.mask
+            else:
+                entry[2 if kind == "formed" else 3] |= members.mask
+    return answers
+
+
 class _MR1pEngine(_Engine):
     """MR1p's five-round resolution pipeline, simulated message by
     message inside each episode.
@@ -970,7 +997,8 @@ class _MR1pEngine(_Engine):
     round — over bitmask state, one component at a time — until the
     episode quiesces or its interrupting change cuts it short.  The
     unit of work is the :class:`_MemberClass`, not the member: a round
-    costs (classes x folded deliveries), not (members x senders).
+    costs (classes x folded deliveries), not (members x senders), and
+    an answer round one visit per class (:meth:`_hear_answers`).
     """
 
     def __init__(self, batch: int, universe: int) -> None:
@@ -1008,12 +1036,19 @@ class _MR1pEngine(_Engine):
             if not sent:
                 break  # quiescent
             last_send = t
-            events = _round_events(sent)
+            # Read the senders before the late cells fork them off.
+            answers = _answer_round(sent)
+            events = _round_events(sent) if answers is None else []
+            cells: List[_MemberClass] = []
             if late and t == cut_round:
-                classes = self._deliver_cut(classes, sent, events, late, view)
+                classes, cells = self._late_cells(classes, sent, late, view)
+            if answers is not None:
+                for members in classes:
+                    self._hear_answers(members, answers, view)
             else:
                 for members in list(classes):
                     self._deliver(members, events, 0, view, classes)
+            classes += cells
         primary = 0
         for members in classes:
             if members.book.in_primary:
@@ -1042,42 +1077,58 @@ class _MR1pEngine(_Engine):
             classes.append(_MemberClass(group, book, _Transient()))
         return classes
 
-    def _deliver_cut(
+    def _late_cells(
         self,
         classes: List[_MemberClass],
         sent: Dict[_MemberClass, List[tuple]],
-        events: List[_Event],
         late: int,
         view: SessionPair,
-    ) -> List[_MemberClass]:
-        """The interrupting change's round: the late members of a class
-        hear only their own bundle, the others the whole round."""
-        heard: List[_MemberClass] = []
+    ) -> Tuple[List[_MemberClass], List[_MemberClass]]:
+        """The interrupting change's round, late side: a late member
+        hears only its own bundle.  Returns the classes left to hear the
+        whole round and the late cells, which have heard theirs.
+
+        Handlers read the sender's pid only through masks: the view, the
+        class's ``try_mask``/``fail_mask``/``votes``/``infos`` (dead
+        after ``call_done``), the pending session and its own items'
+        sessions.  Late members on the same side of each form a cell,
+        and any one of them stands in as the sender: swapping two such
+        pids fixes every mask a handler reads, so the book comes out as
+        each member's would (the transient state ends with the episode).
+        """
+        hearing: List[_MemberClass] = []
+        cells: List[_MemberClass] = []
         for members in classes:
-            late_members = members.mask & late
-            if late_members:
-                items = sent.get(members)
+            deaf = members.mask & late
+            if not deaf:
+                hearing.append(members)
+                continue
+            items = sent.get(members)
+            split = [deaf]  # silent and deaf: hears nothing, stays whole
+            if items is not None and deaf & (deaf - 1):
+                trans = members.trans
+                pending = members.book.pending
+                for mask in (
+                    trans.try_mask,
+                    trans.fail_mask,
+                    pending[0] if pending is not None else 0,
+                    *trans.votes.values(),
+                    *(() if trans.call_done else trans.infos.values()),
+                    *(item[1][0] for item in items),
+                ):
+                    if deaf & mask and deaf & ~mask:
+                        split = [c & m for c in split for m in (mask, ~mask)]
+                        split = [cell for cell in split if cell]
+            for cell in split:
+                alone = members if cell == members.mask else members.fork(cell)
+                cells.append(alone)
                 if items is not None:
-                    for pid in iter_bits(late_members):
-                        alone = members.fork(1 << pid)
-                        heard.append(alone)
-                        self._deliver(
-                            alone,
-                            [(alone.mask, item) for item in items],
-                            0,
-                            view,
-                            heard,
-                        )
-                elif members.mask != late_members:
-                    heard.append(members.fork(late_members))
-                else:
-                    heard.append(members)  # silent and deaf: untouched
-                    continue
-                if not members.mask:
-                    continue
-            heard.append(members)
-            self._deliver(members, events, 0, view, heard)
-        return heard
+                    stand_in = cell & -cell
+                    bundle = [(stand_in, item) for item in items]
+                    self._deliver(alone, bundle, 0, view, cells)
+            if members.mask & ~late:
+                hearing.append(members)
+        return hearing, cells
 
     def _deliver(
         self,
@@ -1152,10 +1203,7 @@ class _MR1pEngine(_Engine):
             book.status = "none"
             book.in_primary = True
         elif book.pending == formed:
-            book.pending = None
-            book.num = 0
-            book.status = "none"
-            self._try_new(book, view)
+            self._try_new(book, view)  # rewrites pending, num and status
 
     def _adopt_formed(self, book: _MR1pBook, formed: SessionPair) -> None:
         book.formed.add(formed)
@@ -1203,18 +1251,7 @@ class _MR1pEngine(_Engine):
         session, kind = item[1], item[2]
         if book.pending is None or session != book.pending:
             return
-        if kind == "formed":
-            self._adopt_formed(book, session)
-            book.pending = None
-            book.num = 0
-            book.status = "none"
-            self._try_new(book, view)
-        elif kind == "aborted":
-            book.pending = None
-            book.num = 0
-            book.status = "none"
-            self._try_new(book, view)
-        else:  # "status"
+        if kind == "status":
             report = (item[3], item[4])
             infos = trans.infos
             for other in infos:
@@ -1222,6 +1259,62 @@ class _MR1pEngine(_Engine):
                     infos[other] &= ~senders  # a later report replaces
             infos[report] = infos.get(report, 0) | senders
             self._maybe_call(book, trans)
+        else:  # "formed" or "aborted": the session is settled
+            if kind == "formed":
+                self._adopt_formed(book, session)
+            self._try_new(book, view)  # rewrites pending, num and status
+
+    def _hear_answers(
+        self,
+        members: _MemberClass,
+        answers: Dict[SessionPair, list],
+        view: SessionPair,
+    ) -> None:
+        """An answer round for one class, as ``_handle_info`` hears it
+        sender by sender in ascending pid order: the session ends at the
+        lowest ``formed | aborted`` sender, the call fires at the k-th
+        fresh reporter (k: the majority less the reporters ``infos``
+        holds), and the lower of the two acts first.  Exact because
+
+        * an ``info`` is never about the current view (a ``share`` is
+          only sent at install), so after the end the round is ignored;
+        * a sender answers a session at most once per view
+          (``responded``), so every reporter not in ``infos`` is fresh;
+        * after ``call_done`` nothing reads ``infos`` again.
+        """
+        book = members.book
+        entry = answers.get(book.pending)  # type: ignore[arg-type]
+        if entry is None:
+            return
+        session = book.pending
+        reports, reported, formed, aborted = entry
+        trans = members.trans
+        ends = formed | aborted
+        end = ends & -ends
+        if not trans.call_done:
+            smask = session[0]
+            infos = trans.infos
+            known = 0
+            for reporters in infos.values():
+                known |= reporters
+            known &= smask
+            fresh = reported & smask & ~known & (end - 1 if end else -1)
+            need = smask.bit_count() // 2 + 1 - known.bit_count()
+            if fresh.bit_count() >= need:
+                for _ in range(need - 1):
+                    fresh &= fresh - 1
+                upto = ((fresh & -fresh) << 1) - 1  # through the caller
+                for report, reporters in reports.items():
+                    if reporters & upto:
+                        infos[report] = infos.get(report, 0) | reporters & upto
+                self._maybe_call(book, trans)
+            elif not end:  # once the session ends, nothing reads infos
+                for report, reporters in reports.items():
+                    infos[report] = infos.get(report, 0) | reporters
+        if end:
+            if end & formed:
+                self._adopt_formed(book, session)
+            self._try_new(book, view)
 
     def _maybe_call(self, book: _MR1pBook, trans: _Transient) -> None:
         if trans.call_done or book.pending is None:
@@ -1267,7 +1360,4 @@ class _MR1pEngine(_Engine):
         trans.fail_mask |= senders
         smask = session[0]
         if 2 * (trans.fail_mask & smask).bit_count() > smask.bit_count():
-            book.pending = None
-            book.num = 0
-            book.status = "none"
-            self._try_new(book, view)
+            self._try_new(book, view)  # rewrites pending, num and status

@@ -395,21 +395,39 @@ def test_random_class_stepped_configs_equivalent_up_to_thesis_scale(
 
 
 def test_mr1p_protocol_work_is_per_member_class(monkeypatch) -> None:
-    """Handler invocations of one pinned thesis-scale case.
+    """Handler work and class forks of one pinned thesis-scale case.
 
-    A count, not a timing.  Delivering every bundle to every member
-    made 1.6 million deliveries for a case of this shape; per class of
-    indistinguishable members this one takes 54,146 handler calls.
+    Counts, not timings.  Delivering every bundle to every member made
+    1.6 million deliveries for a case of this shape; per class of
+    indistinguishable members it took 54,146 handler calls and 4,907
+    forks, most of them one per late sender.  With answer rounds heard
+    once per class from sender masks and late members forked per cell
+    it takes 6,764 handler calls plus 1,059 answer-round class visits,
+    and 678 forks.
     """
-    handled = 0
+    handled = forks = 0
     deliver = batch_kernel._MR1pEngine._deliver
+    hear = batch_kernel._MR1pEngine._hear_answers
+    fork = batch_kernel._MemberClass.fork
 
     def counting(self, members, events, start, view, classes):
         nonlocal handled
         handled += len(events) - start
         return deliver(self, members, events, start, view, classes)
 
+    def hearing(self, members, answers, view):
+        nonlocal handled
+        handled += 1
+        return hear(self, members, answers, view)
+
+    def forking(self, mask):
+        nonlocal forks
+        forks += 1
+        return fork(self, mask)
+
     monkeypatch.setattr(batch_kernel._MR1pEngine, "_deliver", counting)
+    monkeypatch.setattr(batch_kernel._MR1pEngine, "_hear_answers", hearing)
+    monkeypatch.setattr(batch_kernel._MemberClass, "fork", forking)
     result = run_case_batched(
         CaseConfig(
             algorithm="mr1p",
@@ -421,7 +439,8 @@ def test_mr1p_protocol_work_is_per_member_class(monkeypatch) -> None:
         )
     )
     assert result.changes_total == 40 * 12
-    assert 0 < handled < 120_000
+    assert 0 < handled < 12_000
+    assert 0 < forks < 1_500
 
 
 #: Per family algorithm: stage-1 class visits on the pinned case, as

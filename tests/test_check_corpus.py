@@ -14,6 +14,7 @@ from repro.check.corpus import (
     write_repro,
 )
 from repro.check.plan import PlanError, PlanStep, SchedulePlan
+from repro.experiments.cli import main
 from repro.net.changes import MergeChange, PartitionChange
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -122,3 +123,36 @@ class TestRunCorpus:
     def test_empty_directory_is_ok_but_empty(self, tmp_path):
         result = run_corpus(tmp_path)
         assert result.ok and not result.entries
+
+
+#: JSON files that are not repro files, by the shape that is wrong.
+MALFORMED = {
+    "array": "[1,\n2]\n",
+    "string": '"x"\n',
+    "kind_only": '{"kind": "repro.check/repro"}\n',
+    "plan_is_a_number": '{"kind": "repro.check/repro", "plan": 3}\n',
+    "step_is_a_number": (
+        '{"kind": "repro.check/repro",'
+        ' "plan": {"format": 1, "n_processes": 3, "steps": [5]}}\n'
+    ),
+    "no_n_processes": (
+        '{"kind": "repro.check/repro", "plan": {"format": 1, "steps": []}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["--replay", "--corpus"])
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_repro_is_refused_not_crashed_on(
+    tmp_path, capsys, shape, command
+):
+    """``--replay`` exits 2 (bad input), ``--corpus`` lists the file as a
+    regression and exits 1; neither raises."""
+    path = tmp_path / f"{shape}.json"
+    path.write_text(MALFORMED[shape], encoding="utf-8")
+    if command == "--replay":
+        assert main(["check", "--replay", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load repro: ")
+    else:
+        assert main(["check", "--corpus", str(tmp_path)]) == 1
+        assert "unloadable repro" in capsys.readouterr().out
