@@ -51,6 +51,17 @@ from repro.net.topology import Topology
 from repro.sim.rng import derive_rng
 
 
+#: Fewest changes in a drawn clean plan.
+MIN_CHANGES = 1
+#: Per-process probability of landing in a step's late-set.
+CUT_BIAS = 0.5
+#: Ceilings of the drawn fault-model knobs.
+MAX_LOSS_PERMILLE = 300
+MAX_DELAY_ROUNDS = 2
+MAX_CHURN_CELLS = 3
+MAX_CHURN_EPOCHS = 4
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
     """Knobs of one fuzzing campaign (all defaults CI-sized)."""
@@ -61,37 +72,27 @@ class FuzzConfig:
     algorithms: Optional[Tuple[str, ...]] = None
     min_processes: int = 3
     max_processes: int = 6
-    min_changes: int = 1
     max_changes: int = 6
     max_gap: int = 3
     #: Probability that a change is drawn from the crash/recovery
     #: family (0 keeps the thesis' pure partition/merge model).
     crash_weight: float = 0.2
-    #: Per-process probability of landing in a step's late-set.
-    cut_bias: float = 0.5
     max_quiescence_rounds: int = 400
     #: Adversarial fault classes to draw per schedule (subset of
     #: ``repro.faults.FAULT_CLASSES``).  Empty keeps the clean-fault
     #: campaign — and, crucially, the exact historical draw sequence,
     #: since fault draws are appended strictly after the clean ones.
     fault_classes: Tuple[str, ...] = ()
-    #: Knob ceilings for the drawn fault models.
-    max_loss_permille: int = 300
-    max_delay_rounds: int = 2
-    max_churn_cells: int = 3
-    max_churn_epochs: int = 4
 
     def __post_init__(self) -> None:
         if self.schedules < 0:
             raise ValueError("schedules must be >= 0")
         if not 2 <= self.min_processes <= self.max_processes:
             raise ValueError("need 2 <= min_processes <= max_processes")
-        if not 0 <= self.min_changes <= self.max_changes:
-            raise ValueError("need 0 <= min_changes <= max_changes")
+        if self.max_changes < MIN_CHANGES:
+            raise ValueError(f"max_changes must be >= {MIN_CHANGES}")
         if self.max_gap < 0:
             raise ValueError("max_gap must be >= 0")
-        if not 0.0 <= self.cut_bias <= 1.0:
-            raise ValueError("cut_bias must be in [0, 1]")
         object.__setattr__(
             self, "fault_classes", tuple(self.fault_classes)
         )
@@ -101,14 +102,6 @@ class FuzzConfig:
                     f"unknown fault class {fault_class!r}; "
                     f"known: {FAULT_CLASSES}"
                 )
-        if not 1 <= self.max_loss_permille <= 1000:
-            raise ValueError("max_loss_permille must be in [1, 1000]")
-        if self.max_delay_rounds < 0:
-            raise ValueError("max_delay_rounds must be >= 0")
-        if self.max_churn_cells < 2:
-            raise ValueError("max_churn_cells must be >= 2")
-        if self.max_churn_epochs < 1:
-            raise ValueError("max_churn_epochs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,7 @@ def generate_plan(config: FuzzConfig, index: int) -> SchedulePlan:
     """
     rng = derive_rng(config.master_seed, "check", "fuzz", index)
     n_processes = rng.randint(config.min_processes, config.max_processes)
-    n_changes = rng.randint(config.min_changes, config.max_changes)
+    n_changes = rng.randint(MIN_CHANGES, config.max_changes)
     generator = (
         CrashRecoveryChangeGenerator(crash_weight=config.crash_weight)
         if config.crash_weight > 0
@@ -231,7 +224,7 @@ def generate_plan(config: FuzzConfig, index: int) -> SchedulePlan:
             break
         affected = affected_processes(change, topology)
         late = frozenset(
-            pid for pid in sorted(affected) if rng.random() < config.cut_bias
+            pid for pid in sorted(affected) if rng.random() < CUT_BIAS
         )
         gap = rng.randint(0, config.max_gap)
         steps.append(PlanStep(gap=gap, change=change, late=late))
@@ -254,11 +247,11 @@ def _draw_fault_model(config: FuzzConfig, rng, n_processes: int) -> FaultModel:
     byzantine = ByzantineFaults()
     churn = ChurnFaults()
     if "loss" in classes:
-        delay_max = rng.randint(0, config.max_delay_rounds)
+        delay_max = rng.randint(0, MAX_DELAY_ROUNDS)
         link = LinkFaults(
-            loss_permille=rng.randint(1, config.max_loss_permille),
+            loss_permille=rng.randint(1, MAX_LOSS_PERMILLE),
             delay_permille=(
-                rng.randint(1, config.max_loss_permille) if delay_max else 0
+                rng.randint(1, MAX_LOSS_PERMILLE) if delay_max else 0
             ),
             delay_max=delay_max,
             reorder=bool(delay_max) and rng.random() < 0.5,
@@ -277,8 +270,8 @@ def _draw_fault_model(config: FuzzConfig, rng, n_processes: int) -> FaultModel:
         )
     if "churn" in classes:
         churn = ChurnFaults(
-            cells=rng.randint(2, config.max_churn_cells),
-            epochs=rng.randint(1, config.max_churn_epochs),
+            cells=rng.randint(2, MAX_CHURN_CELLS),
+            epochs=rng.randint(1, MAX_CHURN_EPOCHS),
             seed=rng.randint(0, 2 ** 32 - 1),
         )
     return FaultModel(
@@ -301,7 +294,7 @@ def _churn_plan_steps(
     for gap, change, _ in churn_steps(churn, n_processes, dwell=dwell):
         affected = affected_processes(change, topology)
         late = frozenset(
-            pid for pid in sorted(affected) if rng.random() < config.cut_bias
+            pid for pid in sorted(affected) if rng.random() < CUT_BIAS
         )
         steps.append(PlanStep(gap=gap, change=change, late=late))
         topology = apply_change(topology, change)
@@ -315,8 +308,8 @@ def fuzz(
     """Run one fuzzing campaign; deterministic from the master seed.
 
     ``on_schedule`` (if given) observes every (index, report) pair —
-    the CLI uses it for progress reporting; it must not mutate the
-    report.
+    the ``check_fuzz`` benchmark workload uses it to time each
+    schedule; it must not mutate the report.
     """
     algorithms = tuple(config.algorithms or algorithm_names())
     result = FuzzResult(config=config, algorithms=algorithms)

@@ -138,15 +138,13 @@ def _configure_verify(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "algorithm", choices=list(algorithm_names()) + ["all"]
     )
-    parser.add_argument("--processes", type=int, default=3)
-    parser.add_argument("--depth", type=int, default=2)
+    parser.add_argument("--processes", type=_int_at_least(2), default=3)
+    parser.add_argument("--depth", type=_int_at_least(1), default=2)
     parser.add_argument(
-        "--gaps", type=int, nargs="+", default=[0, 1, 2, 3]
+        "--gaps", type=_int_at_least(0), nargs="+", default=[0, 1, 2, 3]
     )
-    parser.add_argument("--max-scenarios", type=int, default=None)
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the top-level frontier across this many processes",
+        "--max-scenarios", type=_int_at_least(1), default=None
     )
     parser.add_argument(
         "--stats", action="store_true",
@@ -505,7 +503,6 @@ def _verify(args: argparse.Namespace) -> int:
             depth=args.depth,
             gap_options=tuple(args.gaps),
             max_scenarios=args.max_scenarios,
-            workers=args.workers,
         )
         elapsed = time.time() - started
         print(
@@ -526,8 +523,7 @@ def _verify(args: argparse.Namespace) -> int:
                 f"cut_collapsed={stats.cut_collapsed} "
                 f"rounds={stats.rounds} snapshots={stats.snapshots} "
                 f"restores={stats.restores} "
-                f"max_fork_depth={stats.max_fork_depth} "
-                f"workers={stats.workers}"
+                f"max_fork_depth={stats.max_fork_depth}"
             )
         report[algorithm] = {
             "scenarios": result.scenarios,
@@ -562,7 +558,6 @@ def _verify(args: argparse.Namespace) -> int:
             "processes": args.processes,
             "depth": args.depth,
             "gaps": list(args.gaps),
-            "workers": args.workers,
             "algorithms": report,
         }
         args.stats_out.write_text(

@@ -19,7 +19,7 @@ never collide with the driver's fault-plan streams.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.faults.model import LinkFaults
 from repro.sim.rng import derive_seed
@@ -95,26 +95,3 @@ def reorder_key(
     return (derive_seed(link.seed, "faults.link", "reorder",
                         round_index, recipient, sender) % _SCALE, sender)
 
-
-def loss_matrix(
-    link: LinkFaults, n_processes: int
-) -> Dict[Tuple[int, int], int]:
-    """Effective per-link loss per-mille for every directed link."""
-    out: Dict[Tuple[int, int], int] = {}
-    for sender in range(n_processes):
-        for recipient in range(n_processes):
-            if sender != recipient:
-                out[(sender, recipient)] = _loss_permille(link, sender, recipient)
-    return out
-
-
-def delay_matrix(
-    link: LinkFaults, n_processes: int
-) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """Effective ``(permille, delay_max)`` for every directed link."""
-    out: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for sender in range(n_processes):
-        for recipient in range(n_processes):
-            if sender != recipient:
-                out[(sender, recipient)] = _delay_params(link, sender, recipient)
-    return out

@@ -21,6 +21,9 @@ from repro.gcs.adapter import PrimaryComponentService
 from repro.net.changes import UniformChangeGenerator, apply_change
 from repro.sim.rng import derive_rng
 
+#: Tick budget for a run to go quiet after its last change.
+MAX_STABLE_TICKS = 600
+
 
 @dataclass
 class GCSCaseConfig:
@@ -38,7 +41,6 @@ class GCSCaseConfig:
     mean_ticks_between_changes: float = 4.0
     runs: int = 50
     master_seed: int = 0
-    max_stable_ticks: int = 600
 
 
 @dataclass
@@ -86,7 +88,7 @@ def run_gcs_case(config: GCSCaseConfig) -> GCSCaseResult:
                     )
                     injected += 1
             service.tick()
-        service.run_until_stable(max_ticks=config.max_stable_ticks)
+        service.run_until_stable(max_ticks=MAX_STABLE_TICKS)
         result.outcomes.append(service.primary_members() is not None)
     return result
 

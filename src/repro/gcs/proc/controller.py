@@ -32,6 +32,11 @@ from repro.gcs.proc.schedule import (
 )
 from repro.types import ProcessId
 
+#: Consecutive identical quiet status polls that count as stable, and
+#: the seconds between polls.
+SETTLE_POLLS = 3
+POLL_INTERVAL = 0.05
+
 
 class ProcCluster:
     """N real OS processes, each hosting one GCS stack on a UDP socket.
@@ -140,15 +145,10 @@ class ProcCluster:
             out[pid] = message[2]
         return out
 
-    def await_stable(
-        self,
-        timeout: float = 30.0,
-        settle_polls: int = 3,
-        poll_interval: float = 0.05,
-    ) -> StageOutcome:
+    def await_stable(self, timeout: float = 30.0) -> StageOutcome:
         """Poll until views, primaries and traffic counters all freeze.
 
-        Stability needs ``settle_polls`` *consecutive* identical
+        Stability needs ``SETTLE_POLLS`` *consecutive* identical
         snapshots with nothing pending in any transport — the realtime
         analogue of the tick-loop's quiet-tick rule.
         """
@@ -166,7 +166,7 @@ class ProcCluster:
             )
             if quiet and key == previous:
                 settled += 1
-                if settled >= settle_polls:
+                if settled >= SETTLE_POLLS:
                     return StageOutcome.build(
                         views={
                             pid: tuple(status["view"])
@@ -181,7 +181,7 @@ class ProcCluster:
             else:
                 settled = 0
                 previous = key
-            time.sleep(poll_interval)
+            time.sleep(POLL_INTERVAL)
         raise SimulationError(
             f"multi-process cluster did not stabilize within {timeout}s"
         )

@@ -144,9 +144,12 @@ STOCK_SCHEDULES: Dict[str, RecordedSchedule] = {
 }
 
 
-def generated_schedule(
-    seed: int, n_processes: int = 5, n_stages: int = 4
-) -> RecordedSchedule:
+#: Universe and stage count of every generated schedule.
+GENERATED_PROCESSES = 5
+GENERATED_STAGES = 4
+
+
+def generated_schedule(seed: int) -> RecordedSchedule:
     """A pure-hash random schedule: same seed, same stages, forever.
 
     Stage 0 is always fully connected (the system must first form its
@@ -154,10 +157,9 @@ def generated_schedule(
     connectivity (so every run ends comparable).  Interior stages
     partition the universe by a deterministic hash of the seed.
     """
-    if n_stages < 2:
-        raise SimulationError("a generated schedule needs >= 2 stages")
+    n_processes = GENERATED_PROCESSES
     stages: List[Stage] = [_full(n_processes)]
-    for stage_index in range(1, n_stages - 1):
+    for stage_index in range(1, GENERATED_STAGES - 1):
         n_components = 2 + derive_seed(
             seed, "gcs.proc.schedule", stage_index, "count"
         ) % min(3, n_processes - 1)

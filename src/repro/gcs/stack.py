@@ -155,8 +155,7 @@ class GCSCluster:
 
     ``observers`` takes any :class:`repro.obs.Subscriber` instances;
     the cluster publishes ``on_gcs_event(cluster, pid, event)`` the
-    moment any stack raises a view installation or delivery, and
-    ``on_gcs_tick(cluster)`` after each completed tick.
+    moment any stack raises a view installation or delivery.
 
     ``transport`` is the single packet-backend attachment point: pass
     ``None`` (in-memory default), a backend name (``"memory"``,
@@ -180,7 +179,6 @@ class GCSCluster:
         self.transport.bind(universe, universe)
         self.transport.set_topology(self.topology)
         self.bus = EventBus(observers)
-        self._tick_hooks = self.bus.hooks("on_gcs_tick")
         event_hooks = self.bus.hooks("on_gcs_event")
         sink = None
         if event_hooks:
@@ -233,8 +231,6 @@ class GCSCluster:
             for dst, payload in self.stacks[pid].drain_outgoing():
                 self.transport.send(pid, dst, payload)
                 moved = True
-        for hook in self._tick_hooks:
-            hook(self)
         return moved
 
     def run_until_stable(self, max_ticks: int = 200) -> int:

@@ -52,6 +52,10 @@ from repro.types import Members, ProcessId
 #: under the stack, not to expose it.
 HOST = "127.0.0.1"
 
+#: Seconds one unit of injected ``LinkFaults.delay_max`` holds a
+#: transmission (the tick-denominated delay draw, made temporal).
+DELAY_UNIT = 0.01
+
 
 class _AsyncTransportBase(Transport):
     """Shared machinery: loop thread, ARQ pump, fault injection."""
@@ -65,7 +69,6 @@ class _AsyncTransportBase(Transport):
         link: Optional[LinkFaults] = None,
         ports: Optional[Dict[ProcessId, int]] = None,
         rto: float = 0.04,
-        delay_unit: float = 0.01,
         tick_interval: float = 0.01,
     ) -> None:
         self.link = link
@@ -75,9 +78,6 @@ class _AsyncTransportBase(Transport):
         #: so an unpaced CPU-speed tick loop produces packets faster
         #: than any wall-clock ARQ can drain them.
         self.tick_interval = tick_interval
-        #: Seconds one unit of injected ``LinkFaults.delay_max`` holds a
-        #: transmission (the tick-denominated delay draw, made temporal).
-        self.delay_unit = delay_unit
         self.ports: Dict[ProcessId, int] = dict(ports or {})
         self.universe: Members = frozenset()
         self.local_pids: Members = frozenset()
@@ -272,14 +272,14 @@ class _AsyncTransportBase(Transport):
                 self.injected_lost += 1
                 return  # the ARQ will retransmit
             held = delivery_delay(self.link, serial, src, dst)
-            delay = held * self.delay_unit
+            delay = held * DELAY_UNIT
             if self.link.reorder:
                 # Extra pure-hash jitter so same-instant transmissions
                 # land in an arbitrary — but seed-replayable — order.
                 jitter = derive_seed(
                     self.link.seed, "gcs.wire.reorder", serial, src, dst
                 ) % 1000
-                delay += (jitter / 1000.0) * self.delay_unit
+                delay += (jitter / 1000.0) * DELAY_UNIT
         data = frame(frame_body)
         if delay > 0:
             self.injected_delayed += 1

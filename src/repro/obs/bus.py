@@ -71,9 +71,6 @@ class Subscriber:
     # Group communication (published by repro.gcs.stack.GCSCluster).
     # ------------------------------------------------------------------
 
-    def on_gcs_tick(self, cluster: Any) -> None:
-        """One lock-step tick of a GCS cluster completed."""
-
     def on_gcs_event(self, cluster: Any, pid: int, event: Any) -> None:
         """A stack raised a view-installation or delivery event."""
 
@@ -88,7 +85,6 @@ HOOK_NAMES: Tuple[str, ...] = (
     "on_run_end",
     "on_case_start",
     "on_case_end",
-    "on_gcs_tick",
     "on_gcs_event",
 )
 

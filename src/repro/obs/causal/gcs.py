@@ -5,7 +5,7 @@ asymmetrically: each process adopts a view the moment its membership
 agent decides, so a single connectivity change fans out into a window
 of ticks during which some members run the new view and others still
 the old one.  :class:`GCSViewSpans` subscribes to the cluster's
-``on_gcs_event``/``on_gcs_tick`` hooks and turns each distinct view
+``on_gcs_event`` hook and turns each distinct view
 into a span over that window:
 
 * **opened** at the tick its first member installs it;

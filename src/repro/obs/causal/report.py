@@ -33,6 +33,9 @@ from repro.obs.metrics import Histogram
 #: a few rounds, the tail runs to the length of a run.
 REPORT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
+#: Rows the HTML attempts table shows before it states the cap.
+MAX_ATTEMPT_ROWS = 200
+
 
 def spans_to_jsonl(spans: SpanSet) -> str:
     """The whole span set as canonical JSON lines."""
@@ -166,15 +169,14 @@ def render_html_report(
     title: str = "Availability forensics",
     labels: Optional[Mapping[str, Any]] = None,
     timeline: Optional[str] = None,
-    max_attempt_rows: int = 200,
 ) -> str:
     """One self-contained HTML page for a span set.
 
     ``timeline`` takes pre-rendered text (e.g. from
     :func:`repro.sim.trace.render_timeline` with spans woven in) and is
-    embedded verbatim in a ``<pre>`` block.  ``max_attempt_rows`` caps
-    the attempts table; the cap is stated explicitly in the page when
-    it bites, never silently.
+    embedded verbatim in a ``<pre>`` block.  The attempts table is
+    capped at ``MAX_ATTEMPT_ROWS``; the cap is stated explicitly in the
+    page when it bites, never silently.
     """
     parts: List[str] = []
     parts.append("<!doctype html><html><head><meta charset='utf-8'>")
@@ -260,7 +262,7 @@ def render_html_report(
     parts.append("<h2>Attempts</h2><table>")
     parts.append(_row(["run", "members", "opened", "closed", "outcome",
                        "message rounds", "cause"], tag="th"))
-    for span in spans.attempts[:max_attempt_rows]:
+    for span in spans.attempts[:MAX_ATTEMPT_ROWS]:
         parts.append(
             "<tr>" + _num(span.run_index)
             + "<td>{" + html.escape(",".join(map(str, span.members))) + "}</td>"
@@ -271,9 +273,9 @@ def render_html_report(
             + "<td>" + html.escape(span.interrupted_by or "") + "</td></tr>"
         )
     parts.append("</table>")
-    if len(spans.attempts) > max_attempt_rows:
+    if len(spans.attempts) > MAX_ATTEMPT_ROWS:
         parts.append(
-            f"<p>Showing {max_attempt_rows} of {len(spans.attempts)} "
+            f"<p>Showing {MAX_ATTEMPT_ROWS} of {len(spans.attempts)} "
             "attempts.</p>"
         )
 

@@ -47,12 +47,9 @@ def _node_order(node: NodeName) -> Tuple[int, Union[int, str]]:
     return (1, str(node))
 
 
-def fold_flight_streams(
-    streams: List[Dict[str, Any]],
-    into: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
+def fold_flight_streams(streams: List[Dict[str, Any]]) -> MetricsRegistry:
     """Reduce stream snapshots to flight counters, in the given order."""
-    registry = into if into is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     for stream in streams:
         node = stream["node"]
         registry.counter("telemetry.flight.recorded", node=node).inc(

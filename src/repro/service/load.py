@@ -3,9 +3,9 @@
 Workloads here are *replayed*, not sampled: every draw is a pure hash
 of ``(seed, client, tick)`` through :func:`~repro.sim.rng.derive_seed`,
 so no RNG stream is ever consumed.  The same profile produces the same
-op stream bit-for-bit whether one process generates all clients or
-eight shards generate one client each — sharding is by client and the
-merged streams re-sort into the identical sequence.
+op stream bit-for-bit, and each client's ops depend on that client
+alone: the merged stream is the per-client streams re-sorted by
+``(tick, client)``.
 
 The traffic shape follows the usual heavy-tail trio:
 
@@ -191,21 +191,11 @@ def client_ops(profile: LoadProfile, client: int) -> Iterator[ClientOp]:
             yield ClientOp(tick, client, "get", key, None)
 
 
-def workload(
-    profile: LoadProfile, shard: int = 0, n_shards: int = 1
-) -> List[ClientOp]:
-    """The merged op stream, or one shard's slice of it.
-
-    Sharding is by client (``client % n_shards == shard``); merging all
-    shards and re-sorting by ``(tick, client)`` reproduces the
-    unsharded stream exactly — the property tests pin this.
-    """
-    if n_shards < 1 or not 0 <= shard < n_shards:
-        raise ReproError(f"bad shard {shard}/{n_shards}")
+def workload(profile: LoadProfile) -> List[ClientOp]:
+    """Every client's ops merged into one stream, by ``(tick, client)``."""
     ops: List[ClientOp] = []
     for client in range(profile.clients):
-        if client % n_shards == shard:
-            ops.extend(client_ops(profile, client))
+        ops.extend(client_ops(profile, client))
     ops.sort(key=lambda op: (op.tick, op.client))
     return ops
 

@@ -45,12 +45,15 @@ def stage_start_ticks(n_stages: int, ticks: int) -> List[int]:
     return [index * ticks // n_stages for index in range(n_stages)]
 
 
+#: Tick budget for the first stage's primary to form before any load.
+WARMUP_TICKS = 300
+
+
 def run_scenario(
     profile: LoadProfile,
     schedule: Optional[RecordedSchedule] = None,
     algorithm: str = "ykd",
     n_processes: int = 5,
-    warmup_ticks: int = 300,
     collector: Optional[TelemetryCollector] = None,
 ) -> Dict[str, Any]:
     """Run one load scenario and return its availability report.
@@ -81,7 +84,7 @@ def run_scenario(
     )
     starts = stage_start_ticks(len(stages), profile.ticks)
     cluster.apply_stage(stages[0])
-    cluster.warm_up(max_ticks=warmup_ticks)
+    cluster.warm_up(max_ticks=WARMUP_TICKS)
 
     by_tick = ops_by_tick(profile)
     served_gets = puts_direct = puts_redirected = 0

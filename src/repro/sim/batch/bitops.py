@@ -7,8 +7,8 @@ is a member.  Two flavours share one semantics:
   kernel caps the universe at 64 processes so every mask also fits a
   ``uint64``) — these drive the sparse per-component protocol logic;
 * vectorized helpers over numpy ``uint64`` arrays — these drive the
-  bulk membership bookkeeping and the simple-majority baseline, one
-  batch of runs per operation.
+  bulk membership bookkeeping and the simple-majority baseline's
+  quorum test, one batch of runs per operation.
 
 Every predicate mirrors a function of :mod:`repro.core.quorum` (or the
 session order of :mod:`repro.core.session`) exactly; the property tests
@@ -18,7 +18,7 @@ memberships up to the ``n = 64`` boundary.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -44,41 +44,12 @@ def mask_of(members: Iterable[ProcessId]) -> int:
     return mask
 
 
-def members_of(mask: int) -> FrozenSet[ProcessId]:
-    """Unpack a bitmask into the frozenset the object engine uses."""
-    return frozenset(iter_bits(mask))
-
-
 def iter_bits(mask: int) -> Iterator[ProcessId]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def bits_list(mask: int) -> List[ProcessId]:
-    """The set bit positions of ``mask``, ascending (sorted members)."""
-    return list(iter_bits(mask))
-
-
-def popcount(mask: int) -> int:
-    """Number of members in the mask."""
-    return mask.bit_count()
-
-
-def lowest_bit(mask: int) -> int:
-    """The lexically smallest member (lowest set bit position)."""
-    if not mask:
-        raise ValueError("empty mask has no smallest member")
-    return (mask & -mask).bit_length() - 1
-
-
-def is_majority_mask(x: int, y: int) -> bool:
-    """``repro.core.quorum.is_majority`` over masks."""
-    if not y:
-        raise ValueError("majority of an empty set is undefined")
-    return 2 * (x & y).bit_count() > y.bit_count()
 
 
 def is_subquorum_mask(x: int, y: int) -> bool:
@@ -96,13 +67,6 @@ def is_subquorum_mask(x: int, y: int) -> bool:
     if doubled == size:
         return x & (y & -y) != 0
     return False
-
-
-def simple_majority_primary_mask(component: int, universe: int) -> bool:
-    """``repro.core.quorum.simple_majority_primary`` over masks."""
-    if not component:
-        return False
-    return is_subquorum_mask(component, universe)
 
 
 def members_gt(a: int, b: int) -> bool:
@@ -156,30 +120,9 @@ def session_sort_key(session: Tuple[int, int]) -> Tuple[int, str]:
     return session[0], bin(session[1])[:1:-1].translate(_SWAP_BITS)
 
 
-def max_session_pair(sessions: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
-    """The maximum of non-empty ``(number, mask)`` pairs under session order."""
-    best = None
-    for session in sessions:
-        if best is None or session_gt(session, best):
-            best = session
-    if best is None:
-        raise ValueError("max of no sessions")
-    return best
-
-
 # ----------------------------------------------------------------------
 # Vectorized (numpy uint64) masks.
 # ----------------------------------------------------------------------
-
-
-def masks_array(masks: Iterable[int]) -> np.ndarray:
-    """Pack an iterable of scalar masks into a ``uint64`` array."""
-    return np.fromiter((int(m) for m in masks), dtype=np.uint64)
-
-
-def popcount_vec(masks: np.ndarray) -> np.ndarray:
-    """Per-lane popcount of a ``uint64`` mask array."""
-    return np.bitwise_count(masks)
 
 
 def lowest_bit_vec(masks: np.ndarray) -> np.ndarray:
@@ -187,11 +130,6 @@ def lowest_bit_vec(masks: np.ndarray) -> np.ndarray:
     # Two's complement negation under uint64 wraparound isolates the
     # lowest set bit exactly as ``mask & -mask`` does for Python ints.
     return masks & (~masks + _ONE)
-
-
-def is_majority_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized ``is_majority`` (lanes with empty ``y`` are False)."""
-    return 2 * np.bitwise_count(x & y) > np.bitwise_count(y)
 
 
 def is_subquorum_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -205,13 +143,6 @@ def is_subquorum_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     size = np.bitwise_count(y)
     tie = (inter == size) & ((x & lowest_bit_vec(y)) != 0) & (y != 0)
     return (inter > size) | tie
-
-
-def simple_majority_primary_vec(
-    components: np.ndarray, universe: np.ndarray
-) -> np.ndarray:
-    """Vectorized §3.3 baseline (empty component lanes are False)."""
-    return is_subquorum_vec(components, universe) & (components != 0)
 
 
 def expand_bits(masks: np.ndarray, n_processes: int) -> np.ndarray:

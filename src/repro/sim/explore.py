@@ -24,9 +24,8 @@ Two engines implement the same enumeration:
   A shared scenario prefix executes once; each branch restores a
   :class:`~repro.sim.driver.DriverSnapshot` instead of replaying from
   the initial state.  Canonical state hashing
-  (:mod:`repro.sim.statehash`) deduplicates converged states, silent
-  change rounds collapse the whole cut enumeration at once, and the
-  top-level frontier can shard across worker processes.  The result
+  (:mod:`repro.sim.statehash`) deduplicates converged states and silent
+  change rounds collapse the whole cut enumeration at once.  The result
   (scenarios, availability, violations, truncation) is **identical**
   to the replay engine's on the same bound — the differential test
   suite enforces this.
@@ -43,7 +42,6 @@ depth=2`` (hundreds of thousands of replayed rounds) routine.  See
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import asdict, dataclass, field
 from typing import (
     Dict,
@@ -127,19 +125,6 @@ class ExploreStats:
     restores: int = 0
     rounds: int = 0
     max_fork_depth: int = 0
-    workers: int = 1
-
-    def merge(self, other: "ExploreStats") -> None:
-        """Fold another shard's counters into this one (sums and maxima)."""
-        self.nodes += other.nodes
-        self.leaves += other.leaves
-        self.dedup_hits += other.dedup_hits
-        self.dedup_entries += other.dedup_entries
-        self.cut_collapsed += other.cut_collapsed
-        self.snapshots += other.snapshots
-        self.restores += other.restores
-        self.rounds += other.rounds
-        self.max_fork_depth = max(self.max_fork_depth, other.max_fork_depth)
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-compatible form (the CLI's ``--stats-out`` artifact)."""
@@ -177,39 +162,6 @@ class Counterexample:
             "violation": self.violation,
             "blame": {category: count for category, count in self.blame},
         }
-
-
-def _blame_for_steps(
-    algorithm: str,
-    n_processes: int,
-    steps: Sequence[Tuple[int, ConnectivityChange, FrozenSet[int]]],
-) -> Tuple[Tuple[str, int], ...]:
-    """Replay a recorded schedule under causal observation.
-
-    The replay raises the same violation the exploration hit (the
-    schedule is deterministic); the span builder's state up to that
-    point is exactly the explanation we want.
-    """
-    from repro.errors import SimulationError
-    from repro.obs.causal import CausalObserver
-
-    causal = CausalObserver()
-    driver = DriverLoop(
-        algorithm=algorithm,
-        n_processes=n_processes,
-        fault_rng=derive_rng(0, "explore", "blame", algorithm),
-        observers=[InvariantChecker(), causal],
-    )
-    try:
-        driver.execute_schedule(steps)
-    except (InvariantViolation, SimulationError):
-        pass
-    totals = causal.finalize().blame_totals()
-    return tuple(
-        (category, count)
-        for category, count in sorted(totals.items())
-        if count
-    )
 
 
 @dataclass
@@ -250,6 +202,18 @@ def _describe_step(
     return f"gap={gap} {change.describe()} late={sorted(late)}"
 
 
+def _check_bound(depth: int, gap_options: Sequence[int]) -> Tuple[int, ...]:
+    """Refuse a bound neither engine can enumerate; returns the gaps."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    gaps = tuple(gap_options)
+    if not gaps or min(gaps) < 0:
+        raise ValueError(
+            f"gap_options must be one or more gaps >= 0, not {list(gaps)}"
+        )
+    return gaps
+
+
 def explore_replay(
     algorithm: str,
     n_processes: int = 3,
@@ -268,13 +232,12 @@ def explore_replay(
     it is kept: the fork-based :func:`explore` is differentially tested
     against it on every registered algorithm.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    gap_options = _check_bound(depth, gap_options)
     result = ExplorationResult(
         algorithm=algorithm,
         n_processes=n_processes,
         depth=depth,
-        gap_options=tuple(gap_options),
+        gap_options=gap_options,
     )
 
     def run_scenario(steps: List[Tuple[int, ConnectivityChange, FrozenSet[int]]]) -> bool:
@@ -405,57 +368,10 @@ class _Explorer:
             observers=[InvariantChecker(), self._counter],
         )
 
-    # ------------------------------------------------------------------
-    # Entry points.
-    # ------------------------------------------------------------------
-
     def run(self) -> None:
-        """Serial exploration of the whole bound."""
+        """Explore the whole bound from the initial state."""
         try:
             self._subtree(self.depth)
-        except _Abort:
-            pass
-        self.stats.rounds = self._counter.rounds
-
-    def run_entries(
-        self,
-        entries: Sequence[Tuple[int, ConnectivityChange, FrozenSet[int]]],
-    ) -> None:
-        """Explore an explicit slice of the top-level frontier.
-
-        Used by the sharded path; the serial path takes :meth:`run`
-        instead (same semantics, plus silent-round cut collapsing at
-        the root).
-        """
-        driver = self.driver
-        base = driver.snapshot()
-        self.stats.snapshots += 1
-        try:
-            gap_snaps, gap_violation = self._gap_states(base)
-            for gap, change, late in entries:
-                self._steps_desc.append(_describe_step(gap, change, late))
-                try:
-                    if gap_violation is not None and gap >= gap_violation[0]:
-                        next_topology = apply_change(base.topology, change)
-                        self._violating_suffixes(
-                            next_topology, self.depth - 1, gap_violation[1]
-                        )
-                        continue
-                    snap = gap_snaps[gap]
-                    driver.restore(snap)
-                    self.stats.restores += 1
-                    try:
-                        driver.run_scripted_round(change, late)
-                    except InvariantViolation as violation:
-                        self._capture_counterexample(str(violation))
-                        next_topology = apply_change(snap.topology, change)
-                        self._violating_suffixes(
-                            next_topology, self.depth - 1, str(violation)
-                        )
-                    else:
-                        self._subtree(self.depth - 1)
-                finally:
-                    self._steps_desc.pop()
         except _Abort:
             pass
         self.stats.rounds = self._counter.rounds
@@ -699,6 +615,9 @@ class _Explorer:
         """
         if len(self.result.counterexamples) >= MAX_COUNTEREXAMPLES:
             return
+        from repro.check.differential import run_plan
+        from repro.check.plan import plan_from_recorded
+
         plan_steps = tuple(
             (gap, change, frozenset(late))
             for gap, change, late in self.driver.recorded_steps()
@@ -710,63 +629,12 @@ class _Explorer:
                 steps=tuple(self._steps_desc),
                 violation=text,
                 plan_steps=plan_steps,
-                blame=_blame_for_steps(
-                    self.algorithm, self.n_processes, plan_steps
-                ),
+                blame=run_plan(
+                    plan_from_recorded(self.n_processes, plan_steps),
+                    self.algorithm,
+                ).blame,
             )
         )
-
-
-def _frontier(
-    n_processes: int, gap_options: Tuple[int, ...]
-) -> List[Tuple[int, ConnectivityChange, FrozenSet[int]]]:
-    """Every first (gap, change, late) step, in enumeration order."""
-    topology = Topology.fully_connected(n_processes)
-    return [
-        (gap, change, late)
-        for gap in gap_options
-        for change in enumerate_changes(topology)
-        for late in enumerate_cuts(affected_processes(change, topology))
-    ]
-
-
-def _shard_ranges(total: int, shards: int) -> List[Tuple[int, int]]:
-    """Contiguous [start, end) frontier slices, sizes differing by ≤ 1."""
-    shards = max(1, min(shards, total))
-    base, extra = divmod(total, shards)
-    ranges: List[Tuple[int, int]] = []
-    offset = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        ranges.append((offset, offset + size))
-        offset += size
-    return ranges
-
-
-def _explore_shard(
-    algorithm: str,
-    n_processes: int,
-    depth: int,
-    gap_options: Tuple[int, ...],
-    stop_on_violation: bool,
-    start: int,
-    end: int,
-) -> ExplorationResult:
-    """Process-pool worker: explore one contiguous frontier slice.
-
-    The frontier is recomputed in the worker (it is a pure function of
-    the bound), so only the slice indices cross the process boundary.
-    """
-    explorer = _Explorer(
-        algorithm=algorithm,
-        n_processes=n_processes,
-        depth=depth,
-        gap_options=gap_options,
-        max_scenarios=None,
-        stop_on_violation=stop_on_violation,
-    )
-    explorer.run_entries(_frontier(n_processes, gap_options)[start:end])
-    return explorer.result
 
 
 def explore(
@@ -776,7 +644,6 @@ def explore(
     gap_options: Sequence[int] = (0, 1, 2),
     max_scenarios: Optional[int] = None,
     stop_on_violation: bool = True,
-    workers: int = 1,
 ) -> ExplorationResult:
     """Exhaustively check one algorithm over all bounded fault schedules.
 
@@ -785,64 +652,17 @@ def explore(
     converged states are deduplicated by canonical hashing, and silent
     change rounds collapse their whole cut enumeration.  Scenario
     counts, availability, the violation list and truncation semantics
-    are identical to :func:`explore_replay` on the same bound.
-
-    ``workers > 1`` shards the top-level frontier across a process pool
-    with a deterministic merge.  ``max_scenarios`` (exact truncation)
-    needs every scenario enumerated in order, so it forces serial
-    execution.
+    are identical to :func:`explore_replay` on the same bound, and both
+    raise :class:`ValueError` on ``depth < 1`` or on an empty or
+    negative ``gap_options``.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    gap_options = tuple(gap_options)
-
-    if workers == 1 or max_scenarios is not None:
-        explorer = _Explorer(
-            algorithm=algorithm,
-            n_processes=n_processes,
-            depth=depth,
-            gap_options=gap_options,
-            max_scenarios=max_scenarios,
-            stop_on_violation=stop_on_violation,
-        )
-        explorer.run()
-        return explorer.result
-
-    # Sharded: split the top-level frontier into contiguous slices and
-    # merge in slice order — concatenating the slices reproduces the
-    # serial enumeration order exactly.
-    ranges = _shard_ranges(len(_frontier(n_processes, gap_options)), workers)
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=len(ranges)) as pool:
-        shards = pool.starmap(
-            _explore_shard,
-            [
-                (
-                    algorithm, n_processes, depth, gap_options,
-                    stop_on_violation, start, end,
-                )
-                for start, end in ranges
-            ],
-        )
-    result = ExplorationResult(
+    explorer = _Explorer(
         algorithm=algorithm,
         n_processes=n_processes,
         depth=depth,
-        gap_options=gap_options,
-        stats=ExploreStats(workers=len(ranges)),
+        gap_options=_check_bound(depth, gap_options),
+        max_scenarios=max_scenarios,
+        stop_on_violation=stop_on_violation,
     )
-    for shard in shards:
-        result.scenarios += shard.scenarios
-        result.available += shard.available
-        result.stats.merge(shard.stats)
-        room = MAX_COUNTEREXAMPLES - len(result.counterexamples)
-        result.counterexamples.extend(shard.counterexamples[:room])
-        result.violations.extend(shard.violations)
-        if shard.violations and stop_on_violation:
-            # The serial run would have stopped inside this slice:
-            # everything up to here matches it exactly; later slices
-            # would never have run.
-            break
-    return result
+    explorer.run()
+    return explorer.result

@@ -12,30 +12,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.quorum import is_majority, is_subquorum, simple_majority_primary
+from repro.core.quorum import is_subquorum
 from repro.core.session import Session
 from repro.sim.batch.bitops import (
     MAX_PROCESSES,
-    bits_list,
     expand_bits,
-    is_majority_mask,
-    is_majority_vec,
     is_subquorum_mask,
     is_subquorum_vec,
     iter_bits,
-    lowest_bit,
     lowest_bit_vec,
     mask_of,
-    masks_array,
-    max_session_pair,
     members_gt,
-    members_of,
-    popcount,
-    popcount_vec,
     session_gt,
     session_sort_key,
-    simple_majority_primary_mask,
-    simple_majority_primary_vec,
 )
 
 # Memberships over the full uint64 range, empty included.
@@ -49,6 +38,11 @@ nonempty_members = st.sets(
 )
 
 
+def masks_array(masks) -> np.ndarray:
+    """Scalar masks as the kernel's ``uint64`` lanes."""
+    return np.array([int(m) for m in masks], dtype=np.uint64)
+
+
 # ----------------------------------------------------------------------
 # Round-tripping and counting.
 # ----------------------------------------------------------------------
@@ -57,25 +51,13 @@ nonempty_members = st.sets(
 @given(members_strategy)
 def test_mask_roundtrip(members) -> None:
     mask = mask_of(members)
-    assert members_of(mask) == frozenset(members)
-    assert bits_list(mask) == sorted(members)
-    assert popcount(mask) == len(members)
-
-
-@given(nonempty_members)
-def test_lowest_bit_is_lexically_smallest_member(members) -> None:
-    assert lowest_bit(mask_of(members)) == min(members)
-
-
-def test_lowest_bit_rejects_empty() -> None:
-    with pytest.raises(ValueError):
-        lowest_bit(0)
+    assert list(iter_bits(mask)) == sorted(members)
+    assert mask.bit_count() == len(members)
 
 
 def test_iter_bits_full_universe() -> None:
     full = (1 << MAX_PROCESSES) - 1
     assert list(iter_bits(full)) == list(range(MAX_PROCESSES))
-    assert popcount(full) == MAX_PROCESSES
 
 
 # ----------------------------------------------------------------------
@@ -84,24 +66,10 @@ def test_iter_bits_full_universe() -> None:
 
 
 @given(members_strategy, nonempty_members)
-def test_is_majority_matches_quorum(x, y) -> None:
-    assert is_majority_mask(mask_of(x), mask_of(y)) == is_majority(
-        frozenset(x), frozenset(y)
-    )
-
-
-@given(members_strategy, nonempty_members)
 def test_is_subquorum_matches_quorum(x, y) -> None:
     assert is_subquorum_mask(mask_of(x), mask_of(y)) == is_subquorum(
         frozenset(x), frozenset(y)
     )
-
-
-@given(members_strategy, nonempty_members)
-def test_simple_majority_primary_matches_quorum(component, universe) -> None:
-    assert simple_majority_primary_mask(
-        mask_of(component), mask_of(universe)
-    ) == simple_majority_primary(frozenset(component), frozenset(universe))
 
 
 def test_exact_half_tie_break_both_sides() -> None:
@@ -113,8 +81,6 @@ def test_exact_half_tie_break_both_sides() -> None:
 
 
 def test_scalar_predicates_reject_empty_reference() -> None:
-    with pytest.raises(ValueError):
-        is_majority_mask(0b1, 0)
     with pytest.raises(ValueError):
         is_subquorum_mask(0b1, 0)
 
@@ -142,20 +108,6 @@ def test_session_order_matches_session_dataclass(a, b) -> None:
     assert (session_sort_key(pa) > session_sort_key(pb)) == (sa > sb)
 
 
-@given(st.lists(session_strategy, min_size=1, max_size=8))
-def test_max_session_pair_matches_python_max(pairs) -> None:
-    sessions = [Session(number=n, members=frozenset(m)) for n, m in pairs]
-    masks = [(n, mask_of(m)) for n, m in pairs]
-    best = max_session_pair(masks)
-    expected = max(sessions)
-    assert best == (expected.number, mask_of(expected.members))
-
-
-def test_max_session_pair_rejects_empty() -> None:
-    with pytest.raises(ValueError):
-        max_session_pair([])
-
-
 # ----------------------------------------------------------------------
 # Vectorized forms agree with the scalar forms, lane for lane.
 # ----------------------------------------------------------------------
@@ -170,17 +122,11 @@ def test_max_session_pair_rejects_empty() -> None:
 def test_vectorized_lanes_match_scalar(pairs) -> None:
     xs = masks_array(mask_of(x) for x, _ in pairs)
     ys = masks_array(mask_of(y) for _, y in pairs)
-    maj = is_majority_vec(xs, ys)
     sub = is_subquorum_vec(xs, ys)
-    prim = simple_majority_primary_vec(xs, ys)
-    pop = popcount_vec(xs)
     low = lowest_bit_vec(xs)
     for lane, (x, y) in enumerate(pairs):
         xm, ym = mask_of(x), mask_of(y)
-        assert bool(maj[lane]) == is_majority_mask(xm, ym)
         assert bool(sub[lane]) == is_subquorum_mask(xm, ym)
-        assert bool(prim[lane]) == simple_majority_primary_mask(xm, ym)
-        assert int(pop[lane]) == popcount(xm)
         assert int(low[lane]) == (xm & -xm)
 
 
@@ -190,7 +136,6 @@ def test_vectorized_empty_reference_lane_is_false() -> None:
     xs = masks_array([0b1, 0b1])
     ys = masks_array([0b0, 0b1])
     assert list(is_subquorum_vec(xs, ys)) == [False, True]
-    assert list(is_majority_vec(xs, ys)) == [False, True]
 
 
 def test_uint64_boundary_lane() -> None:
@@ -199,7 +144,7 @@ def test_uint64_boundary_lane() -> None:
     top = 1 << (MAX_PROCESSES - 1)
     full = (1 << MAX_PROCESSES) - 1
     xs = masks_array([top, full])
-    assert list(popcount_vec(xs)) == [1, MAX_PROCESSES]
+    assert list(np.bitwise_count(xs)) == [1, MAX_PROCESSES]
     assert int(lowest_bit_vec(masks_array([top]))[0]) == top
     assert is_subquorum_mask(full, full)
     assert not is_subquorum_mask(top, full)

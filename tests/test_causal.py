@@ -326,11 +326,14 @@ class TestSurfaceWiring:
             stop_on_violation=False,
         )
         assert result.violations
-        assert result.counterexamples
+        # 25 is the MAX_COUNTEREXAMPLES ceiling; every schedule loses
+        # one idle round on its way to the violation.
+        assert [example.blame for example in result.counterexamples] == [
+            (("algorithm_idle", 1),)
+        ] * 25
         for example in result.counterexamples:
             assert example.algorithm == "broken_majority"
             assert example.steps
-            assert dict(example.blame)  # some round was lost
             payload = json.dumps(example.to_dict())
             assert "blame" in payload
 

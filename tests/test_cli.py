@@ -1,7 +1,10 @@
 """Tests for the repro-experiments command-line interface."""
 
+import json
+
 import pytest
 
+from repro.core.registry import algorithm_names
 from repro.experiments.cli import COMMANDS, main
 from repro.experiments.runner import batched_fallback_reason
 
@@ -154,6 +157,51 @@ class TestVerify:
             "--gaps", "0", "--max-scenarios", "20",
         ]) == 0
         assert "truncated" in capsys.readouterr().out
+
+    def test_stats_out_artifact(self, capsys, tmp_path):
+        from dataclasses import fields
+
+        from repro.sim.explore import ExploreStats, explore_replay
+
+        path = tmp_path / "stats.json"
+        assert main([
+            "verify", "all", "--processes", "3", "--depth", "1",
+            "--gaps", "0", "1", "--stats-out", str(path),
+        ]) == 0
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert set(payload) == {
+            "kind", "processes", "depth", "gaps", "algorithms"
+        }
+        assert (payload["processes"], payload["depth"], payload["gaps"]) == (
+            3, 1, [0, 1]
+        )
+        assert set(payload["algorithms"]) == set(algorithm_names())
+        stat_names = {f.name for f in fields(ExploreStats)}
+        for algorithm, entry in payload["algorithms"].items():
+            reference = explore_replay(
+                algorithm, n_processes=3, depth=1, gap_options=(0, 1)
+            )
+            assert (entry["scenarios"], entry["available"]) == (
+                reference.scenarios, reference.available
+            )
+            assert set(entry["stats"]) == stat_names
+
+        def keys(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from keys(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from keys(value)
+
+        assert "workers" not in set(keys(payload))
+
+    def test_sharding_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "ykd", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 class TestSoak:
@@ -399,6 +447,10 @@ class TestRegistry:
         ["trace", "ykd", "--processes", "1"],
         ["compare", "ykd", "dfls", "--changes", "-1"],
         ["profile", "ykd", "--every", "0"],
+        ["verify", "ykd", "--processes", "1"],
+        ["verify", "ykd", "--depth", "0"],
+        ["verify", "ykd", "--gaps", "0", "-1"],
+        ["verify", "ykd", "--max-scenarios", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )

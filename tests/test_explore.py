@@ -9,6 +9,7 @@ from repro.sim.explore import (
     enumerate_changes,
     enumerate_cuts,
     explore,
+    explore_replay,
 )
 
 
@@ -54,6 +55,13 @@ class TestExplore:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             explore("ykd", depth=0)
+
+    @pytest.mark.parametrize("engine", [explore, explore_replay])
+    @pytest.mark.parametrize("gaps", [(), (-1,), (0, -2)])
+    def test_both_engines_refuse_bad_gap_options(self, engine, gaps):
+        # A negative gap would run as gap 0; an empty list checks nothing.
+        with pytest.raises(ValueError, match="gap_options"):
+            engine("ykd", n_processes=3, depth=1, gap_options=gaps)
 
     def test_counts_and_availability(self):
         result = explore("ykd", n_processes=3, depth=1, gap_options=(0,))

@@ -10,10 +10,11 @@ Three layers of assurance for ``repro.sim.explore``:
 * **golden pinned counts** — scenario totals, availability and
   state/dedup counts at fixed bounds, so any silent change in
   enumeration or deduplication shows up as a diff;
-* **the knobs** — worker sharding, truncation and the work accounting.
+* **the knobs** — truncation and the work accounting.
 """
 
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -196,45 +197,29 @@ class TestGoldenCounts:
 
 
 class TestKnobs:
-    """Worker sharding, truncation, and the work accounting."""
+    """Truncation and the work accounting."""
 
-    def test_workers_match_serial_exactly(self):
-        serial = explore("ykd", n_processes=3, depth=2, gap_options=(0, 1))
-        sharded = explore(
-            "ykd", n_processes=3, depth=2, gap_options=(0, 1), workers=2
-        )
-        assert result_tuple(sharded) == result_tuple(serial)
-        assert sharded.stats.workers == 2
-
-    def test_max_scenarios_forces_serial(self):
+    def test_max_scenarios_stops_at_the_limit(self):
         result = explore(
             "ykd", n_processes=3, depth=1, gap_options=(0,),
-            max_scenarios=10, workers=4,
+            max_scenarios=10,
         )
-        assert result.stats.workers == 1
         assert result.scenarios == 10
-
-    def test_workers_validation(self):
-        with pytest.raises(ValueError):
-            explore("ykd", workers=0)
+        assert result.truncated
 
     def test_stats_serialize(self):
         result = explore("ykd", n_processes=3, depth=1, gap_options=(0,))
         payload = result.stats.to_dict()
-        assert payload["workers"] == 1
+        assert set(payload) == {f.name for f in fields(ExploreStats)}
         assert payload["nodes"] == result.stats.nodes
 
     def test_replay_engine_has_no_stats(self):
         result = explore_replay("ykd", n_processes=3, depth=1, gap_options=(0,))
         assert result.stats is None
 
-    def test_broken_algorithm_with_workers_stays_equivalent(
+    def test_broken_algorithm_at_gap_zero_matches_reference(
         self, broken_majority
     ):
-        # Worker processes cannot see a temporarily registered
-        # algorithm, so violation semantics under sharding are
-        # exercised serially via run_entries (workers=1 sharding path
-        # is the same merge code with one shard).
         serial = explore(
             "broken_majority", n_processes=4, depth=1, gap_options=(0,),
             stop_on_violation=False,

@@ -1,13 +1,10 @@
 """Tests for the pure-hash link fault draws (loss, delay, reorder)."""
 
 from repro.faults import LinkFaults
-from repro.faults.link import (
-    delay_matrix,
-    delivery_delay,
-    delivery_lost,
-    loss_matrix,
-    reorder_key,
-)
+from repro.faults.link import delivery_delay, delivery_lost, reorder_key
+
+#: Every directed link of a three-process system.
+LINKS_OF_3 = [(s, d) for s in range(3) for d in range(3) if s != d]
 
 
 class TestDeliveryLost:
@@ -151,12 +148,13 @@ class TestReorderKey:
 
 class TestLossMatrix:
     def test_matrix_reflects_overrides(self):
-        link = LinkFaults(loss_permille=100, link_loss=((0, 1, 900),))
-        matrix = loss_matrix(link, 3)
-        assert matrix[(0, 1)] == 900
-        assert matrix[(1, 0)] == 100
-        assert (0, 0) not in matrix
-        assert len(matrix) == 6
+        link = LinkFaults(loss_permille=100, link_loss=((0, 1, 900),), seed=3)
+        rate = {
+            pair: sum(delivery_lost(link, r, *pair) for r in range(1000)) / 1000
+            for pair in LINKS_OF_3
+        }
+        assert abs(rate.pop((0, 1)) - 0.9) < 0.05
+        assert all(abs(share - 0.1) < 0.05 for share in rate.values())
 
 
 class TestDelayMatrix:
@@ -164,8 +162,13 @@ class TestDelayMatrix:
         link = LinkFaults(
             delay_permille=200, delay_max=1, link_delay=((1, 2, 800, 6),)
         )
-        matrix = delay_matrix(link, 3)
-        assert matrix[(1, 2)] == (800, 6)
-        assert matrix[(2, 1)] == (200, 1)
-        assert (1, 1) not in matrix
-        assert len(matrix) == 6
+        delays = {
+            pair: [delivery_delay(link, r, *pair) for r in range(1000)]
+            for pair in LINKS_OF_3
+        }
+        slow = delays.pop((1, 2))
+        assert abs(sum(map(bool, slow)) / 1000 - 0.8) < 0.05
+        assert max(slow) == 6
+        for held in delays.values():
+            assert abs(sum(map(bool, held)) / 1000 - 0.2) < 0.05
+            assert max(held) == 1

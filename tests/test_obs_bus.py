@@ -53,13 +53,13 @@ class EverythingCounter(Subscriber):
 
 
 class TestOverrideDetection:
-    def test_protocol_is_exactly_the_ten_documented_hooks(self):
-        # docs/observability.md tabulates these ten; HOOK_NAMES and the
+    def test_protocol_is_exactly_the_nine_documented_hooks(self):
+        # docs/observability.md tabulates these nine; HOOK_NAMES and the
         # methods Subscriber declares must both be that list.
         assert HOOK_NAMES == (
             "on_run_start", "on_round", "on_change", "on_broadcast",
             "on_quiescence", "on_run_end", "on_case_start", "on_case_end",
-            "on_gcs_tick", "on_gcs_event",
+            "on_gcs_event",
         )
         declared = {n for n in vars(Subscriber) if n.startswith("on_")}
         assert declared == set(HOOK_NAMES)
@@ -178,14 +178,10 @@ class TestCampaignObserverAPI:
 
 
 class TestGCSObserverAPI:
-    def test_cluster_publishes_ticks_and_events(self):
+    def test_cluster_publishes_events(self):
         class GCSWatcher(Subscriber):
             def __init__(self):
-                self.ticks = 0
                 self.events = []
-
-            def on_gcs_tick(self, cluster):
-                self.ticks += 1
 
             def on_gcs_event(self, cluster, pid, event):
                 self.events.append((pid, event))
@@ -197,7 +193,6 @@ class TestGCSObserverAPI:
             Topology(components=(frozenset({0, 1}), frozenset({2, 3})))
         )
         cluster.run_until_stable()
-        assert watcher.ticks == cluster.ticks
         views = [e for _, e in watcher.events if isinstance(e, ViewInstalled)]
         assert views, "the partition must install new views"
 
