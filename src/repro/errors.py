@@ -73,7 +73,7 @@ class UnsupportedBatchConfig(ReproError):
     The batched campaign kernel (:mod:`repro.sim.batch`) reproduces the
     scalar driver's per-run outcomes *exactly* — but only for the
     configurations its equivalence proof covers: fresh-start cases of
-    2..64 processes under the stock change generators, with no
+    two or more processes under the stock change generators, with no
     observers, fault models, trace capture or statistics collectors
     attached.  Anything outside that surface raises this error instead
     of silently diverging; ``run_case(kernel="batched")`` catches it

@@ -78,7 +78,7 @@ def run_availability_figure(
     reconstructed causal spans); recording observers cannot cross
     process boundaries, so either directory forces the serial path
     regardless of ``workers``.  ``kernel="batched"`` regenerates the
-    figure on the vectorized kernel of :mod:`repro.sim.batch` — exact
+    figure on the batched kernel of :mod:`repro.sim.batch` — exact
     same numbers, much faster — with per-case scalar fallback for
     anything outside the batched surface (cascading figures, metrics
     collection, tracing).

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -77,6 +78,21 @@ def _int_at_least(minimum: int):
     return integer
 
 
+def _float_at_least(minimum: float):
+    """An argparse ``type=`` accepting finite floats no smaller than
+    ``minimum`` (``nan`` and ``inf`` parse as floats but name no case)."""
+
+    def number(text: str) -> float:
+        value = float(text)
+        if not minimum <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number of at least {minimum:g}, not {text}"
+            )
+        return value
+
+    return number
+
+
 def _add_case_options(
     parser: argparse.ArgumentParser,
     processes: int,
@@ -90,7 +106,9 @@ def _add_case_options(
     )
     parser.add_argument("--changes", type=_int_at_least(0), default=changes)
     if rate is not None:
-        parser.add_argument("--rate", type=float, default=rate)
+        parser.add_argument(
+            "--rate", type=_float_at_least(0.0), default=rate
+        )
     if runs is not None:
         parser.add_argument("--runs", type=_int_at_least(1), default=runs)
         parser.add_argument(
@@ -304,7 +322,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help="process-pool size for the heavy figures (default: 1)",
     )
@@ -336,7 +354,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         choices=["scalar", "batched"],
         default="scalar",
         help="campaign execution backend: the object-graph driver, or "
-        "the vectorized bitmask kernel (availability figures; exact "
+        "the batched bitmask kernel (availability figures; exact "
         "same numbers; outside its surface the scalar driver runs "
         "and a note on stderr says why)",
     )

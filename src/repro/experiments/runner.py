@@ -52,7 +52,7 @@ def run_experiment(
     availability figures (see
     :func:`~repro.experiments.availability.run_availability_figure`);
     other kinds ignore them.  ``kernel="batched"`` runs availability
-    figures on the vectorized campaign kernel (exact same numbers;
+    figures on the batched campaign kernel (exact same numbers;
     per-case scalar fallback); the other kinds need statistics the
     kernel does not collect and ignore the flag.
     """

@@ -21,6 +21,7 @@ algorithms".
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 from typing import List
@@ -55,8 +56,10 @@ class GeometricSchedule(ChangeSchedule):
     """
 
     def __init__(self, mean_rounds_between_changes: float) -> None:
-        if mean_rounds_between_changes < 0:
-            raise ScheduleError("mean rounds between changes must be >= 0")
+        if not 0 <= mean_rounds_between_changes < math.inf:
+            raise ScheduleError(
+                "mean rounds between changes must be finite and >= 0"
+            )
         self.mean = float(mean_rounds_between_changes)
         self.probability = 1.0 / (1.0 + self.mean)
 

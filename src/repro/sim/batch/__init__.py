@@ -1,4 +1,4 @@
-"""Batched campaign kernel: whole cases in lockstep on packed bitmasks.
+"""Batched campaign kernel: a whole case compiled once, played on int bitmasks.
 
 Opt-in backend for :func:`repro.sim.campaign.run_case` (pass
 ``kernel="batched"``); the scalar :class:`~repro.sim.driver.DriverLoop`

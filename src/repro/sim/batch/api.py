@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.errors import SimulationError, UnsupportedBatchConfig
-from repro.sim.batch.bitops import MAX_PROCESSES
 from repro.sim.batch.compile import SUPPORTED_GENERATORS, compile_case
 from repro.sim.batch.kernel import KERNEL_ALGORITHMS, execute_batch
 from repro.sim.campaign import MODE_FRESH, CaseConfig, CaseResult
@@ -66,11 +65,6 @@ def ensure_batchable(
         raise UnsupportedBatchConfig(
             "cascading cases thread algorithm state across runs; only "
             "fresh-start cases are batchable"
-        )
-    if config.n_processes > MAX_PROCESSES:
-        raise UnsupportedBatchConfig(
-            f"memberships are packed into uint64 lanes; "
-            f"n_processes={config.n_processes} exceeds {MAX_PROCESSES}"
         )
     if config.algorithm not in KERNEL_ALGORITHMS:
         raise UnsupportedBatchConfig(

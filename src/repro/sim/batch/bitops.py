@@ -1,39 +1,20 @@
 """Bitmask primitives for the batched campaign kernel.
 
-Process sets live as packed bitmasks: bit ``p`` set means process ``p``
-is a member.  Two flavours share one semantics:
-
-* scalar helpers over plain Python ints (arbitrary precision, but the
-  kernel caps the universe at 64 processes so every mask also fits a
-  ``uint64``) — these drive the sparse per-component protocol logic;
-* vectorized helpers over numpy ``uint64`` arrays — these drive the
-  bulk membership bookkeeping and the simple-majority baseline's
-  quorum test, one batch of runs per operation.
+Process sets live as packed bitmasks over plain Python ints: bit ``p``
+set means process ``p`` is a member.  Ints have arbitrary precision,
+so a universe of any size fits one mask.
 
 Every predicate mirrors a function of :mod:`repro.core.quorum` (or the
 session order of :mod:`repro.core.session`) exactly; the property tests
 in ``tests/test_batch_bitops.py`` pin the agreement on random
-memberships up to the ``n = 64`` boundary.
+memberships past bit 64.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Tuple
 
-import numpy as np
-
 from repro.types import ProcessId
-
-#: The kernel packs memberships into uint64 lanes, so a batch supports
-#: at most 64 processes (the thesis' full scale).
-MAX_PROCESSES = 64
-
-_ONE = np.uint64(1)
-
-
-# ----------------------------------------------------------------------
-# Scalar (Python int) masks.
-# ----------------------------------------------------------------------
 
 
 def mask_of(members: Iterable[ProcessId]) -> int:
@@ -119,33 +100,3 @@ def session_sort_key(session: Tuple[int, int]) -> Tuple[int, str]:
     """
     return session[0], bin(session[1])[:1:-1].translate(_SWAP_BITS)
 
-
-# ----------------------------------------------------------------------
-# Vectorized (numpy uint64) masks.
-# ----------------------------------------------------------------------
-
-
-def lowest_bit_vec(masks: np.ndarray) -> np.ndarray:
-    """Per-lane lowest set bit (as a mask; 0 lanes stay 0)."""
-    # Two's complement negation under uint64 wraparound isolates the
-    # lowest set bit exactly as ``mask & -mask`` does for Python ints.
-    return masks & (~masks + _ONE)
-
-
-def is_subquorum_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized SUBQUORUM(X, Y) (lanes with empty ``y`` are False).
-
-    The scalar predicate rejects empty ``y`` loudly; the vectorized
-    form is used on component lanes that are non-empty by construction,
-    so empty lanes simply report False.
-    """
-    inter = 2 * np.bitwise_count(x & y)
-    size = np.bitwise_count(y)
-    tie = (inter == size) & ((x & lowest_bit_vec(y)) != 0) & (y != 0)
-    return (inter > size) | tie
-
-
-def expand_bits(masks: np.ndarray, n_processes: int) -> np.ndarray:
-    """Expand a ``(K,)`` mask array into a ``(K, n)`` boolean matrix."""
-    shifts = np.arange(n_processes, dtype=np.uint64)
-    return (masks[:, None] >> shifts[None, :]) & _ONE != 0

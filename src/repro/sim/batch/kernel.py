@@ -1,16 +1,15 @@
-"""The batched campaign kernel: whole batches of runs in lockstep.
+"""The batched campaign kernel: a case's runs over packed bitmasks.
 
-The scalar engine advances one run at a time through a graph of Python
-objects (endpoints, messages, piggybacks, views, sessions).  This
-kernel advances *all* runs of a case together, one compiled change step
-at a time, over packed bitmask state:
+The scalar engine advances a run through a graph of Python objects
+(endpoints, messages, piggybacks, views, sessions).  This kernel plays
+each compiled run change by change over plain ``int`` bitmasks (bit
+``p`` set means process ``p`` is a member; Python ints have no lane
+width, so any number of processes fits):
 
-* membership bookkeeping — who holds which view, with which sequence
-  number, and who currently counts as in the primary — lives in
-  ``(runs, n)`` numpy arrays updated by one vectorized scatter per
-  change step;
-* the simple-majority baseline is evaluated entirely vectorized (one
-  ``SUBQUORUM`` lane per installed view across the whole batch);
+* who currently counts as in the primary is one mask per run, cleared
+  on every install and set again where a view forms a primary;
+* the simple-majority baseline is one ``SUBQUORUM`` test per installed
+  view;
 * the dynamic voting algorithms keep sparse *books* (sessions as
   ``(number, member-mask)`` pairs, ``lastFormed`` as an inverted
   session→member-mask map, knowledge as bitmask fact sets), one per
@@ -35,13 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.sim.batch.bitops import (
-    expand_bits,
     is_subquorum_mask,
-    is_subquorum_vec,
     session_gt,
     session_sort_key,
 )
@@ -69,7 +64,7 @@ class BatchOutcome:
     outcomes: List[bool]
     rounds_total: int
     changes_total: int
-    #: Final ``in_primary`` bits per run, packed into one mask per run.
+    #: Per run, the mask of processes that finished in the primary.
     final_primary_masks: List[int]
 
 
@@ -79,58 +74,28 @@ def execute_batch(
     runs: Sequence[CompiledRun],
     max_quiescence_rounds: int,
 ) -> BatchOutcome:
-    """Advance every compiled run to quiescence, in lockstep steps."""
-    n = n_processes
-    batch = len(runs)
-    universe = (1 << n) - 1
-    # The three bookkeeping arrays: every install step updates them
-    # with one vectorized scatter, whatever the algorithm.
-    view_mask = np.full((batch, n), np.uint64(universe))
-    view_seq = np.zeros((batch, n), dtype=np.int64)
-    in_primary = np.ones((batch, n), dtype=bool)
-
+    """Play every compiled run to quiescence, one run at a time."""
+    universe = (1 << n_processes) - 1
     if algorithm == "simple_majority":
         engine: _Engine = _MajorityEngine(universe)
     elif algorithm == "mr1p":
-        engine = _MR1pEngine(batch, universe)
+        engine = _MR1pEngine(universe)
     else:
-        engine = _YkdFamilyEngine(algorithm, batch, universe)
+        engine = _YkdFamilyEngine(algorithm, universe)
 
-    max_steps = max((len(run.changes) for run in runs), default=0)
-    for step in range(max_steps):
-        rows: List[int] = []
-        masks: List[int] = []
-        seqs: List[int] = []
-        for b, run in enumerate(runs):
-            if step >= len(run.changes):
-                continue
-            change = run.changes[step]
-            engine.on_change(b, change)
-            for mask, seq in change.installs:
-                rows.append(b)
-                masks.append(mask)
-                seqs.append(seq)
-        if rows:
-            row_arr = np.asarray(rows)
-            mask_arr = np.asarray(masks, dtype=np.uint64)
-            seq_arr = np.asarray(seqs, dtype=np.int64)
-            bits = expand_bits(mask_arr, n)
-            # One install per run per step and installs of one change
-            # are disjoint, so the (run, pid) target pairs are unique
-            # and plain fancy assignment is exact.
-            k_idx, pid_idx = np.nonzero(bits)
-            r_idx = row_arr[k_idx]
-            view_mask[r_idx, pid_idx] = mask_arr[k_idx]
-            view_seq[r_idx, pid_idx] = seq_arr[k_idx]
-            engine.on_installs(r_idx, pid_idx, k_idx, mask_arr, in_primary)
-
-    # Finale: settle the surviving episodes, then account rounds the
-    # way DriverLoop.execute_run + run_until_quiescent do.
+    primaries: List[int] = []
     rounds_total = 0
     changes_total = 0
-    formed = np.zeros(batch, dtype=np.uint64)
-    for b, run in enumerate(runs):
-        last_send, formed[b] = engine.finish_run(b, run)
+    for run in runs:
+        engine.start_run()
+        primary = universe
+        for change in run.changes:
+            engine.on_change(change)
+            for mask, _ in change.installs:
+                primary = engine.on_install(primary, mask)
+        # Finale: settle the surviving episodes, then account rounds
+        # the way DriverLoop.execute_run + run_until_quiescent do.
+        last_send, formed = engine.finish_run(run)
         settle = last_send - run.t_last + 1 if last_send > run.t_last else 1
         if settle > max_quiescence_rounds:
             # Mirrors DriverLoop.run_until_quiescent, including the
@@ -141,18 +106,12 @@ def execute_batch(
             )
         rounds_total += run.t_last + settle
         changes_total += len(run.changes)
-
-    in_primary |= expand_bits(formed, n)
-    shifts = np.arange(n, dtype=np.uint64)
-    packed = np.bitwise_or.reduce(
-        in_primary.astype(np.uint64) << shifts[None, :], axis=1
-    )
-    outcomes = in_primary.any(axis=1)
+        primaries.append(primary | formed)
     return BatchOutcome(
-        outcomes=[bool(v) for v in outcomes],
+        outcomes=[primary != 0 for primary in primaries],
         rounds_total=rounds_total,
         changes_total=changes_total,
-        final_primary_masks=[int(v) for v in packed],
+        final_primary_masks=primaries,
     )
 
 
@@ -161,11 +120,11 @@ _Groups = List[Tuple[int, Any]]
 
 
 class _Engine:
-    """Per-algorithm protocol engine behind the lockstep loop.
+    """Per-algorithm protocol engine behind the per-run loop.
 
-    The message-exchanging algorithms keep, per run, the processes
-    partitioned twice over in ``states[b]``: by the view they are in,
-    and within it by the *book* (persistent protocol state) they hold.
+    The message-exchanging algorithms keep the run in play's processes
+    partitioned twice over in ``states``: by the view they are in, and
+    within it by the *book* (persistent protocol state) they hold.
     Books are shared by reference and never written once stored — an
     episode copies before it writes — so a stored book doubles as its
     holders' install-time snapshot.  A view's message exchange is
@@ -176,18 +135,22 @@ class _Engine:
     of members holding one book, not the member.
     """
 
-    def __init__(self, batch: int, universe: int, initial) -> None:
+    def __init__(self, universe: int, initial) -> None:
         self.universe = universe
-        #: Per run: view mask -> (view seq, install round, its groups).
-        #: The initial view has no install round: nothing to play.
-        self.states: List[Dict[int, Tuple[int, Optional[int], _Groups]]] = [
-            {universe: (0, None, [(universe, initial)])} for _ in range(batch)
-        ]
+        self.initial = initial
+        #: View mask -> (view seq, install round, its groups).
+        self.states: Dict[int, Tuple[int, Optional[int], _Groups]] = {}
 
-    def on_change(self, b: int, change) -> None:
-        """A change lands in run ``b``: settle the interrupted episodes
-        and hand their members' books on to the views it installs."""
-        views = self.states[b]
+    def start_run(self) -> None:
+        """Every process back in the initial view, holding the initial
+        book.  The initial view has no install round: nothing to play."""
+        everyone = self.universe
+        self.states = {everyone: (0, None, [(everyone, self.initial)])}
+
+    def on_change(self, change) -> None:
+        """A change lands: settle the interrupted episodes and hand
+        their members' books on to the views it installs."""
+        views = self.states
         affected = change.affected_mask
         pool: _Groups = []
         for mask in [m for m in views if m & affected]:
@@ -202,12 +165,12 @@ class _Engine:
         for mask, seq in change.installs:
             views[mask] = (seq, change.round_index, _slice(pool, mask))
 
-    def on_installs(self, r_idx, pid_idx, k_idx, mask_arr, in_primary) -> None:
-        """Vectorized install effect on the ``in_primary`` array."""
-        in_primary[r_idx, pid_idx] = False  # YKD._on_view, MR1p._on_view
+    def on_install(self, primary: int, mask: int) -> int:
+        """The primary mask after the view ``mask`` installs."""
+        return primary & ~mask  # YKD._on_view, MR1p._on_view
 
-    def finish_run(self, b: int, run: CompiledRun) -> Tuple[int, int]:
-        """Settle run ``b``'s surviving episodes; returns its last send
+    def finish_run(self, run: CompiledRun) -> Tuple[int, int]:
+        """Settle the run's surviving episodes; returns its last send
         round and the members whose final view made it a primary."""
         last_send = formed = 0
         # A final episode is one cut with nobody late, far enough past
@@ -215,7 +178,7 @@ class _Engine:
         # sees the overrun and raises exactly where the scalar engine
         # would.
         horizon = run.t_last + 10_000
-        for mask, (seq, installed, groups) in self.states[b].items():
+        for mask, (seq, installed, groups) in self.states.items():
             if installed is None:
                 continue  # never left the initial primary
             _, sent, primary = self._episode(
@@ -259,25 +222,30 @@ def _slice(pool: _Groups, mask: int) -> _Groups:
 
 
 # ----------------------------------------------------------------------
-# Simple majority (§3.3): stateless, fully vectorized.
+# Simple majority (§3.3): stateless, one quorum test per install.
 # ----------------------------------------------------------------------
 
 
 class _MajorityEngine(_Engine):
-    """``SimpleMajority._on_view`` across the whole batch at once."""
+    """``SimpleMajority._on_view``: a view is a primary when it holds a
+    majority of the universe."""
 
     def __init__(self, universe: int) -> None:
-        self._universe = np.uint64(universe)
+        self.universe = universe
 
-    def on_change(self, b: int, change) -> None:
+    def start_run(self) -> None:
         pass  # no messages, so no episodes and no books
 
-    def on_installs(self, r_idx, pid_idx, k_idx, mask_arr, in_primary) -> None:
-        flags = is_subquorum_vec(mask_arr, self._universe)
-        in_primary[r_idx, pid_idx] = flags[k_idx]
+    def on_change(self, change) -> None:
+        pass
 
-    def finish_run(self, b: int, run: CompiledRun) -> Tuple[int, int]:
-        return 0, 0  # never sends a message; on_installs said it all
+    def on_install(self, primary: int, mask: int) -> int:
+        if is_subquorum_mask(mask, self.universe):
+            return primary | mask
+        return primary & ~mask
+
+    def finish_run(self, run: CompiledRun) -> Tuple[int, int]:
+        return 0, 0  # never sends a message; on_install said it all
 
 
 # ----------------------------------------------------------------------
@@ -441,8 +409,8 @@ class _YkdFamilyEngine(_Engine):
     it drops a row only for a member that held its book alone.
     """
 
-    def __init__(self, variant: str, batch: int, universe: int) -> None:
-        super().__init__(batch, universe, _YkdBook((0, universe)))
+    def __init__(self, variant: str, universe: int) -> None:
+        super().__init__(universe, _YkdBook((0, universe)))
         self.optimized = variant in ("ykd", "ykd_aggressive")
         self.aggressive = variant == "ykd_aggressive"
         self.dfls = variant == "dfls"
@@ -1001,9 +969,9 @@ class _MR1pEngine(_Engine):
     an answer round one visit per class (:meth:`_hear_answers`).
     """
 
-    def __init__(self, batch: int, universe: int) -> None:
+    def __init__(self, universe: int) -> None:
         # Views as (member mask, install seq).
-        super().__init__(batch, universe, _MR1pBook((universe, 0)))
+        super().__init__(universe, _MR1pBook((universe, 0)))
 
     # -- one episode ----------------------------------------------------
 

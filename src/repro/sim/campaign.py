@@ -126,12 +126,12 @@ def run_case(
 
     ``kernel`` selects the execution backend: ``"scalar"`` (default)
     runs the object-graph :class:`DriverLoop` per run; ``"batched"``
-    routes the case through the vectorized bitmask kernel of
+    routes the case through the bitmask kernel of
     :mod:`repro.sim.batch`, which reproduces the scalar per-run
     outcomes exactly but supports only part of the configuration
     surface — anything it cannot prove equivalent (observers attached,
-    statistics collectors, cascading mode, exotic generators, > 64
-    processes) falls back to the scalar engine silently.  Use
+    statistics collectors, cascading mode, exotic generators) falls
+    back to the scalar engine silently.  Use
     :func:`repro.sim.batch.run_case_batched` directly to get a loud
     :class:`~repro.errors.UnsupportedBatchConfig` instead of the
     fallback.

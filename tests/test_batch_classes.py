@@ -60,7 +60,7 @@ def play(variant, held, cut_round=FINAL, late=0):
     mask = 0
     for group, _ in held:
         mask |= group
-    engine = kernel._YkdFamilyEngine(variant, 1, mask)
+    engine = kernel._YkdFamilyEngine(variant, mask)
     args = (mask, 1, INSTALLED, cut_round, late)
     groups, sent, primary = engine._episode(held, *args)
     singles = [(1 << pid, b) for group, b in held for pid in iter_bits(group)]
@@ -232,7 +232,7 @@ def play_mr1p(held, cut_round=FINAL, late=0):
     mask = 0
     for group, _ in held:
         mask |= group
-    engine = kernel._MR1pEngine(1, SIX)
+    engine = kernel._MR1pEngine(SIX)
     args = (mask, VIEW_SEQ, INSTALLED, cut_round, late)
     groups, sent, primary = engine._episode(held, *args)
     singles = [(1 << pid, b) for group, b in held for pid in iter_bits(group)]
@@ -306,7 +306,7 @@ def test_mr1p_rounds_after_the_call_and_a_share_that_straddles() -> None:
 def answer_round_both_ways(trans, bundles):
     """One answer round heard by one class of owners of ``OLD``: from
     the summary, and sender by sender through ``_deliver``."""
-    engine = kernel._MR1pEngine(1, SIX)
+    engine = kernel._MR1pEngine(SIX)
     view = (SIX, VIEW_SEQ)
     books = []
     for summarised in (True, False):
@@ -381,7 +381,7 @@ def test_mr1p_late_cell_splits_on_the_last_reporter_missing(reported) -> None:
     trans = kernel._Transient()
     trans.infos = {(1, "sent"): mask_of(reported)}
     book = mr1p_book(seven, 1, "sent")
-    engine = kernel._MR1pEngine(1, mask_of(range(7)))
+    engine = kernel._MR1pEngine(mask_of(range(7)))
     view = (mask_of(range(5)), VIEW_SEQ)
     late = mask_of([2, 3, 4])
     bundle = [("info", seven, "status", 1, "sent")]

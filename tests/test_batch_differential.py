@@ -82,7 +82,10 @@ def assert_equivalent(config: CaseConfig) -> BatchCaseResult:
     fingerprint = FinalStateFingerprint()
     scalar = run_case(config, observers=[fingerprint])
     batched = run_case_batched(config)
-    label = f"{config.algorithm} seed={config.master_seed}"
+    label = (
+        f"{config.algorithm} n={config.n_processes} "
+        f"seed={config.master_seed}"
+    )
     assert batched.outcomes == scalar.outcomes, label
     assert batched.availability_percent == scalar.availability_percent, label
     assert batched.rounds_total == scalar.rounds_total, label
@@ -140,18 +143,20 @@ def test_back_to_back_changes_equivalence(algorithm) -> None:
 
 
 def test_thesis_scale_universe() -> None:
-    """n=64 — the full thesis scale, and the uint64 lane boundary."""
-    for algorithm in ("ykd", "ykd_aggressive", "dfls", "one_pending", "mr1p"):
-        assert_equivalent(
-            CaseConfig(
-                algorithm=algorithm,
-                n_processes=64,
-                n_changes=6,
-                mean_rounds_between_changes=4.0,
-                runs=4,
-                master_seed=13,
+    """n=64 — the full thesis scale — and n=65, one process past the
+    64-bit boundary: masks are ints, so nothing caps the universe."""
+    for n in (64, 65):
+        for algorithm in BATCHED_ALGORITHMS:
+            assert_equivalent(
+                CaseConfig(
+                    algorithm=algorithm,
+                    n_processes=n,
+                    n_changes=5,
+                    mean_rounds_between_changes=4.0,
+                    runs=3,
+                    master_seed=13,
+                )
             )
-        )
 
 
 #: The algorithms whose episodes the kernel plays once per class of

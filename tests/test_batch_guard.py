@@ -49,11 +49,6 @@ def test_refuses_cascading_mode() -> None:
         run_case_batched(config_with(mode=MODE_CASCADING))
 
 
-def test_refuses_more_than_64_processes() -> None:
-    with pytest.raises(UnsupportedBatchConfig, match="uint64"):
-        run_case_batched(config_with(n_processes=65))
-
-
 def test_refuses_unknown_algorithm() -> None:
     with pytest.raises(UnsupportedBatchConfig, match="broken_majority"):
         ensure_batchable(config_with(algorithm="broken_majority"))

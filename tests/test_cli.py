@@ -451,6 +451,13 @@ class TestRegistry:
         ["verify", "ykd", "--depth", "0"],
         ["verify", "ykd", "--gaps", "0", "-1"],
         ["verify", "ykd", "--max-scenarios", "0"],
+        ["compare", "ykd", "dfls", "--rate", "-1"],
+        ["soak", "ykd", "--rate", "nan", "--changes", "5"],
+        [
+            "compare", "ykd", "dfls",
+            "--rate", "inf", "--changes", "0", "--runs", "1",
+        ],
+        ["run", "fig4_1", "--workers", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )

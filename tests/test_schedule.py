@@ -1,5 +1,6 @@
 """Tests for the fault schedules."""
 
+import math
 import random
 import statistics
 
@@ -28,8 +29,11 @@ class TestGeometricSchedule:
         assert schedule.mean_gap() == 6.0
 
     def test_rejects_negative_mean(self):
-        with pytest.raises(ScheduleError):
-            GeometricSchedule(-1.0)
+        # nan and inf too: p = 1/(1 + mean) would be nan (every gap 0)
+        # or 0 (draw_gap never returns).
+        for mean in (-1.0, math.nan, math.inf):
+            with pytest.raises(ScheduleError):
+                GeometricSchedule(mean)
 
     def test_draw_gaps_count(self):
         schedule = GeometricSchedule(2.0)
