@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import compare_paired
+from repro.argtypes import float_at_least, int_at_least
 from repro.core.registry import algorithm_names
 from repro.faults.model import FAULT_CLASSES
 from repro.obs import (
@@ -64,35 +64,6 @@ from repro.sim.rng import derive_rng
 from repro.sim.trace import TraceRecorder, render_timeline
 
 
-def _int_at_least(minimum: int):
-    """An argparse ``type=`` accepting integers no smaller than ``minimum``."""
-
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, not {value}"
-            )
-        return value
-
-    return integer
-
-
-def _float_at_least(minimum: float):
-    """An argparse ``type=`` accepting finite floats no smaller than
-    ``minimum`` (``nan`` and ``inf`` parse as floats but name no case)."""
-
-    def number(text: str) -> float:
-        value = float(text)
-        if not minimum <= value < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number of at least {minimum:g}, not {text}"
-            )
-        return value
-
-    return number
-
-
 def _add_case_options(
     parser: argparse.ArgumentParser,
     processes: int,
@@ -102,15 +73,15 @@ def _add_case_options(
 ) -> None:
     """The flags naming one simulated case; ``runs`` brings ``--mode``."""
     parser.add_argument(
-        "--processes", type=_int_at_least(2), default=processes
+        "--processes", type=int_at_least(2), default=processes
     )
-    parser.add_argument("--changes", type=_int_at_least(0), default=changes)
+    parser.add_argument("--changes", type=int_at_least(0), default=changes)
     if rate is not None:
         parser.add_argument(
-            "--rate", type=_float_at_least(0.0), default=rate
+            "--rate", type=float_at_least(0.0), default=rate
         )
     if runs is not None:
-        parser.add_argument("--runs", type=_int_at_least(1), default=runs)
+        parser.add_argument("--runs", type=int_at_least(1), default=runs)
         parser.add_argument(
             "--mode", choices=["fresh", "cascading"], default="fresh"
         )
@@ -156,13 +127,13 @@ def _configure_verify(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "algorithm", choices=list(algorithm_names()) + ["all"]
     )
-    parser.add_argument("--processes", type=_int_at_least(2), default=3)
-    parser.add_argument("--depth", type=_int_at_least(1), default=2)
+    parser.add_argument("--processes", type=int_at_least(2), default=3)
+    parser.add_argument("--depth", type=int_at_least(1), default=2)
     parser.add_argument(
-        "--gaps", type=_int_at_least(0), nargs="+", default=[0, 1, 2, 3]
+        "--gaps", type=int_at_least(0), nargs="+", default=[0, 1, 2, 3]
     )
     parser.add_argument(
-        "--max-scenarios", type=_int_at_least(1), default=None
+        "--max-scenarios", type=int_at_least(1), default=None
     )
     parser.add_argument(
         "--stats", action="store_true",
@@ -185,7 +156,7 @@ def _configure_profile(parser: argparse.ArgumentParser) -> None:
     _add_case_options(parser, processes=16, changes=6, rate=2.0, runs=200)
     parser.add_argument(
         "--every",
-        type=_int_at_least(1),
+        type=int_at_least(1),
         default=25,
         help="progress reporting interval in runs (default: 25)",
     )
@@ -322,7 +293,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=_int_at_least(1),
+        type=int_at_least(1),
         default=1,
         help="process-pool size for the heavy figures (default: 1)",
     )

@@ -17,6 +17,7 @@ point-to-point packets.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -182,9 +183,13 @@ class GCSCluster:
         event_hooks = self.bus.hooks("on_gcs_event")
         sink = None
         if event_hooks:
+            # A weak reference: the stacks must not keep their cluster
+            # alive, or every dropped cluster waits for the cycle GC.
+            cluster = weakref.ref(self)
+
             def sink(pid: ProcessId, event: GCSEvent) -> None:
                 for hook in event_hooks:
-                    hook(self, pid, event)
+                    hook(cluster(), pid, event)
         self.stacks: Dict[ProcessId, GCStack] = {
             pid: GCStack(pid, universe, event_sink=sink)
             for pid in sorted(universe)

@@ -24,6 +24,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.argtypes import float_at_least, int_at_least
 from repro.core.registry import algorithm_names
 from repro.obs.canonical import canonical_json, canonical_jsonl, write_text
 
@@ -35,7 +36,7 @@ def _add_algorithm(parser: argparse.ArgumentParser) -> None:
 
 
 def _configure_serve(serve: argparse.ArgumentParser) -> None:
-    serve.add_argument("--replicas", type=int, default=3)
+    serve.add_argument("--replicas", type=int_at_least(2), default=3)
     _add_algorithm(serve)
     serve.add_argument(
         "--backend",
@@ -51,7 +52,9 @@ def _configure_serve(serve: argparse.ArgumentParser) -> None:
         default=0,
         help="base port; replica i listens on port+i (0: ephemeral)",
     )
-    serve.add_argument("--tick-interval", type=float, default=0.005)
+    serve.add_argument(
+        "--tick-interval", type=float_at_least(0.0), default=0.005
+    )
     serve.add_argument(
         "--smoke",
         action="store_true",
@@ -72,7 +75,7 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--replicas",
-        type=int,
+        type=int_at_least(2),
         default=5,
         help="cluster size (schedules carry their own)",
     )
@@ -121,7 +124,7 @@ def _configure_telemetry(telemetry: argparse.ArgumentParser) -> None:
     )
     _add_scenario_options(telemetry)
     telemetry.add_argument(
-        "--tail", type=int, default=10, metavar="N",
+        "--tail", type=int_at_least(0), default=10, metavar="N",
         help="print the last N flight events per node (0: none)",
     )
     telemetry.add_argument(

@@ -36,16 +36,21 @@ from repro.types import ProcessId
 
 
 class _FlightViewChanges(Subscriber):
-    """Mirror every GCS view install into the owning replica's ring."""
+    """Mirror every GCS view install into the owning replica's ring.
 
-    def __init__(self, cluster: "StoreCluster") -> None:
-        self._cluster = cluster
+    It holds the rings, not the :class:`StoreCluster`: the substrate
+    holds its observers, so a back reference would make every dropped
+    cluster wait for the cycle collector.
+    """
+
+    def __init__(self, recorders: Dict[ProcessId, FlightRecorder]) -> None:
+        self._recorders = recorders
 
     def on_gcs_event(self, cluster, pid, event) -> None:
         if isinstance(event, ViewInstalled):
-            self._cluster.record(
-                pid,
+            self._recorders[pid].record(
                 "view_change",
+                tick=cluster.ticks,
                 view_id=list(event.view_id),
                 members=sorted(event.members),
             )
@@ -74,7 +79,7 @@ class StoreCluster:
                 pid: FlightRecorder(pid, capacity=flight_capacity)
                 for pid in range(n_processes)
             }
-            observers.append(_FlightViewChanges(self))
+            observers.append(_FlightViewChanges(self.recorders))
         self.service = PrimaryComponentService(
             algorithm,
             n_processes,

@@ -22,9 +22,10 @@ The traffic shape follows the usual heavy-tail trio:
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.obs.canonical import canonical_digest
@@ -37,9 +38,24 @@ NS = "service.load"
 _SCALE = float(2**64)
 
 
-def _unit(seed: int, *labels) -> float:
-    """One uniform draw in [0, 1) — a pure function of its labels."""
-    return derive_seed(seed, NS, *labels) / _SCALE
+def _draws(seed: int, label: str, client: int) -> Callable[[int], float]:
+    """One uniform draw in [0, 1) per tick, ``derive_seed(seed, NS,
+    label, client, tick) / 2**64``, hashing the shared prefix once.
+
+    SHA-256 is a streaming hash, so copying the state after
+    ``seed␟service.load␟label␟client␟`` and feeding it the tick yields
+    the digest :func:`~repro.sim.rng.derive_seed` computes from scratch.
+    """
+    prefix = hashlib.sha256(
+        f"{seed}\x1f{NS}\x1f{label}\x1f{client}\x1f".encode("utf-8")
+    )
+
+    def unit(tick: int) -> float:
+        hasher = prefix.copy()
+        hasher.update(str(tick).encode())
+        return int.from_bytes(hasher.digest()[:8], "big") / _SCALE
+
+    return unit
 
 
 @dataclass(frozen=True)
@@ -158,54 +174,53 @@ def zipf_cdf(profile: LoadProfile) -> List[float]:
     return cdf
 
 
-def key_for(
-    profile: LoadProfile,
-    client: int,
-    tick: int,
-    cdf: Optional[List[float]] = None,
-) -> str:
+def _rank_key(cdf: List[float], u: float) -> str:
+    """The key whose Zipf rank the uniform draw ``u`` inverts to."""
+    return f"k{min(bisect_left(cdf, u), len(cdf) - 1)}"
+
+
+def key_for(profile: LoadProfile, client: int, tick: int) -> str:
     """The Zipf-popular key one client touches at one tick."""
-    if cdf is None:
-        cdf = zipf_cdf(profile)
-    u = _unit(profile.seed, "key", client, tick)
-    rank = min(bisect_left(cdf, u), profile.n_keys - 1)
-    return f"k{rank}"
+    u = _draws(profile.seed, "key", client)(tick)
+    return _rank_key(zipf_cdf(profile), u)
 
 
-def client_ops(profile: LoadProfile, client: int) -> Iterator[ClientOp]:
-    """One client's op stream — pure and independent of other clients."""
-    bursts = burst_windows(profile)
-    cdf = zipf_cdf(profile)
+def _client_ops(
+    profile: LoadProfile, client: int, bursts: frozenset, cdf: List[float]
+) -> Iterator[ClientOp]:
+    """:func:`client_ops` with the per-profile tables passed in."""
+    arrive = _draws(profile.seed, "arrive", client)
+    key = _draws(profile.seed, "key", client)
+    kind = _draws(profile.seed, "kind", client)
     for tick in range(profile.ticks):
         rate = profile.arrival_permille
         if tick in bursts:
             rate = min(1000, rate + profile.burst_boost_permille)
-        if _unit(profile.seed, "arrive", client, tick) * 1000.0 >= rate:
+        if arrive(tick) * 1000.0 >= rate:
             continue
-        key = key_for(profile, client, tick, cdf)
-        if _unit(profile.seed, "kind", client, tick) * 1000.0 < (
-            profile.put_permille
-        ):
-            yield ClientOp(tick, client, "put", key, f"v{tick}.{client}")
+        name = _rank_key(cdf, key(tick))
+        if kind(tick) * 1000.0 < profile.put_permille:
+            yield ClientOp(tick, client, "put", name, f"v{tick}.{client}")
         else:
-            yield ClientOp(tick, client, "get", key, None)
+            yield ClientOp(tick, client, "get", name, None)
+
+
+def client_ops(profile: LoadProfile, client: int) -> Iterator[ClientOp]:
+    """One client's op stream — pure and independent of other clients."""
+    return _client_ops(
+        profile, client, burst_windows(profile), zipf_cdf(profile)
+    )
 
 
 def workload(profile: LoadProfile) -> List[ClientOp]:
     """Every client's ops merged into one stream, by ``(tick, client)``."""
+    bursts = burst_windows(profile)
+    cdf = zipf_cdf(profile)
     ops: List[ClientOp] = []
     for client in range(profile.clients):
-        ops.extend(client_ops(profile, client))
+        ops.extend(_client_ops(profile, client, bursts, cdf))
     ops.sort(key=lambda op: (op.tick, op.client))
     return ops
-
-
-def ops_by_tick(profile: LoadProfile) -> Dict[int, List[ClientOp]]:
-    """The full workload grouped by tick (clients in pid order)."""
-    grouped: Dict[int, List[ClientOp]] = {}
-    for op in workload(profile):
-        grouped.setdefault(op.tick, []).append(op)
-    return grouped
 
 
 def replica_for(

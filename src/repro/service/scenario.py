@@ -25,16 +25,14 @@ from typing import Any, Dict, List, Optional
 
 from repro.app.replicated_store import NotPrimaryError
 from repro.gcs.proc.schedule import RecordedSchedule
+from repro.obs.canonical import canonical_digest
 from repro.obs.telemetry.collector import TelemetryCollector
 from repro.obs.telemetry.trace import mint_trace_id
+from repro.service import load
 from repro.service.cluster import StoreCluster
-from repro.service.load import (
-    LoadProfile,
-    ops_by_tick,
-    replica_for,
-    workload_digest,
-)
+from repro.service.load import ClientOp, LoadProfile, replica_for, storm_ticks
 from repro.service.report import build_report
+from repro.types import ProcessId
 
 
 def stage_start_ticks(n_stages: int, ticks: int) -> List[int]:
@@ -86,7 +84,12 @@ def run_scenario(
     cluster.apply_stage(stages[0])
     cluster.warm_up(max_ticks=WARMUP_TICKS)
 
-    by_tick = ops_by_tick(profile)
+    ops = load.workload(profile)
+    by_tick: Dict[int, List[ClientOp]] = {}
+    for op in ops:
+        by_tick.setdefault(op.tick, []).append(op)
+    storms = frozenset(storm_ticks(profile))
+    pins: Dict[int, ProcessId] = {}  # client -> replica, this storm epoch
     served_gets = puts_direct = puts_redirected = 0
     unserved: Dict[str, int] = {}
     rounds_with_primary = 0
@@ -113,6 +116,8 @@ def run_scenario(
                 "unserved": 0,
             }
             stage_rows.append(row)
+        if tick in storms:
+            pins.clear()
         cluster.tick()
         row["ticks"] += 1
         claimants = cluster.primary_claimants()
@@ -122,7 +127,11 @@ def run_scenario(
         for op in by_tick.get(tick, ()):
             row["requests"] += 1
             tick_requests += 1
-            replica = replica_for(profile, op.client, n_processes, tick)
+            replica = pins.get(op.client)
+            if replica is None:
+                replica = pins[op.client] = replica_for(
+                    profile, op.client, n_processes, tick
+                )
             trace = (
                 mint_trace_id(profile.seed, op.client, tick)
                 if collector is not None
@@ -176,7 +185,7 @@ def run_scenario(
         algorithm=algorithm,
         n_processes=n_processes,
         schedule_name=schedule_name,
-        workload_digest=workload_digest(profile),
+        workload_digest=canonical_digest(op.to_dict() for op in ops),
         served_gets=served_gets,
         puts_direct=puts_direct,
         puts_redirected=puts_redirected,

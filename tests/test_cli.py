@@ -458,6 +458,13 @@ class TestRegistry:
             "--rate", "inf", "--changes", "0", "--runs", "1",
         ],
         ["run", "fig4_1", "--workers", "0"],
+        ["serve", "--replicas", "1", "--smoke"],
+        ["load", "--replicas", "0", "--schedule", "none"],
+        ["telemetry", "--replicas", "-2", "--schedule", "none"],
+        ["serve", "--tick-interval", "nan", "--smoke"],
+        ["serve", "--tick-interval", "-1", "--smoke"],
+        ["serve", "--tick-interval", "inf", "--smoke"],
+        ["telemetry", "--tail", "-3", "--ticks", "20", "--clients", "2"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -5,9 +5,10 @@ Two families of guarantees:
 * **shard invariance** — the op stream is a pure function of the
   profile, so generating it as 1, 2 or 8 client-shards and merging
   yields byte-identical sequences (hypothesis-driven);
-* **draw fidelity** — the Zipf key draws and the burst/storm interval
-  draws match independent reference implementations written directly
-  from the definitions, not by calling the production code paths.
+* **draw fidelity** — the Zipf key draws, the burst/storm interval
+  draws and the whole merged stream (arrivals, keys, put/get kinds)
+  match independent reference implementations written directly from
+  the definitions, not by calling the production code paths.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,41 @@ def reference_event_ticks(profile: LoadProfile, label: str, mean: int):
         ticks.append(position)
 
 
+def reference_stream(profile: LoadProfile):
+    """The merged op stream by definition, every value one
+    ``derive_seed(seed, "service.load", label, client, tick)`` draw."""
+
+    def unit(label: str, client: int, tick: int) -> float:
+        return derive_seed(
+            profile.seed, "service.load", label, client, tick
+        ) / float(2**64)
+
+    bursts = set()
+    for start in reference_event_ticks(
+        profile, "burst", profile.burst_gap_mean
+    ):
+        bursts.update(
+            range(start, min(start + profile.burst_len, profile.ticks))
+        )
+    stream = []
+    for tick in range(profile.ticks):
+        rate = profile.arrival_permille
+        if tick in bursts:
+            rate = min(1000, rate + profile.burst_boost_permille)
+        for client in range(profile.clients):
+            if unit("arrive", client, tick) * 1000 >= rate:
+                continue
+            put = unit("kind", client, tick) * 1000 < profile.put_permille
+            stream.append({
+                "tick": tick,
+                "client": client,
+                "kind": "put" if put else "get",
+                "key": f"k{reference_key_rank(profile, client, tick)}",
+                "value": f"v{tick}.{client}" if put else None,
+            })
+    return stream
+
+
 profiles = st.builds(
     LoadProfile,
     clients=st.integers(1, 8),
@@ -123,6 +159,13 @@ class TestDrawFidelity:
     def test_zipf_draws_match_the_reference(self, profile, client, tick):
         expected = f"k{reference_key_rank(profile, client, tick)}"
         assert key_for(profile, client, tick) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(profile=profiles)
+    def test_merged_stream_matches_the_reference(self, profile):
+        assert [op.to_dict() for op in workload(profile)] == (
+            reference_stream(profile)
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(profile=profiles)

@@ -4,7 +4,16 @@ Pins the tentpole's acceptance criteria: a fault-free schedule yields
 100% user-perceived availability; the same seeded scenario replays to
 a byte-identical report; and every unserved request lands in exactly
 one causal blame category whose counts sum to the unserved total.
+Also pins the report and telemetry bytes under each stock schedule,
+and the work one scenario does: one generation of the op stream, one
+replica lookup per client and storm epoch.
 """
+
+import gc
+import hashlib
+import json
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +23,7 @@ from repro.obs.causal.spans import (
     BLAME_IN_FLIGHT,
     BLAME_NO_QUORUM,
 )
+from repro.obs.telemetry.collector import TelemetryCollector
 from repro.service import (
     BLAME_PRIMARY_UNREACHABLE,
     LoadProfile,
@@ -26,9 +36,17 @@ from repro.service import (
     workload,
     workload_digest,
 )
-from repro.service.scenario import stage_start_ticks
+from repro.service import load, scenario
+from repro.service.cluster import StoreCluster
+from repro.service.load import storm_ticks
+from repro.service.scenario import WARMUP_TICKS, stage_start_ticks
 
 PROFILE = LoadProfile(clients=4, ticks=60, seed=3)
+
+#: Cheap, but it storms twice, bursts and leaves requests unserved
+#: under every stock schedule.
+GOLDEN_PROFILE = LoadProfile(clients=6, ticks=90, put_permille=800, seed=4)
+GOLDEN = Path(__file__).parent / "golden" / "service_scenario_digests.json"
 
 
 class TestBlameClassifier:
@@ -160,3 +178,73 @@ class TestStageTiming:
         assert stage_start_ticks(3, 60) == [0, 20, 40]
         assert stage_start_ticks(1, 10) == [0]
         assert stage_start_ticks(4, 10) == [0, 2, 5, 7]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestScenarioGolden:
+    """SHA-256 of the rendered report and of the aggregated telemetry
+    stream per stock schedule, recorded before the scenario generated
+    its op stream once and pinned clients once per storm epoch."""
+
+    def test_golden_profile_is_the_one_recorded(self):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert golden["profile"] == GOLDEN_PROFILE.to_dict()
+
+    @pytest.mark.parametrize(
+        "name", ["split_restore", "cascade", "flip_flop"]
+    )
+    def test_report_and_telemetry_match_the_golden(self, name):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+        schedule = STOCK_SCHEDULES[name]
+        report = run_scenario(GOLDEN_PROFILE, schedule=schedule)
+        collector = TelemetryCollector()
+        run_scenario(GOLDEN_PROFILE, schedule=schedule, collector=collector)
+        assert _sha256(render_report(report)) == golden["report"]
+        assert _sha256(collector.aggregated_jsonl()) == golden["telemetry"]
+
+
+class TestWorkCount:
+    def test_one_generation_and_one_pin_per_client_epoch(self, monkeypatch):
+        calls = {"workload": 0, "replica_for": 0}
+        real_workload, real_replica_for = load.workload, scenario.replica_for
+
+        def counting_workload(profile):
+            calls["workload"] += 1
+            return real_workload(profile)
+
+        def counting_replica_for(*args):
+            calls["replica_for"] += 1
+            return real_replica_for(*args)
+
+        # The module globals the benchmark's tracer wraps, too.
+        monkeypatch.setattr(load, "workload", counting_workload)
+        monkeypatch.setattr(scenario, "replica_for", counting_replica_for)
+        run_scenario(GOLDEN_PROFILE, schedule=STOCK_SCHEDULES["cascade"])
+        assert calls["workload"] == 1
+        storms = storm_ticks(GOLDEN_PROFILE)
+        assert 0 < calls["replica_for"] <= GOLDEN_PROFILE.clients * (
+            1 + len(storms)
+        )
+
+
+class TestClusterLifetime:
+    @pytest.mark.parametrize("record_flight", [False, True])
+    def test_a_dropped_cluster_needs_no_cycle_collection(self, record_flight):
+        # Every scenario drops its cluster; when the cluster sits in a
+        # reference cycle its memory waits for the cycle collector,
+        # and the process's peak memory rises with every scenario run.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cluster = StoreCluster(3, record_flight=record_flight)
+            cluster.apply_stage(((0, 1, 2),))
+            cluster.warm_up(max_ticks=WARMUP_TICKS)
+            substrate = weakref.ref(cluster.service.cluster)
+            del cluster
+            assert substrate() is None
+        finally:
+            if enabled:
+                gc.enable()
