@@ -37,3 +37,13 @@ def float_at_least(minimum: float):
         return value
 
     return number
+
+
+def probability(text: str) -> float:
+    """An argparse ``type=`` accepting a probability: a number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a probability in [0, 1], not {text}"
+        )
+    return value

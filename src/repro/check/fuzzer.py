@@ -93,6 +93,8 @@ class FuzzConfig:
             raise ValueError(f"max_changes must be >= {MIN_CHANGES}")
         if self.max_gap < 0:
             raise ValueError("max_gap must be >= 0")
+        if not 0.0 <= self.crash_weight <= 1.0:  # nan fails it too
+            raise ValueError("crash_weight must be a number in [0, 1]")
         object.__setattr__(
             self, "fault_classes", tuple(self.fault_classes)
         )

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import compare_paired
-from repro.argtypes import float_at_least, int_at_least
+from repro.argtypes import float_at_least, int_at_least, probability
 from repro.core.registry import algorithm_names
 from repro.faults.model import FAULT_CLASSES
 from repro.obs import (
@@ -207,13 +207,13 @@ def _configure_check(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="algorithms to cross-check (default: all registered)",
     )
-    parser.add_argument("--schedules", type=int, default=200)
+    parser.add_argument("--schedules", type=int_at_least(1), default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-processes", type=int, default=3)
     parser.add_argument("--max-processes", type=int, default=6)
     parser.add_argument("--max-changes", type=int, default=6)
     parser.add_argument("--max-gap", type=int, default=3)
-    parser.add_argument("--crash-weight", type=float, default=0.2)
+    parser.add_argument("--crash-weight", type=probability, default=0.2)
     parser.add_argument(
         "--shrink",
         action="store_true",

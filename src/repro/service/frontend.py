@@ -12,6 +12,7 @@ per connection — because the point is not a web server but the service
   naming the current primary's front end (the structured
   ``NotPrimaryError`` redirect), or **503** with a causal blame tag
   when no primary exists anywhere;
+* a ``Content-Length`` over 1 MiB is refused with **413**, body unread;
 * ``GET /snapshot`` — full contents plus the ``(epoch, ops)`` stamp;
 * ``GET /healthz`` — liveness plus the store's operational counters
   and the transport's aggregate ARQ counters (transmissions,
@@ -55,11 +56,16 @@ from repro.obs.telemetry.trace import TRACE_HEADER
 from repro.types import ProcessId
 
 _REASONS = {200: "OK", 307: "Temporary Redirect", 400: "Bad Request",
-            404: "Not Found", 503: "Service Unavailable"}
+            404: "Not Found", 413: "Payload Too Large",
+            503: "Service Unavailable"}
 _MAX_BODY = 1 << 20
 
 #: Latency buckets in milliseconds (sub-ms loopback up to slow ticks).
 _LATENCY_BUCKETS_MS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+
+class _PayloadTooLarge(ValueError):
+    """A request declared a body longer than ``_MAX_BODY``."""
 
 
 class MemoryNodeBackend:
@@ -225,6 +231,8 @@ class ServiceFrontend:
         try:
             method, path, body, trace = await self._read_request(reader)
             status, payload, headers = self._route(method, path, body, trace)
+        except _PayloadTooLarge as exc:
+            status, payload, headers = 413, {"error": str(exc)}, []
         except Exception as exc:  # defensive: a broken request
             status, payload, headers = 400, {"error": str(exc)}, []
         self._observe(
@@ -265,9 +273,15 @@ class ServiceFrontend:
             name, _, value = line.decode("latin-1").partition(":")
             name = name.strip().lower()
             if name == "content-length":
-                length = min(int(value.strip()), _MAX_BODY)
+                length = int(value.strip())
+                if length < 0:
+                    raise ValueError(f"negative Content-Length {length}")
             elif name == TRACE_HEADER.lower():
                 trace = value.strip()
+        if length > _MAX_BODY:
+            raise _PayloadTooLarge(
+                f"body of {length} bytes exceeds the {_MAX_BODY}-byte limit"
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, body, trace
 

@@ -126,13 +126,15 @@ class _Engine:
     partitioned twice over in ``states``: by the view they are in, and
     within it by the *book* (persistent protocol state) they hold.
     Books are shared by reference and never written once stored — an
-    episode copies before it writes — so a stored book doubles as its
-    holders' install-time snapshot.  A view's message exchange is
-    played as one *episode*, lazily, when the change that interrupts it
-    (or the end of the run) arrives: between a view's installation and
-    its interruption a member's state is touched by nothing but that
-    view's own protocol rounds.  The unit of protocol work is the class
-    of members holding one book, not the member.
+    episode copies before it writes (:class:`_Cohort`) — so a stored
+    book doubles as its holders' install-time snapshot.  A view's
+    message exchange is played as one *episode*, lazily, when the
+    change that interrupts it (or the end of the run) arrives: between
+    a view's installation and its interruption a member's state is
+    touched by nothing but that view's own protocol rounds.  The unit
+    of protocol work is the class of members holding one book, not the
+    member, and a cut round's late members split off every class in
+    one place (:func:`_split_late`).
     """
 
     def __init__(self, universe: int, initial) -> None:
@@ -203,6 +205,71 @@ class _Engine:
         interrupts it.  Returns what the members hold afterwards, the
         last round anything was sent in, and who ends in the primary."""
         raise NotImplementedError
+
+
+class _Cohort:
+    """A class of a view's members that nothing has told apart so far.
+
+    They entered the view holding one book and have heard the same
+    messages since, so one book — and for MR1p one transient state —
+    stands for all of them.  A class only ever splits (:meth:`fork`),
+    and only where the protocol can tell two of its members apart.
+
+    One copy rule: a stored book is shared until :meth:`own` copies it
+    before the first write, and :meth:`fork` gives the twin a copy of
+    its own only when the class already owns its book.  MR1p classes
+    own theirs from install on (``_MR1pEngine._install``).
+    """
+
+    __slots__ = ("mask", "book", "trans", "owned")
+
+    def __init__(self, mask: int, book: Any, trans: Any = None) -> None:
+        self.mask = mask
+        self.book = book
+        self.trans = trans
+        self.owned = False
+
+    def own(self) -> Any:
+        """The class's book, writable."""
+        if not self.owned:
+            self.book = self.book.clone()
+            self.owned = True
+        return self.book
+
+    def fork(self, mask: int) -> "_Cohort":
+        """Split ``mask`` off into a class of its own."""
+        self.mask &= ~mask
+        trans = self.trans
+        if trans is not None:
+            trans = trans.clone()
+        twin = _Cohort(mask, self.book, trans)
+        if self.owned:
+            twin.own()
+        return twin
+
+
+def _split_late(
+    classes: List[_Cohort], late: int
+) -> Tuple[List[_Cohort], List[_Cohort]]:
+    """A cut round: the late members of every class hear none of it.
+    Returns the classes that hear the round and the late ones, which
+    keep the state they have; a class that straddles ``late`` forks."""
+    heard: List[_Cohort] = []
+    deaf: List[_Cohort] = []
+    for members in classes:
+        cut = members.mask & late
+        if cut == members.mask:
+            deaf.append(members)
+            continue
+        if cut:
+            deaf.append(members.fork(cut))
+        heard.append(members)
+    return heard, deaf
+
+
+def _groups(classes: List[_Cohort]) -> _Groups:
+    """What the members of ``classes`` hold, to store."""
+    return [(members.mask, members.book) for members in classes]
 
 
 def _slice(pool: _Groups, mask: int) -> _Groups:
@@ -310,33 +377,6 @@ class _YkdBook:
         return self._key
 
 
-class _BookClass:
-    """Members of a view that hold one book and have heard the same
-    stages since.  The book is copied before its first write
-    (:meth:`own`); a class only ever splits (:meth:`fork`), and only
-    where the protocol can tell two of its members apart."""
-
-    __slots__ = ("mask", "book", "fresh")
-
-    def __init__(self, mask: int, book: _YkdBook) -> None:
-        self.mask = mask
-        self.book = book
-        self.fresh = False
-
-    def own(self) -> _YkdBook:
-        """The class's book, writable."""
-        if not self.fresh:
-            self.book = self.book.clone()
-            self.fresh = True
-        return self.book
-
-    def fork(self, mask: int) -> "_BookClass":
-        """Split ``mask`` off into a class of its own, book shared."""
-        self.mask &= ~mask
-        self.fresh = False
-        return _BookClass(mask, self.book)
-
-
 class _Exchange:
     """One view's state exchange: the install-time snapshot ``held``
     (stored books are never written, so they are it) and what the
@@ -349,9 +389,9 @@ class _Exchange:
         self.held = held
         self._evidence: Optional[Set[SessionPair]] = None
         self._best_first: Optional[List[SessionPair]] = None
-        #: LEARN's evidence per pending session: (index of the
-        #: reporting group in ``held``, its members inside the session,
-        #: what their book proves: 1 formed, -1 not formed).
+        #: LEARN's evidence per pending session: (the reporting group
+        #: of ``held``, its members inside the session, what their book
+        #: proves: 1 formed, -1 not formed).
         self.rows: Dict[SessionPair, List[Tuple[int, int, int]]] = {}
         #: 1-pending's owner-independent never-formed verdicts.
         self.never_formed: Dict[SessionPair, bool] = {}
@@ -386,13 +426,13 @@ class _YkdFamilyEngine(_Engine):
     members only (a singleton's self-delivery always lands), and the
     view install then discards everything still queued.
 
-    Every stage runs once per :class:`_BookClass`.  A class forks in
+    Every stage runs once per :class:`_Cohort`.  A class forks in
     three kinds of place, each where the scalar rule reads the
     member's own pid:
 
-    * a cut round's late mask, in each of the three stages
-      (``_episode`` for the exchange, :func:`_cut` after it) — the
-      late members keep the book they have;
+    * a cut round's late mask, in whichever of the three stages the
+      change lands (:func:`_split_late`) — the late members keep the
+      book they have;
     * ACCEPT's "best formed session *containing p*" (:meth:`_exchange`);
     * ``ykd_aggressive``'s never-formed verdict when the only member
       not proven innocent is the holder itself
@@ -472,22 +512,14 @@ class _YkdFamilyEngine(_Engine):
         # Stage 1 — the state exchange at R+1.  Completers run
         # LEARN/RESOLVE/DECIDE; a late member only hears itself and
         # (unless alone) resets on the incoming view with no effects.
-        done: List[Tuple[int, _YkdBook]] = []
-        classes: List[_BookClass] = []
-        deaf = late if cut_round == exchange_round else 0
-        for index, (group, book) in enumerate(held):
-            if group & deaf:
-                done.append((group & deaf, book))
-                if not group & ~deaf:
-                    continue
-            self._exchange(
-                _BookClass(group & ~deaf, book),
-                index,
-                not group & (group - 1),
-                best,
-                exchange,
-                classes,
-            )
+        classes = [_Cohort(group, book) for group, book in held]
+        done: List[_Cohort] = []
+        if cut_round == exchange_round:
+            classes, done = _split_late(classes, late)
+        heard: List[_Cohort] = []
+        for members in classes:
+            self._exchange(members, best, exchange, heard)
+        classes = heard
         if allowed:
             for members in classes:
                 book = members.own()
@@ -500,13 +532,13 @@ class _YkdFamilyEngine(_Engine):
         if not allowed or cut_round == exchange_round:
             # Attempts were never sent (not allowed, or queued at R+1
             # and wiped by the interrupting install).
-            done.extend((members.mask, members.book) for members in classes)
-            return done, exchange_round, 0
+            return _groups(done + classes), exchange_round, 0
 
         # Stage 2 — the attempt round at R+2: receiving attempts from
         # everyone forms the primary (YKD._form_primary).
         if cut_round == attempt_round:
-            classes = _cut(classes, late, done)
+            classes, deaf = _split_late(classes, late)
+            done += deaf
         for members in classes:
             book = members.own()
             _adopt(book, new_session)
@@ -520,32 +552,27 @@ class _YkdFamilyEngine(_Engine):
             # *everyone* formed (and so broadcast a confirm); hearing
             # all confirms finally deletes the ambiguous sessions.
             if cut_round == confirm_round:
-                classes = _cut(classes, late, done)
+                classes, deaf = _split_late(classes, late)
+                done += deaf
             for members in classes:
                 members.own().amb = ()
             sent, formed = confirm_round, True
-        done.extend((members.mask, members.book) for members in classes)
-        return done, sent, mask if formed else 0
+        return _groups(done + classes), sent, mask if formed else 0
 
     def _exchange(
         self,
-        members: _BookClass,
-        index: int,
-        alone: bool,
+        members: _Cohort,
         best: SessionPair,
         exchange: _Exchange,
-        classes: List[_BookClass],
+        classes: List[_Cohort],
     ) -> None:
         """One class's persistent effects of a completed exchange,
         short of opening the new session; what it splits into is
-        appended to ``classes``.
-
-        ``index`` is the class's group in the snapshot and ``alone``
-        whether that group was a single member; ``best`` is the best
-        last primary, and so the best of the pooled evidence.
+        appended to ``classes``.  ``best`` is the best last primary,
+        and so the best of the pooled evidence.
         """
         if self.optimized and members.book.amb:
-            self._learn(members, index, alone, exchange)
+            self._learn(members, exchange)
         # ACCEPT (YKD._resolve, OnePending._all_states_received): a
         # member adopts the best formed session containing it, if that
         # beats its last primary.  The class peels off session by
@@ -567,10 +594,10 @@ class _YkdFamilyEngine(_Engine):
 
     def _settle(
         self,
-        members: _BookClass,
+        members: _Cohort,
         best: SessionPair,
         exchange: _Exchange,
-        classes: List[_BookClass],
+        classes: List[_Cohort],
     ) -> None:
         """The rest of RESOLVE for a class that agrees on ``best``."""
         book = members.book
@@ -594,23 +621,20 @@ class _YkdFamilyEngine(_Engine):
             if resolved:
                 members.own().amb = ()
 
-    def _learn(
-        self,
-        members: _BookClass,
-        index: int,
-        alone: bool,
-        exchange: _Exchange,
-    ) -> None:
+    def _learn(self, members: _Cohort, exchange: _Exchange) -> None:
         """KnowledgeBook.learn_from_states for every pending session.
 
         The rows depend only on the episode's fixed snapshot, so they
         are computed once per session and shared by every learner.  A
         learner skips its own row: for a member that held its book
-        alone that is its group's row, while in a larger group every
-        member hears the row from the others (and the own bit it adds
-        is implicit anyway).
+        alone that is the row of the group that is exactly its class
+        (held groups are disjoint, so no other group can be), while in
+        a larger group every member hears the row from the others (and
+        the own bit it adds is implicit anyway).
         """
         book = members.book
+        mask = members.mask
+        alone = 0 if mask & (mask - 1) else mask
         for session in book.amb:
             known = book.ki.get(session)
             if known is None:
@@ -619,15 +643,15 @@ class _YkdFamilyEngine(_Engine):
             if rows is None:
                 smask = session[1]
                 rows = exchange.rows[session] = []
-                for i, (group, snap) in enumerate(exchange.held):
+                for group, snap in exchange.held:
                     if group & smask:
                         outcome = _outcome(snap, session)
                         if outcome:
-                            rows.append((i, group & smask, outcome))
+                            rows.append((group, group & smask, outcome))
             innocents = known
             formed = False
-            for i, reporters, outcome in rows:
-                if alone and i == index:
+            for group, reporters, outcome in rows:
+                if group == alone:
                     continue
                 if outcome > 0:
                     formed = True
@@ -641,7 +665,7 @@ class _YkdFamilyEngine(_Engine):
                 book.kf = book.kf | {session}
 
     def _delete_settled(
-        self, members: _BookClass, classes: List[_BookClass]
+        self, members: _Cohort, classes: List[_Cohort]
     ) -> None:
         """YKD._delete_settled over bitmask books."""
         book = members.book
@@ -674,23 +698,6 @@ class _YkdFamilyEngine(_Engine):
             book.amb = tuple(kept)
             book.kf = book.kf.intersection(kept)
             book.ki = {s: book.ki[s] for s in kept if s in book.ki}
-
-
-def _cut(
-    classes: List[_BookClass], late: int, done: List[Tuple[int, _YkdBook]]
-) -> List[_BookClass]:
-    """A cut round's stage: the late members of every class hear
-    nothing and leave with the book they have (appended to ``done``);
-    returns the classes that do hear the stage."""
-    heard: List[_BookClass] = []
-    for members in classes:
-        deaf = members.mask & late
-        if deaf:
-            done.append((deaf, members.fork(deaf).book))
-            if not members.mask:
-                continue
-        heard.append(members)
-    return heard
 
 
 def _adopt(book: _YkdBook, session: SessionPair) -> None:
@@ -767,8 +774,9 @@ class _MR1pBook:
     """MR1p's persistent ballot state plus the send queue.
 
     One book is shared by reference by every process in that state: an
-    episode works on clones (:meth:`_MR1pEngine._install`), so a stored
-    book is never written again.
+    episode's classes own copies from install on
+    (:meth:`_MR1pEngine._install`), so a stored book is never written
+    again.
     """
 
     __slots__ = (
@@ -856,35 +864,11 @@ class _Transient:
         return twin
 
 
-class _MemberClass:
-    """The members of a view that nothing has told apart so far.
-
-    They entered the view in the same state and have heard the same
-    messages since, so one ``(book, trans)`` pair stands for all of
-    them.  A class only ever splits (:meth:`fork`), and only where the
-    protocol can tell two members apart: which cell of a cut round's
-    late members they are in (``_MR1pEngine._late_cells``), and whether
-    they are members of a shared session (``_handle_share``).
-    """
-
-    __slots__ = ("mask", "book", "trans")
-
-    def __init__(self, mask: int, book: _MR1pBook, trans: _Transient) -> None:
-        self.mask = mask
-        self.book = book
-        self.trans = trans
-
-    def fork(self, mask: int) -> "_MemberClass":
-        """Split ``mask`` off into a class of its own, state copied."""
-        self.mask &= ~mask
-        return _MemberClass(mask, self.book.clone(), self.trans.clone())
-
-
 #: One delivery of a round: (mask of senders, item).
 _Event = Tuple[int, tuple]
 
 
-def _round_events(sent: Dict[_MemberClass, List[tuple]]) -> List[_Event]:
+def _round_events(sent: Dict[_Cohort, List[tuple]]) -> List[_Event]:
     """One round's deliveries in the driver's order, folded.
 
     The scalar engine delivers bundle by bundle in ascending sender
@@ -931,7 +915,7 @@ def _round_events(sent: Dict[_MemberClass, List[tuple]]) -> List[_Event]:
     return events
 
 
-def _answer_round(sent: Dict[_MemberClass, List[tuple]]) -> Optional[dict]:
+def _answer_round(sent: Dict[_Cohort, List[tuple]]) -> Optional[dict]:
     """A round in which every bundle is ``info`` — answers to ``share`` —
     summarised per session from class masks, or None for any other
     round: the sender mask of each ``(num, status)`` report and of all
@@ -964,9 +948,12 @@ class _MR1pEngine(_Engine):
     re-fire mid-view), so the engine drains the send queues round by
     round — over bitmask state, one component at a time — until the
     episode quiesces or its interrupting change cuts it short.  The
-    unit of work is the :class:`_MemberClass`, not the member: a round
+    unit of work is the :class:`_Cohort`, not the member: a round
     costs (classes x folded deliveries), not (members x senders), and
-    an answer round one visit per class (:meth:`_hear_answers`).
+    an answer round one visit per class (:meth:`_hear_answers`).  A
+    class forks where a cut round's late members fall into different
+    cells (:meth:`_late_cells`) and where a shared session straddles it
+    (:meth:`_handle_share`).
     """
 
     def __init__(self, universe: int) -> None:
@@ -995,21 +982,26 @@ class _MR1pEngine(_Engine):
             t += 1
             if t > cut_round:
                 break
-            sent: Dict[_MemberClass, List[tuple]] = {}
-            for members in classes:
-                book = members.book
-                if book.out:
-                    sent[members] = book.out
-                    book.out = []
+            sent = {
+                members: members.book.out
+                for members in classes
+                if members.book.out
+            }
             if not sent:
                 break  # quiescent
             last_send = t
-            # Read the senders before the late cells fork them off.
+            # Read the senders before the late members fork off, and
+            # empty the queues after: a late twin's book takes its
+            # bundle along in ``out``, which is all it will hear.
             answers = _answer_round(sent)
             events = _round_events(sent) if answers is None else []
-            cells: List[_MemberClass] = []
+            cells: List[_Cohort] = []
             if late and t == cut_round:
-                classes, cells = self._late_cells(classes, sent, late, view)
+                classes, deaf = _split_late(classes, late)
+                for members in deaf:
+                    self._late_cells(members, view, cells)
+            for members in classes:
+                members.book.out = []
             if answers is not None:
                 for members in classes:
                     self._hear_answers(members, answers, view)
@@ -1021,19 +1013,16 @@ class _MR1pEngine(_Engine):
         for members in classes:
             if members.book.in_primary:
                 primary |= members.mask
-        return (
-            [(members.mask, members.book) for members in classes],
-            last_send,
-            primary,
-        )
+        return _groups(classes), last_send, primary
 
     def _install(
         self, held: List[Tuple[int, _MR1pBook]], view: SessionPair
-    ) -> List[_MemberClass]:
+    ) -> List[_Cohort]:
         """Install effects (MR1p._on_view), one class per distinct book."""
-        classes: List[_MemberClass] = []
-        for group, book in held:
-            book = book.clone()
+        classes: List[_Cohort] = []
+        for group, stored in held:
+            members = _Cohort(group, stored, _Transient())
+            book = members.own()
             book.in_primary = False
             book.out = []
             if book.pending is not None:
@@ -1042,19 +1031,16 @@ class _MR1pEngine(_Engine):
                 )
             else:
                 self._try_new(book, view)
-            classes.append(_MemberClass(group, book, _Transient()))
+            classes.append(members)
         return classes
 
     def _late_cells(
-        self,
-        classes: List[_MemberClass],
-        sent: Dict[_MemberClass, List[tuple]],
-        late: int,
-        view: SessionPair,
-    ) -> Tuple[List[_MemberClass], List[_MemberClass]]:
-        """The interrupting change's round, late side: a late member
-        hears only its own bundle.  Returns the classes left to hear the
-        whole round and the late cells, which have heard theirs.
+        self, members: _Cohort, view: SessionPair, cells: List[_Cohort]
+    ) -> None:
+        """The interrupting change's round for one late class: a late
+        member hears only its own bundle, which its book still holds in
+        ``out``.  The class splits into cells, appended to ``cells``
+        once they have heard theirs.
 
         Handlers read the sender's pid only through masks: the view, the
         class's ``try_mask``/``fail_mask``/``votes``/``infos`` (dead
@@ -1064,47 +1050,39 @@ class _MR1pEngine(_Engine):
         pids fixes every mask a handler reads, so the book comes out as
         each member's would (the transient state ends with the episode).
         """
-        hearing: List[_MemberClass] = []
-        cells: List[_MemberClass] = []
-        for members in classes:
-            deaf = members.mask & late
-            if not deaf:
-                hearing.append(members)
-                continue
-            items = sent.get(members)
-            split = [deaf]  # silent and deaf: hears nothing, stays whole
-            if items is not None and deaf & (deaf - 1):
-                trans = members.trans
-                pending = members.book.pending
-                for mask in (
-                    trans.try_mask,
-                    trans.fail_mask,
-                    pending[0] if pending is not None else 0,
-                    *trans.votes.values(),
-                    *(() if trans.call_done else trans.infos.values()),
-                    *(item[1][0] for item in items),
-                ):
-                    if deaf & mask and deaf & ~mask:
-                        split = [c & m for c in split for m in (mask, ~mask)]
-                        split = [cell for cell in split if cell]
-            for cell in split:
-                alone = members if cell == members.mask else members.fork(cell)
-                cells.append(alone)
-                if items is not None:
-                    stand_in = cell & -cell
-                    bundle = [(stand_in, item) for item in items]
-                    self._deliver(alone, bundle, 0, view, cells)
-            if members.mask & ~late:
-                hearing.append(members)
-        return hearing, cells
+        book = members.book
+        items, book.out = book.out, []
+        deaf = members.mask
+        split = [deaf]  # silent and deaf: hears nothing, stays whole
+        if items and deaf & (deaf - 1):
+            trans = members.trans
+            pending = book.pending
+            for mask in (
+                trans.try_mask,
+                trans.fail_mask,
+                pending[0] if pending is not None else 0,
+                *trans.votes.values(),
+                *(() if trans.call_done else trans.infos.values()),
+                *(item[1][0] for item in items),
+            ):
+                if deaf & mask and deaf & ~mask:
+                    split = [c & m for c in split for m in (mask, ~mask)]
+                    split = [cell for cell in split if cell]
+        forked = [members.fork(cell) for cell in split[:-1]]
+        for alone in forked + [members]:
+            cells.append(alone)
+            if items:
+                stand_in = alone.mask & -alone.mask
+                bundle = [(stand_in, item) for item in items]
+                self._deliver(alone, bundle, 0, view, cells)
 
     def _deliver(
         self,
-        members: _MemberClass,
+        members: _Cohort,
         events: List[_Event],
         start: int,
         view: SessionPair,
-        classes: List[_MemberClass],
+        classes: List[_Cohort],
     ) -> None:
         """Hand ``events[start:]`` to one class.  A class that splits
         on the way appends its other half to ``classes``; that half
@@ -1181,8 +1159,8 @@ class _MR1pEngine(_Engine):
             book.cur_primary = formed
 
     def _handle_share(
-        self, members: _MemberClass, session: SessionPair
-    ) -> Optional[_MemberClass]:
+        self, members: _Cohort, session: SessionPair
+    ) -> Optional[_Cohort]:
         """Answer a shared session.  Only the session's own members
         answer, so a class that straddles it splits here: the
         outsiders are returned as a class of their own."""
@@ -1234,7 +1212,7 @@ class _MR1pEngine(_Engine):
 
     def _hear_answers(
         self,
-        members: _MemberClass,
+        members: _Cohort,
         answers: Dict[SessionPair, list],
         view: SessionPair,
     ) -> None:

@@ -17,7 +17,9 @@ is the unit in which the thesis counts change frequency.  A round runs:
    components independently either still receives this round's messages
    ("early") or loses them ("late") — this is what makes interrupted
    attempts ambiguous (Fig. 3-1's process c is a late receiver).
-   Processes of untouched components always receive everything.
+   Processes of untouched components always receive everything.  A
+   caller that names the late set (``run_round(change, late)``, as
+   schedule replay and the explorer do) gets exactly that cut.
 3. **Deliver** each broadcast to the members of the sender's pre-change
    component (a sender always receives its own broadcast).
 4. **Install** new views on every member of the reconfigured
@@ -207,11 +209,6 @@ class DriverLoop:
         #: ``abl_cut_model`` experiment shows the study's conclusions
         #: are insensitive to it.
         self.cut_probability = cut_probability
-        #: Optional override for the mid-round cut: a callable taking
-        #: the affected member set and returning the set of "late"
-        #: processes.  The exhaustive explorer uses this to enumerate
-        #: every possible cut instead of sampling one.
-        self.cut_chooser = None
         #: Adversarial fault model (repro.faults).  A clean model (all
         #: engine-affecting knobs off) leaves every delivery path
         #: untouched — the byte-identity tests pin this — so the
@@ -262,8 +259,18 @@ class DriverLoop:
     # One round.
     # ------------------------------------------------------------------
 
-    def run_round(self, change: Optional[ConnectivityChange] = None) -> bool:
+    def run_round(
+        self,
+        change: Optional[ConnectivityChange] = None,
+        late: Optional[Iterable[ProcessId]] = None,
+    ) -> bool:
         """Execute one round; returns True when any message was sent.
+
+        ``late`` forces the mid-round cut of ``change`` to exactly
+        ``late ∩ affected`` instead of sampling it from the fault RNG,
+        which then draws nothing: the round is fully deterministic —
+        the building block of exhaustive exploration and of schedule
+        replay.  ``None`` samples the cut as a random run does.
 
         With a :class:`~repro.obs.PhaseProfiler` attached, each phase
         below is bracketed with wall/CPU timestamps; without one the
@@ -286,16 +293,16 @@ class DriverLoop:
             wall_mark, cpu_mark = profiler.lap("poll", wall_mark, cpu_mark)
 
         # 2. Decide who the change cuts off mid-round.
-        late: frozenset = frozenset()
+        cut: frozenset = frozenset()
         dead: frozenset = frozenset()
         new_topology: Optional[Topology] = None
         if change is not None:
             affected = affected_processes(change, self.topology)
             new_topology = apply_change(self.topology, change)
-            if self.cut_chooser is not None:
-                late = frozenset(self.cut_chooser(affected))
+            if late is not None:
+                cut = frozenset(late) & affected
             else:
-                late = frozenset(
+                cut = frozenset(
                     pid
                     for pid in sorted(affected)
                     if self.fault_rng.random() < self.cut_probability
@@ -303,7 +310,7 @@ class DriverLoop:
             if isinstance(change, CrashChange):
                 dead = frozenset({change.pid})
             self._recorded_steps.append(
-                (self._rounds_since_change, change, late)
+                (self._rounds_since_change, change, cut)
             )
             self._rounds_since_change = 0
         else:
@@ -316,7 +323,7 @@ class DriverLoop:
         broadcast_hooks = self._broadcast_hooks
         had_matured = False
         if self._injector is not None:
-            had_matured = self._deliver_faulted(bundles, late, dead)
+            had_matured = self._deliver_faulted(bundles, cut, dead)
         else:
             topology = self.topology
             for sender, message in bundles.items():
@@ -325,7 +332,7 @@ class DriverLoop:
                 for recipient in sorted(topology.component_of(sender)):
                     if recipient in dead:
                         continue
-                    if recipient != sender and recipient in late:
+                    if recipient != sender and recipient in cut:
                         continue
                     endpoints[recipient].deliver(message, sender)
         if profiler is not None:
@@ -521,24 +528,6 @@ class DriverLoop:
     # Scripted replay (repro.check and repro.sim.explore).
     # ------------------------------------------------------------------
 
-    def run_scripted_round(
-        self, change: Optional[ConnectivityChange], late: Iterable[ProcessId]
-    ) -> bool:
-        """Run one round injecting ``change`` with an explicit late-set.
-
-        The mid-round cut is forced to exactly ``late ∩ affected``
-        instead of being sampled from the fault RNG, which makes the
-        round fully deterministic — the building block of exhaustive
-        exploration and of schedule replay.
-        """
-        late_set = frozenset(late)
-        previous = self.cut_chooser
-        self.cut_chooser = lambda affected: late_set & frozenset(affected)
-        try:
-            return self.run_round(change)
-        finally:
-            self.cut_chooser = previous
-
     def execute_schedule(
         self,
         steps: Iterable[Tuple[int, ConnectivityChange, Optional[frozenset]]],
@@ -564,10 +553,7 @@ class DriverLoop:
         for gap, change, late in steps:
             for _ in range(gap):
                 self.run_round(None)
-            if late is None:
-                self.run_round(change)
-            else:
-                self.run_scripted_round(change, late)
+            self.run_round(change, late)
         if settle:
             self.run_until_quiescent()
             self._publish_quiescence()

@@ -475,7 +475,7 @@ class _Explorer:
                         mark_a = self.result.available
                         mark_r = len(self.records)
                         try:
-                            sent = driver.run_scripted_round(change, late)
+                            sent = driver.run_round(change, late)
                         except InvariantViolation as violation:
                             self._capture_counterexample(str(violation))
                             self._violating_suffixes(

@@ -216,6 +216,13 @@ def mr1p_book(pending=None, num=0, status="none", formed=()):
     return made
 
 
+def mr1p_class(mask, book, trans):
+    """An MR1p class as the engine holds one: owning its book."""
+    members = kernel._Cohort(mask, book, trans)
+    members.owned = True
+    return members
+
+
 def mr1p_per_member(groups):
     found = {}
     for group, held in groups:
@@ -310,11 +317,11 @@ def answer_round_both_ways(trans, bundles):
     view = (SIX, VIEW_SEQ)
     books = []
     for summarised in (True, False):
-        members = kernel._MemberClass(
+        members = mr1p_class(
             mask_of([0, 1]), mr1p_book(OLD, 1, "sent"), trans.clone()
         )
         senders = {
-            kernel._MemberClass(group, mr1p_book(), kernel._Transient()): items
+            mr1p_class(group, mr1p_book(), kernel._Transient()): items
             for group, items in bundles
         }
         if summarised:
@@ -385,13 +392,18 @@ def test_mr1p_late_cell_splits_on_the_last_reporter_missing(reported) -> None:
     view = (mask_of(range(5)), VIEW_SEQ)
     late = mask_of([2, 3, 4])
     bundle = [("info", seven, "status", 1, "sent")]
-    members = kernel._MemberClass(mask_of(range(5)), book, trans)
-    hearing, cells = engine._late_cells([members], {members: bundle}, late, view)
+    sender = book.clone()
+    sender.out = list(bundle)
+    members = mr1p_class(mask_of(range(5)), sender, trans.clone())
+    hearing, deaf = kernel._split_late([members], late)
+    cells = []
+    for late_class in deaf:
+        engine._late_cells(late_class, view, cells)
     assert [c.mask for c in hearing] == [mask_of([0, 1])]
     assert sorted(c.mask for c in cells) == [mask_of([3]), mask_of([2, 4])]
     for cell in cells:
         for pid in iter_bits(cell.mask):
-            alone = kernel._MemberClass(1 << pid, book.clone(), trans.clone())
+            alone = mr1p_class(1 << pid, book.clone(), trans.clone())
             own = [(1 << pid, item) for item in bundle]
             engine._deliver(alone, own, 0, view, [alone])
             assert alone.book.key() == cell.book.key()

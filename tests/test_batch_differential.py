@@ -413,7 +413,7 @@ def test_mr1p_protocol_work_is_per_member_class(monkeypatch) -> None:
     handled = forks = 0
     deliver = batch_kernel._MR1pEngine._deliver
     hear = batch_kernel._MR1pEngine._hear_answers
-    fork = batch_kernel._MemberClass.fork
+    fork = batch_kernel._Cohort.fork
 
     def counting(self, members, events, start, view, classes):
         nonlocal handled
@@ -432,7 +432,7 @@ def test_mr1p_protocol_work_is_per_member_class(monkeypatch) -> None:
 
     monkeypatch.setattr(batch_kernel._MR1pEngine, "_deliver", counting)
     monkeypatch.setattr(batch_kernel._MR1pEngine, "_hear_answers", hearing)
-    monkeypatch.setattr(batch_kernel._MemberClass, "fork", forking)
+    monkeypatch.setattr(batch_kernel._Cohort, "fork", forking)
     result = run_case_batched(
         CaseConfig(
             algorithm="mr1p",
@@ -491,6 +491,75 @@ def test_family_protocol_work_is_per_member_class(monkeypatch, algorithm) -> Non
     measured, bound = FAMILY_CLASS_VISITS[algorithm]
     assert 0 < visits < bound, f"{visits} visits (was {measured})"
     assert members_seen > 5 * visits  # the classes are worth having
+
+
+@pytest.mark.parametrize("algorithm", CLASS_STEPPED)
+def test_a_class_that_owns_its_book_shares_it_with_no_other_class(
+    monkeypatch, algorithm
+) -> None:
+    """The member classes' one copy rule, checked after every ``own``
+    and ``fork`` of the pinned thesis-scale case: a class that owns its
+    book — and so may write it — shares that object with no other class
+    of the episode and with no book the episode was handed."""
+    Cohort = batch_kernel._Cohort
+    live = []  # every class of the episode in play
+    stored = set()  # ids of the books the episode was handed
+    checks = owned_forks = 0
+
+    def check() -> None:
+        nonlocal checks
+        checks += 1
+        holders = {}
+        for members in live:
+            holders[id(members.book)] = holders.get(id(members.book), 0) + 1
+        for members in live:
+            if members.owned:
+                assert holders[id(members.book)] == 1
+                assert id(members.book) not in stored
+
+    init, own, fork = Cohort.__init__, Cohort.own, Cohort.fork
+
+    def registering(self, *args) -> None:
+        init(self, *args)
+        live.append(self)
+
+    def owning(self):
+        book = own(self)
+        check()
+        return book
+
+    def forking(self, mask):
+        nonlocal owned_forks
+        owned_forks += self.owned
+        twin = fork(self, mask)
+        check()
+        return twin
+
+    for engine in (batch_kernel._YkdFamilyEngine, batch_kernel._MR1pEngine):
+
+        def episode(self, held, *rest, play=engine._episode):
+            live.clear()
+            stored.clear()
+            stored.update(id(book) for _, book in held)
+            return play(self, held, *rest)
+
+        monkeypatch.setattr(engine, "_episode", episode)
+    monkeypatch.setattr(Cohort, "__init__", registering)
+    monkeypatch.setattr(Cohort, "own", owning)
+    monkeypatch.setattr(Cohort, "fork", forking)
+    result = run_case_batched(
+        CaseConfig(
+            algorithm=algorithm,
+            n_processes=64,
+            n_changes=12,
+            mean_rounds_between_changes=2.0,
+            runs=40,
+            master_seed=1,
+        )
+    )
+    assert result.changes_total == 40 * 12
+    assert checks > 100
+    assert owned_forks > 0  # the rule's copying branch was exercised
 
 
 ENVIRONMENT = CaseConfig(

@@ -109,3 +109,8 @@ class TestConfigValidation:
     def test_negative_schedules_rejected(self):
         with pytest.raises(ValueError):
             FuzzConfig(schedules=-1)
+
+    @pytest.mark.parametrize("weight", [-1.0, 1.5, float("nan"), float("inf")])
+    def test_crash_weight_outside_zero_one_rejected(self, weight):
+        with pytest.raises(ValueError):
+            FuzzConfig(crash_weight=weight)

@@ -465,6 +465,10 @@ class TestRegistry:
         ["serve", "--tick-interval", "-1", "--smoke"],
         ["serve", "--tick-interval", "inf", "--smoke"],
         ["telemetry", "--tail", "-3", "--ticks", "20", "--clients", "2"],
+        ["check", "--crash-weight", "2", "--schedules", "1"],
+        ["check", "--crash-weight", "-1", "--schedules", "1"],
+        ["check", "--crash-weight", "nan", "--schedules", "1"],
+        ["check", "--schedules", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )

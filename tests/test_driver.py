@@ -251,3 +251,56 @@ class TestCutProbability:
         driver.run_round(PartitionChange(component=abc, moved=frozenset({2})))
         driver.run_until_quiescent()
         assert driver.algorithms[2].ambiguous  # nobody formed {0,1,2}
+
+
+class TestExplicitCut:
+    """``run_round(change, late)`` forces the mid-round cut instead of
+    sampling it: the property schedule replay and the exhaustive
+    explorer rest on."""
+
+    ABC = frozenset({0, 1, 2})
+
+    def cut_round(self, late, cut_probability=1.0):
+        """{0, 1, 2}'s attempt round, cut by a partition of {0, 1, 2}.
+
+        Returns the driver, its fault RNG state before the round, and
+        the (sender, recipient) deliveries the round made.
+        """
+        deliveries = []
+
+        class Counting(ProcessEndpoint):
+            def deliver(self, message, sender):
+                deliveries.append((sender, self.pid))
+                super().deliver(message, sender)
+
+        driver = make_driver(
+            "ykd", 5, seed=3,
+            cut_probability=cut_probability, endpoint_factory=Counting,
+        )
+        split(driver, {3, 4})
+        driver.run_round()  # states: {0, 1, 2} queue their attempts
+        before = driver.fault_rng.getstate()
+        deliveries.clear()
+        driver.run_round(
+            PartitionChange(component=self.ABC, moved=frozenset({2})), late
+        )
+        return driver, before, deliveries
+
+    def test_an_explicit_cut_draws_nothing_from_the_fault_rng(self):
+        driver, before, _ = self.cut_round(frozenset({1, 4}))
+        assert driver.fault_rng.getstate() == before
+        _, _, recorded = driver.recorded_steps()[-1]
+        assert recorded == frozenset({1})  # late ∩ affected: 4 is not
+
+    def test_an_empty_cut_loses_no_delivery_whatever_the_probability(self):
+        _, _, forced = self.cut_round(frozenset(), cut_probability=1.0)
+        _, _, sampled = self.cut_round(None, cut_probability=0.0)
+        assert forced == sampled
+        assert len(forced) == len(self.ABC) ** 2  # every attempt, everywhere
+
+    def test_no_late_set_still_samples_the_cut(self):
+        driver, before, deliveries = self.cut_round(None, cut_probability=1.0)
+        assert driver.fault_rng.getstate() != before
+        _, _, recorded = driver.recorded_steps()[-1]
+        assert recorded == self.ABC
+        assert deliveries == [(pid, pid) for pid in sorted(self.ABC)]

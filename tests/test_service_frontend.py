@@ -10,7 +10,8 @@ need no concurrent tick driver).  The contract under test:
   minority replica refuses a write;
 * **503** carrying the causal blame category when no primary exists
   anywhere in the universe;
-* 400/404 for malformed bodies and unknown routes.
+* 400/404 for malformed bodies and unknown routes, **413** for a
+  declared body over the limit.
 """
 
 import asyncio
@@ -20,6 +21,7 @@ import pytest
 
 from repro.service import StoreCluster
 from repro.service.frontend import (
+    _MAX_BODY,
     FrontendGroup,
     MemoryNodeBackend,
     ServiceFrontend,
@@ -146,6 +148,46 @@ class TestRoutes:
             assert "value" in answer["error"]
             status, _, _ = await http(peers[0], "DELETE", "/kv/x")
             assert status == 404
+
+        serve(cluster, range(5), requests)
+
+    def test_an_oversized_body_is_refused_unread(self, cluster):
+        """A declared body over the limit is 413 before any byte of it
+        is read, and nothing is written — not even when its first MiB
+        is a valid request on its own."""
+
+        async def put_oversized(address):
+            host, port = address
+            reader, writer = await asyncio.open_connection(host, port)
+            head = (
+                "PUT /kv/big HTTP/1.1\r\n"
+                f"Content-Length: {_MAX_BODY + 1_000_000}\r\n"
+                "Connection: close\r\n\r\n"
+            )
+            writer.write(head.encode("ascii"))
+            await writer.drain()
+            try:
+                raw = await asyncio.wait_for(reader.read(), timeout=1.0)
+            except asyncio.TimeoutError:
+                # Still waiting for the body: send a valid first MiB.
+                prefix = b'{"value": "oversized"}'
+                writer.write(prefix + b" " * (_MAX_BODY - len(prefix)))
+                await writer.drain()
+                raw = await reader.read()
+            writer.close()
+            return int(raw.split(b" ", 2)[1])
+
+        async def requests(peers):
+            _, _, before = await http(peers[0], "GET", "/snapshot")
+            assert await put_oversized(peers[0]) == 413
+            _, _, after = await http(peers[0], "GET", "/snapshot")
+            assert after == before
+            for length in ("-1", "many"):
+                status, _, _ = await http(
+                    peers[0], "PUT", "/kv/x",
+                    extra_headers=[f"Content-Length: {length}"],
+                )
+                assert status == 400
 
         serve(cluster, range(5), requests)
 

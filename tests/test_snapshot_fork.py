@@ -61,7 +61,7 @@ def run_steps(driver, steps):
     for gap, change, late in steps:
         for _ in range(gap):
             driver.run_round(None)
-        driver.run_scripted_round(change, late)
+        driver.run_round(change, late)
 
 
 class TestSnapshotRestore:
@@ -120,14 +120,14 @@ class TestSnapshotRestore:
         # rounds (partition + merge + settle) must not bleed into it.
         driver = build_driver(algorithm, 4)
         whole = driver.topology.components[0]
-        driver.run_scripted_round(
+        driver.run_round(
             PartitionChange(component=whole, moved=frozenset({3})),
             frozenset(),
         )
         snap = driver.snapshot()
         before = state_fingerprint(driver)
         first, second = driver.topology.components
-        driver.run_scripted_round(
+        driver.run_round(
             MergeChange(first=first, second=second), frozenset({3})
         )
         driver.run_until_quiescent()
@@ -143,7 +143,7 @@ class TestSnapshotRestore:
         snap = driver.snapshot()
         chain_at_snap = driver.checker.formed_chain
         whole = driver.topology.components[0]
-        driver.run_scripted_round(
+        driver.run_round(
             PartitionChange(component=whole, moved=frozenset({2, 3})),
             frozenset(),
         )
@@ -191,7 +191,7 @@ class TestCanonicalHashing:
             for change in (first, second):
                 if relabel is not None:
                     change = relabel_change(change, relabel)
-                driver.run_scripted_round(change, frozenset())
+                driver.run_round(change, frozenset())
                 driver.run_until_quiescent()
             drivers[name] = driver
         # The tie fires when {1, 2} splits into singletons: only the
@@ -213,12 +213,12 @@ class TestCanonicalHashing:
         mapping = {0: 2, 1: 1, 2: 0}
         a = build_driver("ykd", 3)
         whole = a.topology.components[0]
-        a.run_scripted_round(
+        a.run_round(
             PartitionChange(component=whole, moved=frozenset({2})),
             frozenset(),
         )
         b = build_driver("ykd", 3)
-        b.run_scripted_round(
+        b.run_round(
             relabel_change(
                 PartitionChange(component=whole, moved=frozenset({2})),
                 mapping,
