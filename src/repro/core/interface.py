@@ -31,10 +31,20 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, ClassVar, Dict, List, Optional, Sequence
 
+from repro.core.knowledge import StateItem
 from repro.core.message import Message, Piggyback
+from repro.core.session import Session
 from repro.core.view import View
 from repro.errors import ProtocolError
 from repro.types import Members, ProcessId
+
+
+#: Types shared, never copied, by :meth:`PrimaryComponentAlgorithm.fork`:
+#: scalars and the immutable values algorithm state is built from.
+_SHARED = frozenset({
+    type(None), bool, int, float, str, tuple, frozenset,
+    Session, View, StateItem,
+})
 
 
 def _fork_value(value: Any) -> Any:
@@ -48,8 +58,11 @@ def _fork_value(value: Any) -> Any:
     copied (recursively for list/dict, whose values may themselves be
     containers — e.g. MR1p's ``Dict[View, Set[ProcessId]]`` vote
     tally); immutable values are shared, which also preserves their
-    memoized caches.
+    memoized caches.  The common immutable types are recognised by
+    exact type before any ``isinstance`` test.
     """
+    if type(value) in _SHARED:
+        return value
     if isinstance(value, list):
         return [_fork_value(item) for item in value]
     if isinstance(value, dict):
@@ -194,8 +207,9 @@ class PrimaryComponentAlgorithm(ABC):
         The clone behaves byte-identically to the original under any
         subsequent event sequence, and mutating either side never leaks
         into the other.  ``__init__`` is deliberately bypassed: the
-        clone receives a per-attribute copy of the live ``__dict__``
-        (see :func:`_fork_value`), so mid-protocol state — half-filled
+        clone receives a copy of the live ``__dict__`` in which every
+        value of a mutable type is replaced by its own copy (see
+        :func:`_fork_value`), so mid-protocol state — half-filled
         exchanges, queued items, pending attempts — survives exactly.
         This is what lets the exhaustive explorer execute a shared
         scenario prefix once and branch from it, instead of replaying
@@ -205,9 +219,11 @@ class PrimaryComponentAlgorithm(ABC):
         immutables convention must override this (none currently do).
         """
         clone = object.__new__(type(self))
-        clone.__dict__.update(
-            {name: _fork_value(value) for name, value in self.__dict__.items()}
-        )
+        state = self.__dict__.copy()
+        for name, value in self.__dict__.items():
+            if type(value) not in _SHARED:
+                state[name] = _fork_value(value)
+        clone.__dict__ = state
         return clone
 
     # ------------------------------------------------------------------

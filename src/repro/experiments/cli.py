@@ -485,7 +485,7 @@ def _verify(args: argparse.Namespace) -> int:
     exit_code = 0
     report: dict = {}
     for algorithm in algorithms:
-        started = time.time()
+        started = time.perf_counter()
         result = explore(
             algorithm,
             n_processes=args.processes,
@@ -493,7 +493,7 @@ def _verify(args: argparse.Namespace) -> int:
             gap_options=tuple(args.gaps),
             max_scenarios=args.max_scenarios,
         )
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         print(
             f"{algorithm}: {result.scenarios} scenarios "
             f"({args.processes} processes, depth {args.depth}, "

@@ -13,6 +13,8 @@ per connection — because the point is not a web server but the service
   ``NotPrimaryError`` redirect), or **503** with a causal blame tag
   when no primary exists anywhere;
 * a ``Content-Length`` over 1 MiB is refused with **413**, body unread;
+* more than 100 header lines are refused with **431**, the rest of the
+  request unread;
 * ``GET /snapshot`` — full contents plus the ``(epoch, ops)`` stamp;
 * ``GET /healthz`` — liveness plus the store's operational counters
   and the transport's aggregate ARQ counters (transmissions,
@@ -57,15 +59,23 @@ from repro.types import ProcessId
 
 _REASONS = {200: "OK", 307: "Temporary Redirect", 400: "Bad Request",
             404: "Not Found", 413: "Payload Too Large",
+            431: "Request Header Fields Too Large",
             503: "Service Unavailable"}
 _MAX_BODY = 1 << 20
+_MAX_HEADER_LINES = 100
 
 #: Latency buckets in milliseconds (sub-ms loopback up to slow ticks).
 _LATENCY_BUCKETS_MS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
-class _PayloadTooLarge(ValueError):
-    """A request declared a body longer than ``_MAX_BODY``."""
+class _Refused(ValueError):
+    """A request refused with ``status`` before the rest of it is read:
+    413 for a body over ``_MAX_BODY``, 431 for a header block over
+    ``_MAX_HEADER_LINES`` lines."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class MemoryNodeBackend:
@@ -231,8 +241,8 @@ class ServiceFrontend:
         try:
             method, path, body, trace = await self._read_request(reader)
             status, payload, headers = self._route(method, path, body, trace)
-        except _PayloadTooLarge as exc:
-            status, payload, headers = 413, {"error": str(exc)}, []
+        except _Refused as exc:
+            status, payload, headers = exc.status, {"error": str(exc)}, []
         except Exception as exc:  # defensive: a broken request
             status, payload, headers = 400, {"error": str(exc)}, []
         self._observe(
@@ -266,10 +276,14 @@ class ServiceFrontend:
         method, path = parts[0].upper(), parts[1]
         length = 0
         trace: Optional[str] = None
-        while True:
+        for count in range(_MAX_HEADER_LINES + 1):
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
+            if count == _MAX_HEADER_LINES:
+                raise _Refused(
+                    431, f"more than {_MAX_HEADER_LINES} header lines"
+                )
             name, _, value = line.decode("latin-1").partition(":")
             name = name.strip().lower()
             if name == "content-length":
@@ -279,7 +293,8 @@ class ServiceFrontend:
             elif name == TRACE_HEADER.lower():
                 trace = value.strip()
         if length > _MAX_BODY:
-            raise _PayloadTooLarge(
+            raise _Refused(
+                413,
                 f"body of {length} bytes exceeds the {_MAX_BODY}-byte limit"
             )
         body = await reader.readexactly(length) if length else b""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import fields, is_dataclass
+from typing import Callable, Dict, Tuple
 
 from repro.core.interface import PrimaryComponentAlgorithm
 from repro.core.knowledge import KnowledgeBook, StateItem
@@ -42,6 +43,168 @@ from repro.core.view import View
 #: keeps memo keys small and :func:`state_digest` values stable.
 _PAIR_LIST_ATTRS = frozenset({"_early_attempts", "_early_confirms"})
 
+#: The instance attribute a frozen value keeps its encoding in.  It lives
+#: in ``__dict__`` outside the declared dataclass fields, so the
+#: generated ``__eq__``/``__hash__``/``repr`` never see it, and no
+#: encoding rule reads it back as state.
+_MEMO = "_state_encoding"
+
+_PRIMITIVES = frozenset({type(None), bool, int, str, float})
+
+#: Encodings of the empty containers: constants, built once.  Sets (of
+#: any kind) encode empty as a pid set, dicts as a plain map.
+_EMPTY_SET = ("pids", ())
+_EMPTY_MAP = ("map", ())
+_EMPTY_SEQ = ("seq", ())
+
+
+def _memoised(encode: Callable[[object], tuple]) -> Callable[[object], tuple]:
+    """Wrap a rule for a frozen type so each instance is encoded once.
+
+    Sound only for frozen values whose fields are themselves immutable
+    (``fork()`` already shares such values between clones for the same
+    reason): their encoding cannot change after construction.
+    """
+
+    def encode_once(value: object) -> tuple:
+        try:
+            return value.__dict__[_MEMO]
+        except KeyError:
+            encoded = encode(value)
+            object.__setattr__(value, _MEMO, encoded)
+            return encoded
+
+    return encode_once
+
+
+def _encode_session(value: Session) -> tuple:
+    return ("session", value.number, tuple(sorted(value.members)))
+
+
+def _encode_view(value: View) -> tuple:
+    return ("view", value.seq, tuple(sorted(value.members)))
+
+
+def _encode_state_item(value: StateItem) -> tuple:
+    return (
+        "stateitem",
+        value.session_number,
+        tuple([encode_value(s) for s in value.ambiguous]),
+        encode_value(value.last_primary),
+        tuple(sorted([(p, encode_value(s)) for p, s in value.last_formed])),
+    )
+
+
+def _encode_knowledge(value: KnowledgeBook) -> tuple:
+    return (
+        "knowledge",
+        value._owner,
+        tuple(
+            sorted(
+                [
+                    (encode_value(s), tuple(sorted(members)))
+                    for s, members in value._not_formed.items()
+                ],
+                key=repr,
+            )
+        ),
+        tuple(sorted([encode_value(s) for s in value._formed], key=repr)),
+    )
+
+
+def _encode_set(value: frozenset) -> tuple:
+    if not value:
+        return _EMPTY_SET
+    if all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+        return ("pids", tuple(sorted(value)))
+    return ("set", tuple(sorted([encode_value(v) for v in value], key=repr)))
+
+
+def _encode_dict(value: dict) -> tuple:
+    if not value:
+        return _EMPTY_MAP
+    if all(isinstance(k, int) and not isinstance(k, bool) for k in value):
+        return (
+            "pidmap",
+            tuple(sorted([(k, encode_value(v)) for k, v in value.items()])),
+        )
+    return (
+        "map",
+        tuple(
+            sorted(
+                [(encode_value(k), encode_value(v)) for k, v in value.items()],
+                key=lambda pair: repr(pair[0]),
+            )
+        ),
+    )
+
+
+def _encode_sequence(value: list) -> tuple:
+    if not value:
+        return _EMPTY_SEQ
+    return ("seq", tuple([encode_value(v) for v in value]))
+
+
+def _dataclass_rule(cls: type) -> Callable[[object], tuple]:
+    names = tuple(f.name for f in fields(cls))
+    tag = cls.__name__
+
+    def encode(value: object) -> tuple:
+        return (
+            "dc",
+            tag,
+            tuple([(n, encode_value(getattr(value, n))) for n in names]),
+        )
+
+    # Slotted instances have nowhere to keep the memo.
+    if cls.__dataclass_params__.frozen and not hasattr(cls, "__slots__"):
+        return _memoised(encode)
+    return encode
+
+
+def _identity(value: object) -> object:
+    return value
+
+
+#: The rules in the order they are tried on a type met for the first
+#: time; the first whose type is a base of it wins.
+_BASE_RULES: Tuple[Tuple[type, Callable[[object], object]], ...] = (
+    (bool, _identity),
+    (int, _identity),
+    (str, _identity),
+    (float, _identity),
+    (Session, _memoised(_encode_session)),
+    (View, _memoised(_encode_view)),
+    (StateItem, _memoised(_encode_state_item)),
+    (KnowledgeBook, _encode_knowledge),
+    (set, _encode_set),
+    (frozenset, _encode_set),
+    (dict, _encode_dict),
+    (list, _encode_sequence),
+    (tuple, _encode_sequence),
+)
+
+#: The rule for every type met so far, by exact type.  A type with no
+#: rule is never added, so it raises on every call.
+_RULES: Dict[type, Callable[[object], object]] = dict(_BASE_RULES)
+
+
+def _rule_for(cls: type) -> Callable[[object], object]:
+    """The rule for a type not met before."""
+    for base, rule in _BASE_RULES:
+        if issubclass(cls, base):
+            break
+    else:
+        if not is_dataclass(cls):
+            raise TypeError(
+                f"cannot canonically encode {cls.__name__!r}; add an "
+                "explicit rule to repro.sim.statehash before relying "
+                "on state hashing for it"
+            )
+        rule = _dataclass_rule(cls)
+    _RULES[cls] = rule
+    return rule
+
 
 def encode_value(value: object) -> object:
     """One value as a canonical nested tuple of primitives.
@@ -52,76 +215,24 @@ def encode_value(value: object) -> object:
     node carries a tag naming its kind so that no two distinct values
     share an encoding.  Unknown types raise ``TypeError`` so a future
     state attribute cannot be silently mis-encoded.
+
+    Rules are found by exact type.  Frozen values (sessions, views,
+    state items and frozen dataclasses such as the protocol items) are
+    encoded once per instance and the result is kept on the instance;
+    the empty containers encode to shared constants.
     """
-    if value is None or isinstance(value, (bool, int, str, float)):
+    cls = type(value)
+    if cls in _PRIMITIVES:
         return value
-    if isinstance(value, Session):
-        return ("session", value.number, tuple(sorted(value.members)))
-    if isinstance(value, View):
-        return ("view", value.seq, tuple(sorted(value.members)))
-    if isinstance(value, StateItem):
-        return (
-            "stateitem",
-            value.session_number,
-            tuple(encode_value(s) for s in value.ambiguous),
-            encode_value(value.last_primary),
-            tuple(sorted((p, encode_value(s)) for p, s in value.last_formed)),
-        )
-    if isinstance(value, KnowledgeBook):
-        return (
-            "knowledge",
-            value._owner,
-            tuple(
-                sorted(
-                    (
-                        (encode_value(s), tuple(sorted(members)))
-                        for s, members in value._not_formed.items()
-                    ),
-                    key=repr,
-                )
-            ),
-            tuple(sorted((encode_value(s) for s in value._formed), key=repr)),
-        )
-    if isinstance(value, (set, frozenset)):
-        if all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            return ("pids", tuple(sorted(value)))
-        return ("set", tuple(sorted((encode_value(v) for v in value), key=repr)))
-    if isinstance(value, dict):
-        if value and all(
-            isinstance(k, int) and not isinstance(k, bool) for k in value
-        ):
-            return (
-                "pidmap",
-                tuple(sorted((k, encode_value(v)) for k, v in value.items())),
-            )
-        return (
-            "map",
-            tuple(
-                sorted(
-                    (
-                        (encode_value(k), encode_value(v))
-                        for k, v in value.items()
-                    ),
-                    key=lambda pair: repr(pair[0]),
-                )
-            ),
-        )
-    if isinstance(value, (list, tuple)):
-        return ("seq", tuple(encode_value(v) for v in value))
-    if is_dataclass(value) and not isinstance(value, type):
-        return (
-            "dc",
-            type(value).__name__,
-            tuple(
-                (f.name, encode_value(getattr(value, f.name)))
-                for f in fields(value)
-            ),
-        )
-    raise TypeError(
-        f"cannot canonically encode {type(value).__name__!r}; add an "
-        "explicit rule to repro.sim.statehash before relying on state "
-        "hashing for it"
-    )
+    rule = _RULES.get(cls)
+    if rule is None:
+        rule = _rule_for(cls)
+    return rule(value)
+
+
+#: Per distinct attribute-name tuple of an algorithm's ``__dict__``:
+#: the same names, sorted.
+_ATTRIBUTE_ORDERS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
 
 def encode_algorithm(algorithm: PrimaryComponentAlgorithm) -> tuple:
@@ -133,11 +244,17 @@ def encode_algorithm(algorithm: PrimaryComponentAlgorithm) -> tuple:
     be missed by construction, because every attribute is encoded or
     the encoder raises.
     """
+    state = vars(algorithm)
+    names = tuple(state)
+    order = _ATTRIBUTE_ORDERS.get(names)
+    if order is None:
+        order = _ATTRIBUTE_ORDERS[names] = tuple(sorted(names))
     encoded = []
-    for name, value in sorted(vars(algorithm).items()):
+    for name in order:
+        value = state[name]
         if name in _PAIR_LIST_ATTRS:
             encoded.append(
-                (name, tuple((p, encode_value(item)) for p, item in value))
+                (name, tuple([(p, encode_value(item)) for p, item in value]))
             )
         else:
             encoded.append((name, encode_value(value)))

@@ -196,6 +196,43 @@ class TestGoldenCounts:
         assert result.passed
 
 
+class TestWorkLedger:
+    """The explorer's work at the benchmark bound, for every algorithm.
+
+    ``(scenarios, available, nodes, dedup_hits)`` at n=4, depth 2, gaps
+    0..3 — the bound the ``explore`` benchmark workload times.  Work
+    counts move only when the enumeration, the canonical encoding or
+    the dedup memo changes; a speed-up of any of them must leave all
+    four numbers where they are.
+    """
+
+    BOUND = dict(n_processes=4, depth=2, gap_options=(0, 1, 2, 3))
+
+    EXPECTED = {
+        "ykd": (59392, 54400, 290, 253),
+        "ykd_unopt": (59392, 54400, 290, 253),
+        "ykd_aggressive": (59392, 54400, 290, 253),
+        "dfls": (59392, 54400, 423, 327),
+        "one_pending": (59392, 51328, 290, 253),
+        "mr1p": (59392, 57472, 296, 247),
+        "simple_majority": (59392, 44032, 27, 102),
+    }
+
+    def test_every_algorithm_is_pinned(self):
+        assert set(self.EXPECTED) == set(algorithm_names())
+
+    @pytest.mark.parametrize("algorithm", sorted(EXPECTED))
+    def test_ledger_at_the_benchmark_bound(self, algorithm):
+        result = explore(algorithm, **self.BOUND)
+        assert result.passed
+        assert (
+            result.scenarios,
+            result.available,
+            result.stats.nodes,
+            result.stats.dedup_hits,
+        ) == self.EXPECTED[algorithm]
+
+
 class TestKnobs:
     """Truncation and the work accounting."""
 

@@ -22,6 +22,7 @@ import pytest
 from repro.service import StoreCluster
 from repro.service.frontend import (
     _MAX_BODY,
+    _MAX_HEADER_LINES,
     FrontendGroup,
     MemoryNodeBackend,
     ServiceFrontend,
@@ -188,6 +189,49 @@ class TestRoutes:
                     extra_headers=[f"Content-Length: {length}"],
                 )
                 assert status == 400
+
+        serve(cluster, range(5), requests)
+
+    def test_an_oversized_header_block_is_refused_unread(self, cluster):
+        """A header line past the limit is 431 at once: the front end
+        reads no further — the end of the header block never has to
+        arrive — and nothing is written.  A block at the limit is
+        served."""
+
+        async def put_without_end(address, n_headers):
+            host, port = address
+            reader, writer = await asyncio.open_connection(host, port)
+            lines = [
+                "PUT /kv/wide HTTP/1.1",
+                *(f"X-Pad-{i}: {i}" for i in range(n_headers)),
+            ]
+            writer.write(("\r\n".join(lines) + "\r\n").encode("ascii"))
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            return int(raw.split(b" ", 2)[1]), raw
+
+        async def requests(peers):
+            _, _, before = await http(peers[0], "GET", "/snapshot")
+            status, raw = await put_without_end(
+                peers[0], _MAX_HEADER_LINES + 1
+            )
+            assert status == 431
+            assert b"Request Header Fields Too Large" in raw
+            _, _, after = await http(peers[0], "GET", "/snapshot")
+            assert after == before
+            # http_raw sends three headers of its own.
+            padding = [
+                f"X-Pad-{i}: {i}" for i in range(_MAX_HEADER_LINES - 3)
+            ]
+            status, _, _ = await http(
+                peers[0], "GET", "/snapshot", extra_headers=padding
+            )
+            assert status == 200
+            status, _, _ = await http(
+                peers[0], "GET", "/snapshot", extra_headers=[*padding, "X: 1"]
+            )
+            assert status == 431
 
         serve(cluster, range(5), requests)
 
