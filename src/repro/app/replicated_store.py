@@ -137,8 +137,8 @@ class ReplicatedStore(ProcessEndpoint):
     def outbox_size(self) -> int:
         """Broadcasts queued but not yet offered to the substrate.
 
-        The service layer uses this to pump a loaded replica's outbox
-        fully within one tick instead of one message per event.
+        The GCS adapter's pump polls a loaded replica until this is
+        zero, so its writes leave within the tick they were made.
         """
         return len(self._outbox)
 

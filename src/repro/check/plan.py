@@ -159,13 +159,6 @@ def validate_plan(plan: SchedulePlan) -> Topology:
 # JSON codec.
 # ----------------------------------------------------------------------
 
-_CHANGE_KINDS = {
-    PartitionChange: "partition",
-    MergeChange: "merge",
-    CrashChange: "crash",
-    RecoverChange: "recover",
-}
-
 
 def change_to_dict(change: ConnectivityChange) -> Dict[str, Any]:
     """JSON-compatible form of a connectivity change."""

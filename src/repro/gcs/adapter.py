@@ -10,7 +10,7 @@ views and view-synchronous multicasts of `repro.gcs`, Fig. 2-2 style.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.interface import PrimaryComponentAlgorithm
 from repro.core.message import Message
@@ -42,7 +42,9 @@ class AlgorithmOnGCS:
         This is exactly the application loop of Fig. 2-2: each incoming
         event passes through the algorithm, and after every event (plus
         once per tick, for application-initiated sends) the endpoint is
-        polled for an outgoing message to multicast.
+        polled for an outgoing message to multicast.  An application
+        holding a backlog (a loaded replica's writes) is then polled
+        until it is drained; the idle application never holds one.
         """
         for event in self.stack.poll_events():
             if isinstance(event, ViewInstalled):
@@ -53,12 +55,16 @@ class AlgorithmOnGCS:
                 if isinstance(event.payload, Message):
                     self.endpoint.deliver(event.payload, event.sender)
             self._offer_outgoing()
-        self._offer_outgoing()
+        while self._offer_outgoing() and self.endpoint.outbox_size:
+            pass
 
-    def _offer_outgoing(self) -> None:
+    def _offer_outgoing(self) -> bool:
+        """Poll the endpoint once; True when it had something to send."""
         outgoing = self.endpoint.poll()
-        if outgoing is not None:
-            self.stack.multicast(outgoing)
+        if outgoing is None:
+            return False
+        self.stack.multicast(outgoing)
+        return True
 
     def in_primary(self) -> bool:
         """Whether this process is currently inside the primary."""
@@ -111,53 +117,28 @@ class PrimaryComponentService:
 
     def tick(self) -> bool:
         """One lock-step tick of GCS plus applications; True if traffic moved."""
-        moved = self.cluster.tick()
-        for pid in sorted(self.processes):
-            if not self.cluster.topology.is_crashed(pid):
-                self.processes[pid].pump()
-        # The pumps may have queued multicasts (algorithm rounds,
-        # application writes): flush them onto the network within this
-        # tick so stability detection sees them as movement.
-        for pid in sorted(self.processes):
-            stack = self.cluster.stacks[pid]
-            for dst, payload in stack.drain_outgoing():
-                self.cluster.transport.send(pid, dst, payload)
-                moved = True
+        moved = self.cluster.tick(self._pump)
         self.checker.check_round(
             self.algorithms, self.cluster.topology.active_processes()
         )
         return moved
 
+    def _pump(self) -> None:
+        for pid in sorted(self.processes):
+            if not self.cluster.topology.is_crashed(pid):
+                self.processes[pid].pump()
+
     def run_until_stable(self, max_ticks: int = 300) -> int:
-        """Tick until neither the GCS nor the algorithms move traffic,
-        then run the strict stable-point safety checks.
-
-        Stability mirrors :meth:`GCSCluster.run_until_stable`: a quiet
-        tick only counts when the transport holds nothing in flight,
-        and realtime backends need several consecutive quiet ticks.
-        """
-        from repro.errors import SimulationError
-
-        transport = self.cluster.transport
-        quiet_needed = transport.quiet_ticks_for_stability
-        quiet = 0
-        for elapsed in range(max_ticks):
-            if self.tick() or transport.pending() > 0:
-                quiet = 0
-            else:
-                quiet += 1
-                if quiet >= quiet_needed:
-                    self.checker.check_stable_primary(
-                        self.algorithms,
-                        self.cluster.topology.components,
-                        self.cluster.topology.active_processes(),
-                    )
-                    return elapsed + 1
-            if transport.realtime:
-                transport.idle_wait()
-        raise SimulationError(
-            f"system did not stabilize within {max_ticks} ticks"
+        """Tick until neither the GCS nor the algorithms move traffic
+        (:meth:`GCSCluster.run_until_stable` over :meth:`tick`), then
+        run the strict stable-point safety checks."""
+        elapsed = self.cluster.run_until_stable(max_ticks, tick=self.tick)
+        self.checker.check_stable_primary(
+            self.algorithms,
+            self.cluster.topology.components,
+            self.cluster.topology.active_processes(),
         )
+        return elapsed
 
     def set_topology(self, topology) -> None:
         """Reshape the network; membership renegotiates from here."""

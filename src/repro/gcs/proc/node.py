@@ -30,7 +30,9 @@ the error crosses the pipe — dead children leave a readable black box.
 The node loop is the single-process twin of
 :meth:`repro.gcs.stack.GCSCluster.tick`: drain the transport, advance
 membership against the reachable set, pump the application, flush the
-stack's outgoing unicasts, pace by the transport's tick interval.
+stack's outgoing unicasts, pace by the transport's tick interval.  The
+pump is :meth:`~repro.gcs.adapter.AlgorithmOnGCS.pump`, as in-process,
+so a store node sends its whole write backlog each iteration.
 """
 
 from __future__ import annotations

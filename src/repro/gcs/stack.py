@@ -215,8 +215,11 @@ class GCSCluster:
     # The tick loop.
     # ------------------------------------------------------------------
 
-    def tick(self) -> bool:
-        """One lock-step tick; returns True when any traffic moved."""
+    def tick(self, pump: Optional[Callable[[], None]] = None) -> bool:
+        """One lock-step tick; returns True when any traffic moved.
+
+        ``pump``, the hosted applications' step, runs before the flush,
+        the one place stack output reaches the transport."""
         self.ticks += 1
         # 1. Deliver whatever the transport has matured.
         deliveries = self.transport.deliver_tick()
@@ -230,7 +233,10 @@ class GCSCluster:
         for pid in sorted(self.stacks):
             if not self.topology.is_crashed(pid):
                 self.stacks[pid].tick(self.reachable(pid))
-        # 3. Flush everything the stacks produced into the transport.
+        # 3. Run the hosted applications.
+        if pump is not None:
+            pump()
+        # 4. Flush everything the stacks produced into the transport.
         moved = bool(deliveries)
         for pid in sorted(self.stacks):
             for dst, payload in self.stacks[pid].drain_outgoing():
@@ -238,7 +244,11 @@ class GCSCluster:
                 moved = True
         return moved
 
-    def run_until_stable(self, max_ticks: int = 200) -> int:
+    def run_until_stable(
+        self,
+        max_ticks: int = 200,
+        tick: Optional[Callable[[], bool]] = None,
+    ) -> int:
         """Tick until the system is quiet; returns ticks used.
 
         A tick is *quiet* when it moved no traffic **and** the
@@ -248,11 +258,13 @@ class GCSCluster:
         Realtime backends additionally require several consecutive
         quiet ticks (their traffic moves on the wall clock, not the
         tick clock) with a short blocking wait between them.
+        ``tick`` replaces :meth:`tick` for a caller with per-tick work.
         """
+        step = tick or self.tick
         quiet_needed = self.transport.quiet_ticks_for_stability
         quiet = 0
         for elapsed in range(max_ticks):
-            if self.tick() or self.transport.pending() > 0:
+            if step() or self.transport.pending() > 0:
                 quiet = 0
             else:
                 quiet += 1

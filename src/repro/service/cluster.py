@@ -2,14 +2,12 @@
 
 :class:`StoreCluster` wraps :class:`~repro.gcs.adapter
 .PrimaryComponentService` with a :class:`~repro.app.replicated_store
-.ReplicatedStore` endpoint per process, and adds the three things the
-service layer needs on top of the raw substrate:
+.ReplicatedStore` endpoint per process.  It ticks and settles through
+the substrate's own tick and settle loop: the adapter pump drains each
+replica's write backlog, so every write leaves within the tick it was
+made, exactly as on a multi-process node.  On top it adds the two
+things the service layer needs:
 
-* a **tick that drains write outboxes fully** — the plain adapter pump
-  offers one application message per GCS event, which is fine for the
-  idle Fig. 2-2 app but starves a replica absorbing dozens of client
-  writes per tick; here every queued broadcast leaves within the tick
-  it was written;
 * **partition staging** from the recorded-schedule vocabulary
   (:meth:`apply_stage` takes the same component tuples a
   :class:`~repro.gcs.proc.schedule.RecordedSchedule` carries);
@@ -24,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.app.replicated_store import NotPrimaryError, ReplicatedStore
-from repro.errors import SimulationError
 from repro.gcs.adapter import PrimaryComponentService
 from repro.gcs.stack import ViewInstalled
 from repro.net.topology import Topology
@@ -102,44 +99,13 @@ class StoreCluster:
         return self.service.endpoints[pid]  # type: ignore[return-value]
 
     def tick(self) -> bool:
-        """One lock-step tick, then flush every replica's write outbox."""
-        moved = self.service.tick()
-        transport = self.service.cluster.transport
-        for pid in sorted(self.service.processes):
-            if self.service.cluster.topology.is_crashed(pid):
-                continue
-            proc = self.service.processes[pid]
-            while proc.endpoint.outbox_size:  # type: ignore[attr-defined]
-                outgoing = proc.endpoint.poll()
-                if outgoing is None:
-                    break
-                proc.stack.multicast(outgoing)
-            for dst, payload in proc.stack.drain_outgoing():
-                transport.send(pid, dst, payload)
-                moved = True
-        return moved
+        """One lock-step tick; every replica's write backlog leaves in it."""
+        return self.service.tick()
 
     def warm_up(self, max_ticks: int = 300) -> int:
         """Tick until quiet (views installed, outboxes empty, nothing
         in flight), then run the strict stable-point safety checks."""
-        transport = self.service.cluster.transport
-        quiet_needed = transport.quiet_ticks_for_stability
-        quiet = 0
-        for elapsed in range(max_ticks):
-            if self.tick() or transport.pending() > 0:
-                quiet = 0
-            else:
-                quiet += 1
-                if quiet >= quiet_needed:
-                    self.service.checker.check_stable_primary(
-                        self.service.algorithms,
-                        self.service.cluster.topology.components,
-                        self.service.cluster.topology.active_processes(),
-                    )
-                    return elapsed + 1
-        raise SimulationError(
-            f"store cluster did not settle within {max_ticks} ticks"
-        )
+        return self.service.run_until_stable(max_ticks)
 
     def apply_stage(self, stage: Iterable[Iterable[ProcessId]]) -> None:
         """Reshape connectivity from recorded-schedule component tuples."""

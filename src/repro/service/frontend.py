@@ -15,6 +15,8 @@ per connection — because the point is not a web server but the service
 * a ``Content-Length`` over 1 MiB is refused with **413**, body unread;
 * more than 100 header lines are refused with **431**, the rest of the
   request unread;
+* a request not read in full within 10 s of the connection is answered
+  **408** and the connection closed;
 * ``GET /snapshot`` — full contents plus the ``(epoch, ops)`` stamp;
 * ``GET /healthz`` — liveness plus the store's operational counters
   and the transport's aggregate ARQ counters (transmissions,
@@ -58,11 +60,14 @@ from repro.obs.telemetry.trace import TRACE_HEADER
 from repro.types import ProcessId
 
 _REASONS = {200: "OK", 307: "Temporary Redirect", 400: "Bad Request",
-            404: "Not Found", 413: "Payload Too Large",
+            404: "Not Found", 408: "Request Timeout",
+            413: "Payload Too Large",
             431: "Request Header Fields Too Large",
             503: "Service Unavailable"}
 _MAX_BODY = 1 << 20
 _MAX_HEADER_LINES = 100
+#: The deadline for reading one whole request: line, headers and body.
+_READ_TIMEOUT_S = 10.0
 
 #: Latency buckets in milliseconds (sub-ms loopback up to slow ticks).
 _LATENCY_BUCKETS_MS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -71,7 +76,7 @@ _LATENCY_BUCKETS_MS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 class _Refused(ValueError):
     """A request refused with ``status`` before the rest of it is read:
     413 for a body over ``_MAX_BODY``, 431 for a header block over
-    ``_MAX_HEADER_LINES`` lines."""
+    ``_MAX_HEADER_LINES`` lines, 408 past ``_READ_TIMEOUT_S``."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -269,6 +274,27 @@ class ServiceFrontend:
             writer.close()
 
     async def _read_request(self, reader):
+        # One deadline for the whole request: a timer that cancels this
+        # handler, not a task per request as asyncio.wait_for would start.
+        task = asyncio.current_task()
+        expired = []
+        timer = asyncio.get_running_loop().call_later(
+            _READ_TIMEOUT_S, lambda: expired.append(task.cancel())
+        )
+        try:
+            return await self._read_request_parts(reader)
+        except asyncio.CancelledError:
+            if not expired:
+                raise
+            if hasattr(task, "uncancel") and task.uncancel():
+                raise  # Python 3.11+: an outside cancel is pending too
+            raise _Refused(
+                408, f"request not read within {_READ_TIMEOUT_S:g} s"
+            ) from None
+        finally:
+            timer.cancel()
+
+    async def _read_request_parts(self, reader):
         request = await reader.readline()
         parts = request.decode("latin-1").split()
         if len(parts) < 2:

@@ -70,6 +70,9 @@ class ProcessEndpoint:
     while the algorithm piggybacks transparently on top.
     """
 
+    #: Application messages queued, not yet offered (the idle app: none).
+    outbox_size = 0
+
     def __init__(self, algorithm: PrimaryComponentAlgorithm) -> None:
         self.algorithm = algorithm
 

@@ -7,13 +7,18 @@ study over the negotiated stack and check both behaviour and safety.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.registry import algorithm_names
+from repro.errors import SimulationError
 from repro.gcs.adapter import PrimaryComponentService
 from repro.net.changes import UniformChangeGenerator, apply_change
 from repro.net.topology import Topology
+from repro.obs import Subscriber
+from repro.service import StoreCluster
+from repro.sim.driver import ProcessEndpoint
 
 
 def partition(service, moved):
@@ -135,3 +140,80 @@ class TestCrossSubstrateConsistency:
         merge_all(service)
         heal(driver)
         assert service.primary_members() == driver.primary_members()
+
+
+class _CountingEndpoint(ProcessEndpoint):
+    """The idle Fig. 2-2 application, counting how often it is polled."""
+
+    def __init__(self, algorithm):
+        super().__init__(algorithm)
+        self.polls = 0
+
+    def poll(self):
+        self.polls += 1
+        return super().poll()
+
+
+class _EventCounter(Subscriber):
+    def __init__(self):
+        self.events = Counter()
+
+    def on_gcs_event(self, cluster, pid, event):
+        self.events[pid] += 1
+
+
+class TestOneApplicationLoop:
+    """Every substrate runs the one pump and settles in the one loop."""
+
+    def test_one_pump_drains_a_store_backlog(self):
+        cluster = StoreCluster(5)
+        cluster.warm_up()
+        writes = {f"k{i}": i for i in range(5)}
+        for key, value in writes.items():
+            cluster.put(0, key, value)
+        primary = cluster.service.processes[0]
+        assert primary.endpoint.outbox_size == 5
+        primary.pump()
+        assert primary.endpoint.outbox_size == 0
+        cluster.tick()  # the flush puts the five multicasts on the wire
+        cluster.tick()  # the peers deliver and apply them
+        for pid in range(1, 5):
+            assert cluster.snapshot(pid) == writes
+
+    def test_a_bare_endpoint_is_polled_once_per_event_and_once_per_pump(
+        self,
+    ):
+        counter = _EventCounter()
+        service = PrimaryComponentService(
+            "ykd", 5, endpoint_factory=_CountingEndpoint, observers=[counter]
+        )
+        service.run_until_stable()
+        partition(service, {3, 4})
+        service.run_until_stable()
+        merge_all(service)
+        ticks = service.cluster.ticks
+        for pid, endpoint in service.endpoints.items():
+            assert counter.events[pid] > 0
+            assert endpoint.polls == counter.events[pid] + ticks
+
+    def test_store_cluster_settles_in_the_gcs_loop(self, monkeypatch):
+        cluster = StoreCluster(5)
+        cluster.warm_up()
+        checker = cluster.service.checker
+        checked = []
+        check = checker.check_stable_primary
+        monkeypatch.setattr(
+            checker,
+            "check_stable_primary",
+            lambda *args: checked.append(args) or check(*args),
+        )
+        cluster.apply_stage(((0, 1), (2, 3, 4)))
+        with pytest.raises(
+            SimulationError,
+            match="group communication did not stabilize in 1 ticks",
+        ):
+            cluster.warm_up(max_ticks=1)
+        assert checked == []
+        assert cluster.warm_up() > 0
+        assert len(checked) == 1
+        assert cluster.primary_claimants() == (2, 3, 4)

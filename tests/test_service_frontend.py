@@ -11,7 +11,7 @@ need no concurrent tick driver).  The contract under test:
 * **503** carrying the causal blame category when no primary exists
   anywhere in the universe;
 * 400/404 for malformed bodies and unknown routes, **413** for a
-  declared body over the limit.
+  declared body over the limit, **408** for a request that stalls.
 """
 
 import asyncio
@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from repro.service import StoreCluster
+from repro.service import StoreCluster, frontend
 from repro.service.frontend import (
     _MAX_BODY,
     _MAX_HEADER_LINES,
@@ -232,6 +232,46 @@ class TestRoutes:
                 peers[0], "GET", "/snapshot", extra_headers=[*padding, "X: 1"]
             )
             assert status == 431
+
+        serve(cluster, range(5), requests)
+
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"GET /healthz HTTP/1.1",
+            b"GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n",
+        ],
+        ids=["request_line", "after_one_header"],
+    )
+    def test_a_stalled_request_is_answered_408(
+        self, cluster, monkeypatch, sent
+    ):
+        """A client that stops sending part-way through its request
+        holds the handler only until the read deadline: then it gets
+        408 and a closed connection, and the request is counted like
+        any other."""
+        monkeypatch.setattr(frontend, "_READ_TIMEOUT_S", 0.2)
+
+        async def stall(address):
+            host, port = address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(sent)
+            await writer.drain()
+            try:
+                return await asyncio.wait_for(reader.read(), timeout=2.0)
+            finally:
+                writer.close()
+
+        async def requests(peers):
+            raw = await stall(peers[0])
+            head = raw.partition(b"\r\n\r\n")[0].split(b"\r\n")
+            assert head[0] == b"HTTP/1.1 408 Request Timeout"
+            assert b"Connection: close" in head
+            _, _, payload = await http_raw(peers[0], "GET", "/metrics")
+            assert (
+                'service_http_requests{node="0",route="?",status="408"} 1'
+                in payload.decode("utf-8")
+            )
 
         serve(cluster, range(5), requests)
 
