@@ -75,7 +75,6 @@ def run_ambiguous_figure(
     spec: ExperimentSpec,
     scale: Scale,
     master_seed: int = 0,
-    check_invariants: bool = True,
     workers: int = 1,
     metrics: Optional[MetricsRegistry] = None,
 ) -> AmbiguousFigure:
@@ -103,7 +102,6 @@ def run_ambiguous_figure(
             runs=scale.runs,
             mode=spec.mode,
             master_seed=master_seed,
-            check_invariants=check_invariants,
             collect_ambiguous=True,
             collect_metrics=metrics is not None,
         )

@@ -58,7 +58,6 @@ def run_availability_figure(
     spec: ExperimentSpec,
     scale: Scale,
     master_seed: int = 0,
-    check_invariants: bool = True,
     workers: int = 1,
     metrics: Optional[MetricsRegistry] = None,
     trace_dir: Optional[Path] = None,
@@ -85,9 +84,7 @@ def run_availability_figure(
     """
     figure = AvailabilityFigure(spec=spec, scale=scale)
     grid = _grid(spec, scale)
-    configs = case_configs(
-        spec, scale, master_seed, check_invariants, metrics is not None
-    )
+    configs = case_configs(spec, scale, master_seed, metrics is not None)
     if trace_dir is None and spans_dir is None:
         # The grid is algorithm-major (it is the order of the series);
         # the cases run rate-major, so that the algorithms facing one
@@ -129,7 +126,6 @@ def case_configs(
     spec: ExperimentSpec,
     scale: Scale,
     master_seed: int = 0,
-    check_invariants: bool = True,
     collect_metrics: bool = False,
 ) -> list:
     """One :class:`CaseConfig` per case of the figure, in grid order."""
@@ -142,7 +138,6 @@ def case_configs(
             runs=scale.runs,
             mode=spec.mode,
             master_seed=master_seed,
-            check_invariants=check_invariants,
             collect_metrics=collect_metrics,
         )
         for algorithm, rate in _grid(spec, scale)

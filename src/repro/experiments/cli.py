@@ -133,9 +133,6 @@ def _configure_verify(parser: argparse.ArgumentParser) -> None:
         "--gaps", type=int_at_least(0), nargs="+", default=[0, 1, 2, 3]
     )
     parser.add_argument(
-        "--max-scenarios", type=int_at_least(1), default=None
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print the explorer's work accounting (states, dedup "
         "hits, rounds, fork depth)",
@@ -491,15 +488,12 @@ def _verify(args: argparse.Namespace) -> int:
             n_processes=args.processes,
             depth=args.depth,
             gap_options=tuple(args.gaps),
-            max_scenarios=args.max_scenarios,
         )
         elapsed = time.perf_counter() - started
         print(
             f"{algorithm}: {result.scenarios} scenarios "
             f"({args.processes} processes, depth {args.depth}, "
-            f"gaps {list(result.gap_options)}"
-            f"{', truncated' if result.truncated else ''}) "
-            f"in {elapsed:.1f}s"
+            f"gaps {list(result.gap_options)}) in {elapsed:.1f}s"
         )
         print(
             "availability over all scenarios: "
@@ -519,7 +513,6 @@ def _verify(args: argparse.Namespace) -> int:
             "available": result.available,
             "availability_percent": result.availability_percent,
             "violations": result.violations,
-            "truncated": result.truncated,
             "seconds": elapsed,
             "stats": None if stats is None else stats.to_dict(),
             "counterexamples": [
@@ -527,17 +520,17 @@ def _verify(args: argparse.Namespace) -> int:
             ],
         }
         if result.violations:
-            print("INVARIANT VIOLATIONS FOUND:")
-            for violation in result.violations[:5]:
-                print(f"  {violation}")
-            for example in result.counterexamples[:5]:
-                breakdown = ", ".join(
-                    f"{category}={count}" for category, count in example.blame
-                )
-                print(
-                    f"  counterexample ({len(example.plan_steps)} steps): "
-                    f"lost rounds on the way — {breakdown or 'none'}"
-                )
+            [violation] = result.violations
+            [example] = result.counterexamples
+            breakdown = ", ".join(
+                f"{category}={count}" for category, count in example.blame
+            )
+            print("INVARIANT VIOLATION FOUND:")
+            print(f"  {violation}")
+            print(
+                f"  counterexample ({len(example.plan_steps)} steps): "
+                f"lost rounds on the way — {breakdown or 'none'}"
+            )
             exit_code = 1
         else:
             print("all invariants held in every scenario")

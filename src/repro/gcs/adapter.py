@@ -84,7 +84,6 @@ class PrimaryComponentService:
         self,
         algorithm: str,
         n_processes: int,
-        check_invariants: bool = True,
         endpoint_factory=ProcessEndpoint,
         observers=(),
         *,
@@ -107,9 +106,7 @@ class PrimaryComponentService:
         # Staggered view installation is inherent to a negotiated GCS:
         # use the co-viewer-agreement form of the primary invariant per
         # tick; strict at-most-one-primary is asserted at stable points.
-        self.checker = InvariantChecker(
-            enabled=check_invariants, atomic_views=False
-        )
+        self.checker = InvariantChecker(atomic_views=False)
 
     @property
     def algorithms(self) -> Dict[ProcessId, PrimaryComponentAlgorithm]:

@@ -60,7 +60,6 @@ class StoreCluster:
         self,
         n_processes: int,
         algorithm: str = "ykd",
-        check_invariants: bool = True,
         record_flight: bool = False,
         flight_capacity: int = 4096,
     ) -> None:
@@ -80,7 +79,6 @@ class StoreCluster:
         self.service = PrimaryComponentService(
             algorithm,
             n_processes,
-            check_invariants=check_invariants,
             endpoint_factory=ReplicatedStore,
             observers=observers,
         )

@@ -83,6 +83,22 @@ class _Refused(ValueError):
         self.status = status
 
 
+class _Request:
+    """What has been read of one request so far.
+
+    Filled in as the request is parsed, so a request refused part-way
+    (408, 413, 431 or a malformed header) is still counted and
+    flight-recorded under the method and route its request line named.
+    """
+
+    __slots__ = ("method", "path", "trace")
+
+    def __init__(self) -> None:
+        self.method: Optional[str] = None
+        self.path: Optional[str] = None
+        self.trace: Optional[str] = None
+
+
 class MemoryNodeBackend:
     """One in-process replica of a :class:`StoreCluster`."""
 
@@ -242,17 +258,17 @@ class ServiceFrontend:
 
     async def _handle(self, reader, writer) -> None:
         started = time.monotonic()
-        method = path = trace = None
+        request = _Request()
         try:
-            method, path, body, trace = await self._read_request(reader)
-            status, payload, headers = self._route(method, path, body, trace)
+            body = await self._read_request(reader, request)
+            status, payload, headers = self._route(
+                request.method, request.path, body, request.trace
+            )
         except _Refused as exc:
             status, payload, headers = exc.status, {"error": str(exc)}, []
         except Exception as exc:  # defensive: a broken request
             status, payload, headers = 400, {"error": str(exc)}, []
-        self._observe(
-            method, path, status, trace, time.monotonic() - started
-        )
+        self._observe(request, status, time.monotonic() - started)
         if isinstance(payload, str):
             # Text routes (/metrics, /telemetry) set their own type.
             body_bytes = payload.encode("utf-8")
@@ -273,7 +289,7 @@ class ServiceFrontend:
         finally:
             writer.close()
 
-    async def _read_request(self, reader):
+    async def _read_request(self, reader, request: _Request) -> bytes:
         # One deadline for the whole request: a timer that cancels this
         # handler, not a task per request as asyncio.wait_for would start.
         task = asyncio.current_task()
@@ -282,7 +298,7 @@ class ServiceFrontend:
             _READ_TIMEOUT_S, lambda: expired.append(task.cancel())
         )
         try:
-            return await self._read_request_parts(reader)
+            return await self._read_request_parts(reader, request)
         except asyncio.CancelledError:
             if not expired:
                 raise
@@ -294,14 +310,13 @@ class ServiceFrontend:
         finally:
             timer.cancel()
 
-    async def _read_request_parts(self, reader):
-        request = await reader.readline()
-        parts = request.decode("latin-1").split()
+    async def _read_request_parts(self, reader, request: _Request) -> bytes:
+        """Read one request into ``request``; returns its body."""
+        parts = (await reader.readline()).decode("latin-1").split()
         if len(parts) < 2:
             raise ValueError("malformed request line")
-        method, path = parts[0].upper(), parts[1]
+        request.method, request.path = parts[0].upper(), parts[1]
         length = 0
-        trace: Optional[str] = None
         for count in range(_MAX_HEADER_LINES + 1):
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
@@ -317,14 +332,13 @@ class ServiceFrontend:
                 if length < 0:
                     raise ValueError(f"negative Content-Length {length}")
             elif name == TRACE_HEADER.lower():
-                trace = value.strip()
+                request.trace = value.strip()
         if length > _MAX_BODY:
             raise _Refused(
                 413,
                 f"body of {length} bytes exceeds the {_MAX_BODY}-byte limit"
             )
-        body = await reader.readexactly(length) if length else b""
-        return method, path, body, trace
+        return await reader.readexactly(length) if length else b""
 
     def _route(
         self, method: str, path: str, body: bytes, trace: Optional[str]
@@ -392,15 +406,8 @@ class ServiceFrontend:
             return "/kv"
         return path
 
-    def _observe(
-        self,
-        method: Optional[str],
-        path: Optional[str],
-        status: int,
-        trace: Optional[str],
-        seconds: float,
-    ) -> None:
-        route = self._route_label(path)
+    def _observe(self, request: _Request, status: int, seconds: float) -> None:
+        route = self._route_label(request.path)
         node = getattr(self.backend, "pid", "?")
         self.metrics.counter(
             "service.http.requests", node=node, route=route, status=status
@@ -408,9 +415,11 @@ class ServiceFrontend:
         self.metrics.histogram(
             "service.http.latency_ms", buckets=_LATENCY_BUCKETS_MS, node=node
         ).observe(int(seconds * 1000))
-        event = {"method": method or "?", "route": route, "status": status}
-        if trace is not None:
-            event["trace"] = trace
+        event = {
+            "method": request.method or "?", "route": route, "status": status
+        }
+        if request.trace is not None:
+            event["trace"] = request.trace
         if status in (503, 307):
             event["blame"] = self.backend.blame()
         self.recorder.record("http_request", **event)

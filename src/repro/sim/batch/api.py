@@ -88,9 +88,9 @@ def ensure_batchable(
             "compiler's replayed surface (fault-model generators consume "
             "RNG draws the batch compiler does not model)"
         )
-    # config.check_invariants is accepted but inert: the kernel has no
-    # object graph to check.  The differential suite, not the runtime
-    # checker, is the batched path's safety net.
+    # No invariant checker runs here: the kernel has no object graph to
+    # check.  The differential suite, not the runtime checker, is the
+    # batched path's safety net.
 
 
 def run_case_batched(

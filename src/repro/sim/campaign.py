@@ -54,7 +54,6 @@ class CaseConfig:
     runs: int = 1000
     mode: str = MODE_FRESH
     master_seed: int = 0
-    check_invariants: bool = True
     max_quiescence_rounds: int = 400
     collect_ambiguous: bool = False
     collect_message_sizes: bool = False
@@ -238,13 +237,12 @@ def _execute_with_repro(
 def _build_driver(
     config: CaseConfig, fault_rng, observers: Sequence[Subscriber]
 ) -> DriverLoop:
-    checker = InvariantChecker(enabled=config.check_invariants)
     return DriverLoop(
         algorithm=config.algorithm,
         n_processes=config.n_processes,
         fault_rng=fault_rng,
         change_generator=config.change_generator,
-        observers=[checker, *observers],
+        observers=[InvariantChecker(), *observers],
         max_quiescence_rounds=config.max_quiescence_rounds,
         cut_probability=config.cut_probability,
     )

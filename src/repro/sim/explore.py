@@ -16,7 +16,8 @@ drives an algorithm through **every** fault schedule up to a bound:
 Each complete scenario runs to quiescence under the full invariant
 checker, so a single call proves (for that bound) that no reachable
 interleaving violates safety — the exhaustive complement to the thesis'
-1.3-million-random-changes trial.
+1.3-million-random-changes trial.  The first violating scenario, in
+enumeration order, ends the exploration and is the one reported.
 
 Two engines implement the same enumeration:
 
@@ -26,9 +27,9 @@ Two engines implement the same enumeration:
   the initial state.  Canonical state hashing
   (:mod:`repro.sim.statehash`) deduplicates converged states and silent
   change rounds collapse the whole cut enumeration at once.  The result
-  (scenarios, availability, violations, truncation) is **identical**
-  to the replay engine's on the same bound — the differential test
-  suite enforces this.
+  (scenarios, availability, violations) is **identical** to the replay
+  engine's on the same bound — the differential test suite enforces
+  this.
 * :func:`explore_replay` — the original replay-per-scenario engine,
   kept verbatim as the reference implementation the fork engine is
   verified against.
@@ -48,6 +49,7 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
+    NoReturn,
     Optional,
     Sequence,
     Tuple,
@@ -174,14 +176,13 @@ class ExplorationResult:
     gap_options: Tuple[int, ...]
     scenarios: int = 0
     available: int = 0
+    #: The first violating scenario, rendered; empty when the bound held.
     violations: List[str] = field(default_factory=list)
-    truncated: bool = False
     #: Work accounting of the fork-based engine (None for the replay
     #: reference engine, which has nothing interesting to report).
     stats: Optional[ExploreStats] = None
-    #: Structured counterexamples with causal blame, one per *live*
-    #: violation site (abstractly-propagated twins share their
-    #: originating entry; the replay engine does not fill this).
+    #: The violation's structured counterexample with causal blame
+    #: (the replay engine does not fill this).
     counterexamples: List[Counterexample] = field(default_factory=list)
 
     @property
@@ -219,18 +220,17 @@ def explore_replay(
     n_processes: int = 3,
     depth: int = 2,
     gap_options: Sequence[int] = (0, 1, 2),
-    max_scenarios: Optional[int] = None,
-    stop_on_violation: bool = True,
 ) -> ExplorationResult:
     """The reference engine: replay every complete scenario from scratch.
 
     Runs depth-first: a scenario is a sequence of ``depth`` steps, each
     a (quiet gap, connectivity change, late-set) triple, followed by
-    quiescence.  Each complete scenario replays from the initial state
-    through a fresh driver — wasteful (the same prefix re-executes once
-    per extension) but straightforwardly correct, which is exactly why
-    it is kept: the fork-based :func:`explore` is differentially tested
-    against it on every registered algorithm.
+    quiescence; the first violating scenario ends the run.  Each
+    complete scenario replays from the initial state through a fresh
+    driver — wasteful (the same prefix re-executes once per extension)
+    but straightforwardly correct, which is exactly why it is kept: the
+    fork-based :func:`explore` is differentially tested against it on
+    every registered algorithm.
     """
     gap_options = _check_bound(depth, gap_options)
     result = ExplorationResult(
@@ -276,9 +276,6 @@ def explore_replay(
 
     initial = Topology.fully_connected(n_processes)
     for scenario in scenario_prefixes([], initial, depth):
-        if max_scenarios is not None and result.scenarios >= max_scenarios:
-            result.truncated = True
-            break
         result.scenarios += 1
         try:
             if run_scenario(scenario):
@@ -289,8 +286,7 @@ def explore_replay(
                 for gap, change, late in scenario
             )
             result.violations.append(f"{description}: {violation}")
-            if stop_on_violation:
-                break
+            break
     return result
 
 
@@ -305,13 +301,7 @@ class _RoundCounter(Subscriber):
 
 
 class _Abort(Exception):
-    """Internal: unwind the DFS on truncation or stop-on-violation."""
-
-
-#: Ceiling on causal replays per exploration: each counterexample costs
-#: one schedule replay, and a badly broken algorithm can violate on
-#: thousands of schedules — the first few explain the bug.
-MAX_COUNTEREXAMPLES = 25
+    """Internal: unwind the DFS at the first violation."""
 
 
 class _Explorer:
@@ -321,8 +311,8 @@ class _Explorer:
     point and restored per branch; complete scenarios settle at the
     leaves.  Mirrors the replay engine's enumeration order exactly —
     ``for gap → for change → for late``, depth-first — so scenario
-    counts, availability, violation lists and truncation semantics
-    coincide with :func:`explore_replay` on every bound.
+    counts, availability and the first violation coincide with
+    :func:`explore_replay` on every bound.
     """
 
     def __init__(
@@ -331,15 +321,11 @@ class _Explorer:
         n_processes: int,
         depth: int,
         gap_options: Tuple[int, ...],
-        max_scenarios: Optional[int],
-        stop_on_violation: bool,
     ) -> None:
         self.algorithm = algorithm
         self.n_processes = n_processes
         self.depth = depth
         self.gap_options = gap_options
-        self.max_scenarios = max_scenarios
-        self.stop_on_violation = stop_on_violation
         self.result = ExplorationResult(
             algorithm=algorithm,
             n_processes=n_processes,
@@ -348,17 +334,12 @@ class _Explorer:
             stats=ExploreStats(),
         )
         self.stats = self.result.stats
-        #: Structured violation records: (per-step descriptions, text).
-        #: ``result.violations`` holds the same entries rendered.
-        self.records: List[Tuple[Tuple[str, ...], str]] = []
         self._steps_desc: List[str] = []
-        #: Exact-state memo: (remaining, fingerprint) -> per-unit
-        #: (scenarios, available, violation suffixes).  Disabled when
-        #: ``max_scenarios`` is set — exact truncation semantics need
-        #: every scenario enumerated individually.
-        self._memo: Optional[Dict[tuple, tuple]] = (
-            {} if max_scenarios is None else None
-        )
+        #: Exact-state memo: (remaining, fingerprint) -> the subtree's
+        #: (scenarios, available).  A subtree that violates aborts the
+        #: whole exploration before its entry is stored, so every entry
+        #: is a violation-free count.
+        self._memo: Dict[tuple, Tuple[int, int]] = {}
         self._counter = _RoundCounter()
         self.driver = DriverLoop(
             algorithm=algorithm,
@@ -385,52 +366,33 @@ class _Explorer:
         depth_now = len(self._steps_desc)
         if depth_now > self.stats.max_fork_depth:
             self.stats.max_fork_depth = depth_now
-        key = None
-        if self._memo is not None:
-            # The memo merges only *identical* states.  Counting one
-            # representative per class of states equal up to process
-            # relabeling is unsound: the exact-half tie-break of dynamic
-            # linear voting (repro.core.quorum) makes process ids
-            # behaviourally meaningful (docs/model-checking.md).
-            key = (remaining, state_fingerprint(self.driver))
-            entry = self._memo.get(key)
-            if entry is not None:
-                self.stats.dedup_hits += 1
-                per_scenarios, per_available, suffixes = entry
-                self.result.scenarios += per_scenarios
-                self.result.available += per_available
-                prefix = tuple(self._steps_desc)
-                for suffix, text in suffixes:
-                    self._add_record(prefix + suffix, text)
-                return
+        # The memo merges only *identical* states.  Counting one
+        # representative per class of states equal up to process
+        # relabeling is unsound: the exact-half tie-break of dynamic
+        # linear voting (repro.core.quorum) makes process ids
+        # behaviourally meaningful (docs/model-checking.md).
+        key = (remaining, state_fingerprint(self.driver))
+        entry = self._memo.get(key)
+        if entry is not None:
+            self.stats.dedup_hits += 1
+            self.result.scenarios += entry[0]
+            self.result.available += entry[1]
+            return
         self.stats.nodes += 1
         mark_s = self.result.scenarios
         mark_a = self.result.available
-        mark_r = len(self.records)
         if remaining == 0:
             self._leaf()
         else:
             self._enumerate(remaining)
-        if self._memo is not None:
-            suffixes = tuple(
-                (descs[depth_now:], text)
-                for descs, text in self.records[mark_r:]
-            )
-            self._memo[key] = (
-                self.result.scenarios - mark_s,
-                self.result.available - mark_a,
-                suffixes,
-            )
-            self.stats.dedup_entries += 1
+        self._memo[key] = (
+            self.result.scenarios - mark_s,
+            self.result.available - mark_a,
+        )
+        self.stats.dedup_entries += 1
 
     def _leaf(self) -> None:
         """A complete scenario: settle to quiescence and classify it."""
-        if (
-            self.max_scenarios is not None
-            and self.result.scenarios >= self.max_scenarios
-        ):
-            self.result.truncated = True
-            raise _Abort
         self.result.scenarios += 1
         self.stats.leaves += 1
         try:
@@ -439,8 +401,7 @@ class _Explorer:
             if self.driver.primary_exists():
                 self.result.available += 1
         except InvariantViolation as violation:
-            self._capture_counterexample(str(violation))
-            self._add_record(tuple(self._steps_desc), str(violation))
+            self._stop((), self._capture_counterexample(str(violation)))
 
     def _enumerate(self, remaining: int) -> None:
         """One DFS level: for gap → for change → for late, forking."""
@@ -450,8 +411,9 @@ class _Explorer:
         gap_snaps, gap_violation = self._gap_states(base)
         for gap in self.gap_options:
             if gap_violation is not None and gap >= gap_violation[0]:
-                self._violating_gap(base.topology, gap, gap_violation[1], remaining)
-                continue
+                self._stop_extending(
+                    base.topology, gap, remaining, gap_violation[1]
+                )
             snap = gap_snaps[gap]
             topology = snap.topology
             for change in enumerate_changes(topology):
@@ -473,29 +435,22 @@ class _Explorer:
                         self.stats.restores += 1
                         mark_s = self.result.scenarios
                         mark_a = self.result.available
-                        mark_r = len(self.records)
                         try:
                             sent = driver.run_round(change, late)
                         except InvariantViolation as violation:
-                            self._capture_counterexample(str(violation))
-                            self._violating_suffixes(
-                                next_topology, remaining - 1, str(violation)
+                            self._stop_extending(
+                                next_topology,
+                                self.gap_options[0],
+                                remaining - 1,
+                                self._capture_counterexample(str(violation)),
                             )
                         else:
                             self._subtree(remaining - 1)
                             # A silent round means no in-flight message
                             # existed for the cut to destroy: every
                             # late-set reaches this exact state, so the
-                            # whole cut loop shares one subtree.  (Only
-                            # when exact per-scenario truncation is not
-                            # in play, and never across violations —
-                            # their reports embed the late-set.)
-                            if (
-                                first_cut
-                                and not sent
-                                and self.max_scenarios is None
-                                and len(self.records) == mark_r
-                            ):
+                            # whole cut loop shares one subtree.
+                            if first_cut and not sent:
                                 collapsed = (
                                     self.result.scenarios - mark_s,
                                     self.result.available - mark_a,
@@ -506,18 +461,21 @@ class _Explorer:
 
     def _gap_states(
         self, base: DriverSnapshot
-    ) -> Tuple[Dict[int, DriverSnapshot], Optional[Tuple[int, str]]]:
+    ) -> Tuple[
+        Dict[int, DriverSnapshot],
+        Optional[Tuple[int, Counterexample]],
+    ]:
         """Snapshot the state after each configured quiet gap.
 
         Quiet rounds run once, incrementally in ascending gap order —
         this is the prefix sharing at the gap level.  If quiet round
         ``q`` raises an invariant violation, every gap ``>= q``
         deterministically replays into the same violation; the second
-        return value carries ``(q, text)`` and those gaps get no
-        snapshot.
+        return value carries ``(q, counterexample)`` and those
+        gaps get no snapshot.
         """
         snaps: Dict[int, DriverSnapshot] = {}
-        violation: Optional[Tuple[int, str]] = None
+        violation: Optional[Tuple[int, Counterexample]] = None
         executed = 0
         for gap in sorted(set(self.gap_options)):
             if violation is None:
@@ -525,8 +483,10 @@ class _Explorer:
                     try:
                         self.driver.run_round(None)
                     except InvariantViolation as raised:
-                        violation = (executed + 1, str(raised))
-                        self._capture_counterexample(str(raised))
+                        violation = (
+                            executed + 1,
+                            self._capture_counterexample(str(raised)),
+                        )
                         break
                     executed += 1
             if violation is None or gap < violation[0]:
@@ -538,83 +498,53 @@ class _Explorer:
         return snaps, violation
 
     # ------------------------------------------------------------------
-    # Violation propagation along shared prefixes.
+    # The first violation ends the exploration.
     # ------------------------------------------------------------------
 
-    def _violating_gap(
-        self, topology: Topology, gap: int, text: str, remaining: int
-    ) -> None:
-        """All steps under a gap whose quiet rounds already violated."""
-        for change in enumerate_changes(topology):
-            affected = affected_processes(change, topology)
-            next_topology = apply_change(topology, change)
-            for late in enumerate_cuts(affected):
-                self._steps_desc.append(_describe_step(gap, change, late))
-                try:
-                    self._violating_suffixes(next_topology, remaining - 1, text)
-                finally:
-                    self._steps_desc.pop()
+    def _stop_extending(
+        self,
+        topology: Topology,
+        gap: int,
+        remaining: int,
+        example: Counterexample,
+    ) -> NoReturn:
+        """Report the first scenario extending an already-violated prefix.
 
-    def _violating_suffixes(
-        self, topology: Topology, remaining: int, text: str
-    ) -> None:
-        """Record every scenario extending an already-violated prefix.
-
-        The prefix rounds are deterministic, so each extension's replay
+        The prefix rounds are deterministic, so that scenario's replay
         (which is what the reference engine runs) raises the identical
-        violation before its suffix steps ever execute; the suffixes
-        are therefore enumerated abstractly — topology only, no
-        simulation — in exactly the reference enumeration order.
+        violation before its remaining steps ever execute; the steps are
+        therefore named without simulating — first change, empty cut,
+        and ``gap_options[0]`` after the first step — in exactly the
+        reference enumeration order.
         """
-        for suffix in self._abstract_suffixes(topology, remaining):
-            if (
-                self.max_scenarios is not None
-                and self.result.scenarios >= self.max_scenarios
-            ):
-                self.result.truncated = True
-                raise _Abort
-            self.result.scenarios += 1
-            self._add_record(tuple(self._steps_desc) + suffix, text)
+        suffix: List[str] = []
+        for _ in range(remaining):
+            change = next(enumerate_changes(topology))
+            suffix.append(_describe_step(gap, change, frozenset()))
+            topology = apply_change(topology, change)
+            gap = self.gap_options[0]
+        self.result.scenarios += 1
+        self._stop(suffix, example)
 
-    def _abstract_suffixes(
-        self, topology: Topology, remaining: int
-    ) -> Iterator[Tuple[str, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for gap in self.gap_options:
-            for change in enumerate_changes(topology):
-                affected = affected_processes(change, topology)
-                next_topology = apply_change(topology, change)
-                for late in enumerate_cuts(affected):
-                    head = _describe_step(gap, change, late)
-                    for rest in self._abstract_suffixes(
-                        next_topology, remaining - 1
-                    ):
-                        yield (head,) + rest
+    def _stop(
+        self, suffix: Sequence[str], example: Counterexample
+    ) -> NoReturn:
+        """Record the violating scenario and unwind the whole DFS."""
+        steps = "; ".join([*self._steps_desc, *suffix])
+        self.result.violations.append(f"{steps}: {example.violation}")
+        self.result.counterexamples.append(example)
+        raise _Abort
 
-    # ------------------------------------------------------------------
-    # Bookkeeping.
-    # ------------------------------------------------------------------
-
-    def _add_record(self, descs: Tuple[str, ...], text: str) -> None:
-        self.records.append((descs, text))
-        self.result.violations.append("; ".join(descs) + f": {text}")
-        if self.stop_on_violation:
-            raise _Abort
-
-    def _capture_counterexample(self, text: str) -> None:
+    def _capture_counterexample(self, text: str) -> Counterexample:
         """Snapshot the live violating schedule and attribute its blame.
 
         Called at the moment a violation is raised by the *live* driver
         (leaf settling, a scripted change round, or a quiet gap round),
         while ``recorded_steps`` still holds the realized schedule from
-        the pristine initial state.  Abstractly-propagated twins of the
-        same violation reuse this entry — their replays fail at the
-        identical prefix, so the explanation is the same.
+        the pristine initial state.  Every scenario extending that
+        prefix fails identically, so this explains whichever of them
+        is reported.
         """
-        if len(self.result.counterexamples) >= MAX_COUNTEREXAMPLES:
-            return
         from repro.check.differential import run_plan
         from repro.check.plan import plan_from_recorded
 
@@ -622,18 +552,16 @@ class _Explorer:
             (gap, change, frozenset(late))
             for gap, change, late in self.driver.recorded_steps()
         )
-        self.result.counterexamples.append(
-            Counterexample(
-                algorithm=self.algorithm,
-                n_processes=self.n_processes,
-                steps=tuple(self._steps_desc),
-                violation=text,
-                plan_steps=plan_steps,
-                blame=run_plan(
-                    plan_from_recorded(self.n_processes, plan_steps),
-                    self.algorithm,
-                ).blame,
-            )
+        return Counterexample(
+            algorithm=self.algorithm,
+            n_processes=self.n_processes,
+            steps=tuple(self._steps_desc),
+            violation=text,
+            plan_steps=plan_steps,
+            blame=run_plan(
+                plan_from_recorded(self.n_processes, plan_steps),
+                self.algorithm,
+            ).blame,
         )
 
 
@@ -642,27 +570,23 @@ def explore(
     n_processes: int = 3,
     depth: int = 2,
     gap_options: Sequence[int] = (0, 1, 2),
-    max_scenarios: Optional[int] = None,
-    stop_on_violation: bool = True,
 ) -> ExplorationResult:
     """Exhaustively check one algorithm over all bounded fault schedules.
 
     The fork-based engine: shared scenario prefixes execute once (via
     :meth:`DriverLoop.snapshot` / :meth:`~DriverLoop.restore`),
     converged states are deduplicated by canonical hashing, and silent
-    change rounds collapse their whole cut enumeration.  Scenario
-    counts, availability, the violation list and truncation semantics
-    are identical to :func:`explore_replay` on the same bound, and both
-    raise :class:`ValueError` on ``depth < 1`` or on an empty or
-    negative ``gap_options``.
+    change rounds collapse their whole cut enumeration.  The first
+    violation ends the exploration.  Scenario counts, availability and
+    that violation are identical to :func:`explore_replay` on the same
+    bound, and both raise :class:`ValueError` on ``depth < 1`` or on an
+    empty or negative ``gap_options``.
     """
     explorer = _Explorer(
         algorithm=algorithm,
         n_processes=n_processes,
         depth=depth,
         gap_options=_check_bound(depth, gap_options),
-        max_scenarios=max_scenarios,
-        stop_on_violation=stop_on_violation,
     )
     explorer.run()
     return explorer.result

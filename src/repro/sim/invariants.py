@@ -57,8 +57,7 @@ class InvariantChecker(Subscriber):
     #: subscriber hooks); anywhere else the plain subscriber hooks
     #: below provide the same checks.
 
-    def __init__(self, enabled: bool = True, atomic_views: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self, atomic_views: bool = True) -> None:
         self.atomic_views = atomic_views
         #: order_key -> members, for every formed primary ever observed.
         self._chain: Dict[int, Members] = {}
@@ -119,8 +118,6 @@ class InvariantChecker(Subscriber):
         active: Iterable[ProcessId],
     ) -> None:
         """Run all invariant checks against the post-round system state."""
-        if not self.enabled:
-            return
         self.rounds_checked += 1
         active = list(active)
         self._check_single_live_primary(algorithms, active)
@@ -167,8 +164,6 @@ class InvariantChecker(Subscriber):
         once all traffic has drained, the claimants (if any) must be
         exactly the membership of one network component, and every
         component's members must agree."""
-        if not self.enabled:
-            return
         active_set = frozenset(active)
         claimants = frozenset(
             pid for pid in active_set if algorithms[pid].in_primary()
@@ -243,8 +238,6 @@ class InvariantChecker(Subscriber):
         active: Iterable[ProcessId],
     ) -> None:
         """At quiescence, members of each component must agree."""
-        if not self.enabled:
-            return
         active_set = set(active)
         for component in components:
             verdicts = {

@@ -44,6 +44,43 @@ def broken_majority():
         yield cls
 
 
+class LateClaimer(SimpleMajority):
+    """:class:`BrokenMajority` that claims the primary one round late.
+
+    A view only stores the verdict "majority or exact half"; the next
+    ``outgoing_message_poll`` acts on it.  The split brain of an even
+    split therefore surfaces in whichever round follows the change — a
+    quiet gap round, the next change round or the final settling — so
+    the explorer meets a violation at each of the places it can raise.
+    """
+
+    name: ClassVar[str] = "late_claimer"
+
+    def __init__(self, pid, initial_view: View) -> None:
+        super().__init__(pid, initial_view)
+        self._claim = False
+
+    def _on_view(self, view: View) -> None:
+        members = view.members
+        self._in_primary = False
+        self._claim = is_majority(members, self.universe) or is_exact_half(
+            members, self.universe
+        )
+
+    def outgoing_message_poll(self, message):
+        if self._claim:
+            self._in_primary = True
+            self._claim = False
+        return super().outgoing_message_poll(message)
+
+
+@pytest.fixture
+def late_claimer():
+    """The late-claiming broken algorithm, registered for one test."""
+    with temporary_algorithm(LateClaimer) as cls:
+        yield cls
+
+
 @pytest.fixture
 def view5() -> View:
     return initial_view(5)

@@ -77,11 +77,6 @@ def test_refuses_fault_model_generators() -> None:
         )
 
 
-def test_check_invariants_is_accepted_but_inert() -> None:
-    result = run_case_batched(config_with(check_invariants=True))
-    assert isinstance(result, BatchCaseResult)
-
-
 # ----------------------------------------------------------------------
 # Scalar-parity rejections: SimulationError, identical on both backends.
 # ----------------------------------------------------------------------

@@ -151,13 +151,6 @@ class TestVerify:
         assert "scenarios" in out
         assert "all invariants held" in out
 
-    def test_max_scenarios_option(self, capsys):
-        assert main([
-            "verify", "mr1p", "--processes", "3", "--depth", "2",
-            "--gaps", "0", "--max-scenarios", "20",
-        ]) == 0
-        assert "truncated" in capsys.readouterr().out
-
     def test_stats_out_artifact(self, capsys, tmp_path):
         from dataclasses import fields
 
@@ -450,7 +443,6 @@ class TestRegistry:
         ["verify", "ykd", "--processes", "1"],
         ["verify", "ykd", "--depth", "0"],
         ["verify", "ykd", "--gaps", "0", "-1"],
-        ["verify", "ykd", "--max-scenarios", "0"],
         ["compare", "ykd", "dfls", "--rate", "-1"],
         ["soak", "ykd", "--rate", "nan", "--changes", "5"],
         [

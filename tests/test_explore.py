@@ -70,14 +70,6 @@ class TestExplore:
         assert 0.0 <= result.availability_percent <= 100.0
         assert result.passed
 
-    def test_max_scenarios_truncates(self):
-        result = explore(
-            "ykd", n_processes=3, depth=2, gap_options=(0, 1),
-            max_scenarios=10,
-        )
-        assert result.scenarios == 10
-        assert result.truncated
-
     def test_nan_availability_when_empty(self):
         import math
 

@@ -3,35 +3,31 @@
 Three layers of assurance for ``repro.sim.explore``:
 
 * **differential equivalence** — the prefix-sharing fork engine must
-  produce byte-identical results (scenario counts, availability,
-  violation lists, truncation) to the replay reference engine on every
-  registered algorithm and on a deliberately broken one, across the
-  stop-on-violation and max-scenarios modes;
+  produce byte-identical results (scenario counts, availability, the
+  first violation) to the replay reference engine on every registered
+  algorithm and on deliberately broken ones, with a violation raised
+  at each of the three places a live driver can raise one;
 * **golden pinned counts** — scenario totals, availability and
   state/dedup counts at fixed bounds, so any silent change in
   enumeration or deduplication shows up as a diff;
-* **the knobs** — truncation and the work accounting.
+* **the knobs** — the work accounting.
 """
 
 import os
+import sys
 from dataclasses import fields
 
 import pytest
 
 from repro.core.registry import algorithm_names
-from repro.sim.explore import ExploreStats, explore, explore_replay
+from repro.sim.explore import ExploreStats, _Explorer, explore, explore_replay
 
 TIER2 = os.environ.get("REPRO_TIER2") == "1"
 
 
 def result_tuple(result):
     """Everything two engines must agree on, as one comparable value."""
-    return (
-        result.scenarios,
-        result.available,
-        result.violations,
-        result.truncated,
-    )
+    return (result.scenarios, result.available, result.violations)
 
 
 class TestDifferentialEquivalence:
@@ -53,55 +49,62 @@ class TestDifferentialEquivalence:
         assert len(forked.violations) == 1
         assert forked.scenarios < 224  # stopped mid-enumeration
 
-    def test_broken_algorithm_full_violation_list(self, broken_majority):
-        kwargs = dict(
-            n_processes=4, depth=1, gap_options=(0, 1),
-            stop_on_violation=False,
-        )
-        reference = explore_replay("broken_majority", **kwargs)
-        forked = explore("broken_majority", **kwargs)
-        assert result_tuple(forked) == result_tuple(reference)
-        assert forked.scenarios == 224
-        assert len(forked.violations) == 96
-
     def test_broken_algorithm_depth_two_prefix_violations(
         self, broken_majority
     ):
-        # Depth 2 exercises the abstract-suffix path: a violating first
-        # step must contribute one (identical) violation per extension.
-        kwargs = dict(
-            n_processes=4, depth=2, gap_options=(0,),
-            stop_on_violation=False,
-        )
+        # The first step's change round violates, so the reported
+        # scenario extends it by a second step named without simulating
+        # (first change, empty cut, the first gap).
+        kwargs = dict(n_processes=4, depth=2, gap_options=(0,))
         reference = explore_replay("broken_majority", **kwargs)
         forked = explore("broken_majority", **kwargs)
         assert result_tuple(forked) == result_tuple(reference)
-        assert len(forked.violations) == 1152
+        assert (forked.scenarios, forked.available) == (1921, 1920)
+        [violation] = forked.violations
+        assert violation.count("; ") == 1
+        [example] = forked.counterexamples
+        assert len(example.steps) == 1
 
-    def test_truncation_after_violations(self, broken_majority):
-        # Regression guard: max_scenarios reached *after* violations
-        # were already recorded, with stop_on_violation off — the
-        # truncation check must count scenarios exactly like the
-        # reference (check-before-count), not stop early or late.
-        kwargs = dict(
-            n_processes=4, depth=2, gap_options=(0,),
-            stop_on_violation=False, max_scenarios=2000,
-        )
-        reference = explore_replay("broken_majority", **kwargs)
-        forked = explore("broken_majority", **kwargs)
-        assert result_tuple(forked) == result_tuple(reference)
-        assert forked.truncated
-        assert forked.scenarios == 2000
-        assert forked.violations  # some arrived before the limit
+    #: One bound per place a live driver raises a violation: settling a
+    #: leaf, a scripted change round, and a quiet gap round (with the
+    #: gaps in ascending and in descending order).
+    SITES = [
+        pytest.param("late_claimer", (4, 1, (0, 1, 2)), "_leaf", id="leaf"),
+        pytest.param(
+            "broken_majority", (4, 2, (1, 0)), "_enumerate",
+            id="change_round",
+        ),
+        pytest.param(
+            "late_claimer", (4, 2, (1, 2)), "_gap_states", id="quiet_gap"
+        ),
+        pytest.param(
+            "late_claimer", (4, 2, (2, 0)), "_gap_states",
+            id="quiet_gap_descending",
+        ),
+    ]
 
-    def test_truncation_equivalence_on_healthy_algorithm(self):
-        kwargs = dict(
-            n_processes=3, depth=2, gap_options=(0, 1), max_scenarios=100
-        )
-        reference = explore_replay("ykd", **kwargs)
-        forked = explore("ykd", **kwargs)
+    @pytest.mark.parametrize("algorithm, bound, site", SITES)
+    def test_first_violation_at_each_site(
+        self, request, monkeypatch, algorithm, bound, site
+    ):
+        request.getfixturevalue(algorithm)
+        n_processes, depth, gaps = bound
+        kwargs = dict(n_processes=n_processes, depth=depth, gap_options=gaps)
+        sites = []
+        capture = _Explorer._capture_counterexample
+
+        def spy(explorer, text):
+            sites.append(sys._getframe(1).f_code.co_name)
+            return capture(explorer, text)
+
+        monkeypatch.setattr(_Explorer, "_capture_counterexample", spy)
+        forked = explore(algorithm, **kwargs)
+        reference = explore_replay(algorithm, **kwargs)
         assert result_tuple(forked) == result_tuple(reference)
-        assert forked.truncated and forked.scenarios == 100
+        assert sites == [site]
+        assert len(forked.violations) == 1
+        [example] = forked.counterexamples
+        assert forked.violations[0].endswith(f": {example.violation}")
 
 
 class TestGoldenCounts:
@@ -234,15 +237,7 @@ class TestWorkLedger:
 
 
 class TestKnobs:
-    """Truncation and the work accounting."""
-
-    def test_max_scenarios_stops_at_the_limit(self):
-        result = explore(
-            "ykd", n_processes=3, depth=1, gap_options=(0,),
-            max_scenarios=10,
-        )
-        assert result.scenarios == 10
-        assert result.truncated
+    """The work accounting."""
 
     def test_stats_serialize(self):
         result = explore("ykd", n_processes=3, depth=1, gap_options=(0,))
@@ -258,11 +253,9 @@ class TestKnobs:
         self, broken_majority
     ):
         serial = explore(
-            "broken_majority", n_processes=4, depth=1, gap_options=(0,),
-            stop_on_violation=False,
+            "broken_majority", n_processes=4, depth=1, gap_options=(0,)
         )
         reference = explore_replay(
-            "broken_majority", n_processes=4, depth=1, gap_options=(0,),
-            stop_on_violation=False,
+            "broken_majority", n_processes=4, depth=1, gap_options=(0,)
         )
         assert result_tuple(serial) == result_tuple(reference)

@@ -78,12 +78,6 @@ class TestSingleLivePrimary:
         algorithms = system(primary_pids=(0,))
         checker.check_round(algorithms, active=[1, 2, 3])
 
-    def test_disabled_checker_is_silent(self):
-        checker = InvariantChecker(enabled=False)
-        algorithms = system(primary_pids=(0, 1))
-        checker.check_round(algorithms, range(4))
-        assert checker.rounds_checked == 0
-
 
 class TestChain:
     def test_valid_chain_accumulates(self):

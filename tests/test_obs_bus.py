@@ -140,7 +140,8 @@ class TestDriverObserverAPI:
     def test_default_checker_created_when_none_attached(self):
         driver = make_driver("ykd", 5)
         assert isinstance(driver.checker, InvariantChecker)
-        assert driver.checker.enabled
+        split(driver, {3, 4})
+        assert driver.checker.rounds_checked == driver.round_index
 
     def test_second_checker_stays_an_ordinary_subscriber(self):
         first, second = InvariantChecker(), InvariantChecker()

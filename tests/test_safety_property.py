@@ -32,7 +32,6 @@ def test_fresh_runs_hold_invariants(algorithm, rate):
         mean_rounds_between_changes=rate,
         runs=25,
         master_seed=17,
-        check_invariants=True,
     )
     run_case(case)  # raises InvariantViolation on any safety breach
 
@@ -47,7 +46,6 @@ def test_cascading_runs_hold_invariants(algorithm):
         runs=25,
         mode="cascading",
         master_seed=23,
-        check_invariants=True,
     )
     run_case(case)
 
@@ -62,7 +60,6 @@ def test_crash_recovery_runs_hold_invariants(algorithm):
         runs=20,
         master_seed=29,
         change_generator=CrashRecoveryChangeGenerator(crash_weight=0.3),
-        check_invariants=True,
     )
     run_case(case)
 

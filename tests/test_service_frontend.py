@@ -236,20 +236,20 @@ class TestRoutes:
         serve(cluster, range(5), requests)
 
     @pytest.mark.parametrize(
-        "sent",
+        "sent, route",
         [
-            b"GET /healthz HTTP/1.1",
-            b"GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n",
+            (b"GET /healthz HTTP/1.1", "?"),
+            (b"GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n", "/healthz"),
         ],
         ids=["request_line", "after_one_header"],
     )
     def test_a_stalled_request_is_answered_408(
-        self, cluster, monkeypatch, sent
+        self, cluster, monkeypatch, sent, route
     ):
         """A client that stops sending part-way through its request
         holds the handler only until the read deadline: then it gets
         408 and a closed connection, and the request is counted like
-        any other."""
+        any other — under its route once the request line was read."""
         monkeypatch.setattr(frontend, "_READ_TIMEOUT_S", 0.2)
 
         async def stall(address):
@@ -269,11 +269,62 @@ class TestRoutes:
             assert b"Connection: close" in head
             _, _, payload = await http_raw(peers[0], "GET", "/metrics")
             assert (
-                'service_http_requests{node="0",route="?",status="408"} 1'
+                f'service_http_requests{{node="0",route="{route}",'
+                'status="408"} 1'
                 in payload.decode("utf-8")
             )
 
         serve(cluster, range(5), requests)
+
+    def test_refusals_are_labelled_with_their_request_line(
+        self, cluster, monkeypatch
+    ):
+        """A request refused after its request line was read is counted
+        and flight-recorded under that line's method and route."""
+        monkeypatch.setattr(frontend, "_READ_TIMEOUT_S", 0.2)
+
+        async def send(address, raw):
+            host, port = address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(raw)
+            await writer.drain()
+            try:
+                return await asyncio.wait_for(reader.read(), timeout=2.0)
+            finally:
+                writer.close()
+
+        async def body():
+            node = ServiceFrontend(MemoryNodeBackend(cluster, 0))
+            address = await node.start()
+            try:
+                await send(
+                    address, b"GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                )
+                await send(
+                    address,
+                    b"PUT /kv/x HTTP/1.1\r\n"
+                    + f"Content-Length: {_MAX_BODY + 1}\r\n\r\n".encode(),
+                )
+                _, _, text = await http_raw(address, "GET", "/metrics")
+            finally:
+                await node.stop()
+            return node.recorder.events(), text.decode("utf-8")
+
+        events, text = asyncio.run(body())
+        assert (
+            'service_http_requests{node="0",route="/healthz",status="408"} 1'
+            in text
+        )
+        assert (
+            'service_http_requests{node="0",route="/kv",status="413"} 1'
+            in text
+        )
+        refused = [
+            (event["method"], event["route"], event["status"])
+            for event in events
+            if event.get("status") in (408, 413)
+        ]
+        assert refused == [("GET", "/healthz", 408), ("PUT", "/kv", 413)]
 
 
 class TestRedirects:
