@@ -495,14 +495,19 @@ def _verify(args: argparse.Namespace) -> int:
             f"({args.processes} processes, depth {args.depth}, "
             f"gaps {list(result.gap_options)}) in {elapsed:.1f}s"
         )
-        print(
-            "availability over all scenarios: "
-            f"{result.availability_percent:.1f}%"
+        # The first violation ends the run, so its figure covers only
+        # the scenarios enumerated before it.
+        scope = (
+            f"the {result.scenarios} scenarios before the violation"
+            if result.violations
+            else "all scenarios"
         )
+        print(f"availability over {scope}: {result.availability_percent:.1f}%")
         stats = result.stats
         if args.stats and stats is not None:
             print(
                 f"  states={stats.nodes} dedup_hits={stats.dedup_hits} "
+                f"memo_parts={stats.memo_parts} "
                 f"cut_collapsed={stats.cut_collapsed} "
                 f"rounds={stats.rounds} snapshots={stats.snapshots} "
                 f"restores={stats.restores} "
@@ -511,7 +516,9 @@ def _verify(args: argparse.Namespace) -> int:
         report[algorithm] = {
             "scenarios": result.scenarios,
             "available": result.available,
-            "availability_percent": result.availability_percent,
+            "availability_percent": (
+                None if result.violations else result.availability_percent
+            ),
             "violations": result.violations,
             "seconds": elapsed,
             "stats": None if stats is None else stats.to_dict(),

@@ -113,7 +113,9 @@ class ExploreStats:
     ``leaves`` complete scenarios actually settled;
     ``dedup_hits`` subtrees answered from the canonical-state memo and
     ``cut_collapsed`` subtrees skipped because a silent change round
-    makes every late-set equivalent.  ``rounds`` is the total driver
+    makes every late-set equivalent.  ``memo_parts`` is the number of
+    distinct state parts (topologies, chains and per-process algorithm
+    encodings) the memo keys refer to.  ``rounds`` is the total driver
     rounds executed — the direct measure of work the replay engine
     would have multiplied.
     """
@@ -122,6 +124,7 @@ class ExploreStats:
     leaves: int = 0
     dedup_hits: int = 0
     dedup_entries: int = 0
+    memo_parts: int = 0
     cut_collapsed: int = 0
     snapshots: int = 0
     restores: int = 0
@@ -335,11 +338,14 @@ class _Explorer:
         )
         self.stats = self.result.stats
         self._steps_desc: List[str] = []
-        #: Exact-state memo: (remaining, fingerprint) -> the subtree's
+        #: Every distinct part of a fingerprint met so far -> its id.
+        #: One table per exploration, so nothing outlives the run.
+        self._part_ids: Dict[tuple, int] = {}
+        #: Exact-state memo: :meth:`_memo_key` -> the subtree's
         #: (scenarios, available).  A subtree that violates aborts the
         #: whole exploration before its entry is stored, so every entry
         #: is a violation-free count.
-        self._memo: Dict[tuple, Tuple[int, int]] = {}
+        self._memo: Dict[Tuple[int, ...], Tuple[int, int]] = {}
         self._counter = _RoundCounter()
         self.driver = DriverLoop(
             algorithm=algorithm,
@@ -356,6 +362,7 @@ class _Explorer:
         except _Abort:
             pass
         self.stats.rounds = self._counter.rounds
+        self.stats.memo_parts = len(self._part_ids)
 
     # ------------------------------------------------------------------
     # The DFS.
@@ -371,7 +378,7 @@ class _Explorer:
         # relabeling is unsound: the exact-half tie-break of dynamic
         # linear voting (repro.core.quorum) makes process ids
         # behaviourally meaningful (docs/model-checking.md).
-        key = (remaining, state_fingerprint(self.driver))
+        key = self._memo_key(remaining, state_fingerprint(self.driver))
         entry = self._memo.get(key)
         if entry is not None:
             self.stats.dedup_hits += 1
@@ -390,6 +397,25 @@ class _Explorer:
             self.result.available - mark_a,
         )
         self.stats.dedup_entries += 1
+
+    def _memo_key(self, remaining: int, fingerprint: tuple) -> Tuple[int, ...]:
+        """The fingerprint as a flat tuple of ints, for the memo.
+
+        The topology, the chain and each ``(pid, algorithm encoding)``
+        pair is replaced by its index in :attr:`_part_ids`.  The table
+        maps by equality, so two keys are equal iff the fingerprints
+        are: merging stays exact.  A repeated part is stored once, and
+        a lookup hashes a few ints instead of the whole nested state.
+        """
+        _, topology, view_seq, algorithms, chain = fingerprint
+        ids = self._part_ids
+        return (
+            remaining,
+            view_seq,
+            ids.setdefault(topology, len(ids)),
+            ids.setdefault(chain, len(ids)),
+            *[ids.setdefault(part, len(ids)) for part in algorithms],
+        )
 
     def _leaf(self) -> None:
         """A complete scenario: settle to quiescence and classify it."""

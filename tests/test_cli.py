@@ -190,6 +190,36 @@ class TestVerify:
 
         assert "workers" not in set(keys(payload))
 
+    def test_violation_reports_availability_of_the_incomplete_run(
+        self, capsys, tmp_path, broken_majority
+    ):
+        # The first violation ends the run after 1,921 scenarios, so the
+        # availability figure covers those only, and the artifact says
+        # there is no figure over the whole bound.
+        path = tmp_path / "stats.json"
+        assert main([
+            "verify", "broken_majority", "--processes", "4", "--depth", "2",
+            "--gaps", "0", "--stats-out", str(path),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "INVARIANT VIOLATION FOUND" in out
+        assert "availability over all scenarios" not in out
+        assert (
+            "availability over the 1921 scenarios before the violation: "
+            "99.9%" in out
+        )
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        entry = payload["algorithms"]["broken_majority"]
+        assert (entry["scenarios"], entry["available"]) == (1921, 1920)
+        assert entry["availability_percent"] is None
+
+    def test_stats_print_the_memo_parts(self, capsys):
+        assert main([
+            "verify", "ykd", "--processes", "3", "--depth", "1",
+            "--gaps", "0", "--stats",
+        ]) == 0
+        assert " memo_parts=" in capsys.readouterr().out
+
     def test_sharding_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", "ykd", "--workers", "2"])

@@ -1,6 +1,6 @@
 """The fork-based explorer against its replay reference, and its knobs.
 
-Three layers of assurance for ``repro.sim.explore``:
+Four layers of assurance for ``repro.sim.explore``:
 
 * **differential equivalence** — the prefix-sharing fork engine must
   produce byte-identical results (scenario counts, availability, the
@@ -10,7 +10,9 @@ Three layers of assurance for ``repro.sim.explore``:
 * **golden pinned counts** — scenario totals, availability and
   state/dedup counts at fixed bounds, so any silent change in
   enumeration or deduplication shows up as a diff;
-* **the knobs** — the work accounting.
+* **the knobs** — the work accounting;
+* **the interned memo key** — equal exactly when the fingerprints are,
+  from a table that lives as long as one exploration.
 """
 
 import os
@@ -20,6 +22,7 @@ from dataclasses import fields
 import pytest
 
 from repro.core.registry import algorithm_names
+from repro.sim import explore as explore_module
 from repro.sim.explore import ExploreStats, _Explorer, explore, explore_replay
 
 TIER2 = os.environ.get("REPRO_TIER2") == "1"
@@ -259,3 +262,52 @@ class TestKnobs:
             "broken_majority", n_processes=4, depth=1, gap_options=(0,)
         )
         assert result_tuple(serial) == result_tuple(reference)
+
+
+class TestInternedMemoKey:
+    """The memo key is a flat tuple of ints, and merging stays exact."""
+
+    BOUND = dict(n_processes=3, depth=2, gap_options=(0, 1, 2, 3))
+
+    @pytest.mark.parametrize("algorithm", sorted(algorithm_names()))
+    def test_keys_are_equal_iff_fingerprints_are(
+        self, algorithm, monkeypatch
+    ):
+        visited = []
+        memo_key = _Explorer._memo_key
+
+        def recording_key(explorer, remaining, fingerprint):
+            key = memo_key(explorer, remaining, fingerprint)
+            assert all(type(part) is int for part in key)
+            visited.append(((remaining, fingerprint), key))
+            return key
+
+        monkeypatch.setattr(_Explorer, "_memo_key", recording_key)
+        result = explore(algorithm, **self.BOUND)
+        stats = result.stats
+        assert len(visited) == stats.nodes + stats.dedup_hits
+        assert stats.dedup_hits > 0  # some states really do repeat
+        # Equal keys iff equal (remaining, fingerprint): the pairing is
+        # one-to-one, so neither side has more distinct values.
+        states = {state for state, _ in visited}
+        keys = {key for _, key in visited}
+        assert len(states) == len(keys) == len(set(visited))
+        assert len(keys) == stats.nodes
+
+    def test_the_table_lives_for_one_exploration(self):
+        def module_containers():
+            return {
+                name: len(value)
+                for name, value in vars(explore_module).items()
+                if isinstance(value, (dict, list, set))
+                and not name.startswith("__")
+            }
+
+        before = module_containers()
+        first = explore("ykd", **self.BOUND).stats
+        second = explore("ykd", **self.BOUND).stats
+        assert first.memo_parts == second.memo_parts > 0
+        assert (first.nodes, first.dedup_hits) == (
+            second.nodes, second.dedup_hits
+        )
+        assert module_containers() == before
