@@ -299,37 +299,3 @@ class KnowledgeBook:
         if member in self._not_formed.get(session, set()):
             return Outcome.NOT_FORMED
         return Outcome.UNKNOWN
-
-    # ------------------------------------------------------------------
-    # Durable-state export/import (used by repro.core.serialize).
-    # ------------------------------------------------------------------
-
-    def export_facts(self) -> Dict[str, list]:
-        """All accumulated facts in a JSON-compatible structure."""
-        return {
-            "not_formed": [
-                {
-                    "session": {
-                        "number": session.number,
-                        "members": sorted(session.members),
-                    },
-                    "members": sorted(members),
-                }
-                for session, members in sorted(self._not_formed.items())
-            ],
-            "formed": [
-                {"number": session.number, "members": sorted(session.members)}
-                for session in sorted(self._formed)
-            ],
-        }
-
-    def import_facts(self, data: Mapping[str, list]) -> None:
-        """Replace all facts with a previously exported structure."""
-        self.clear()
-        for entry in data["not_formed"]:
-            session = Session.of(
-                int(entry["session"]["number"]), entry["session"]["members"]
-            )
-            self._not_formed[session] = set(entry["members"])
-        for raw in data["formed"]:
-            self._formed.add(Session.of(int(raw["number"]), raw["members"]))

@@ -56,7 +56,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import batched_fallback_reason, run_experiment
 from repro.experiments.spec import SCALES, SPECS, all_spec_ids, get_scale
-from repro.sim.campaign import CaseConfig, run_case
+from repro.sim.campaign import CaseConfig, compare_algorithms, run_case
 from repro.sim.driver import DriverLoop
 from repro.service import cli as service_cli
 from repro.sim.explore import explore
@@ -425,14 +425,16 @@ def _all(args: argparse.Namespace) -> int:
 
 
 def _compare(args: argparse.Namespace) -> int:
-    outcomes = {
-        algorithm: run_case(
-            _case_config(args, algorithm), kernel=args.kernel
-        ).outcomes
-        for algorithm in (args.first, args.second)
-    }
+    results = compare_algorithms(
+        _case_config(args, args.first),
+        (args.first, args.second),
+        kernel=args.kernel,
+    )
     comparison = compare_paired(
-        args.first, outcomes[args.first], args.second, outcomes[args.second]
+        args.first,
+        results[args.first].outcomes,
+        args.second,
+        results[args.second].outcomes,
     )
     print(
         f"{args.runs} paired runs, {args.changes} changes/run, "

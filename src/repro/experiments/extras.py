@@ -11,7 +11,7 @@ from repro.sim.campaign import CaseConfig, run_case
 from repro.sim.driver import DriverLoop
 from repro.sim.invariants import InvariantChecker
 from repro.sim.rng import derive_rng
-from repro.sim.stats import BlockingCollector, FormationTimeCollector
+from repro.sim.stats import BlockingCollector
 from repro.experiments.spec import ExperimentSpec, Scale
 
 
@@ -42,15 +42,15 @@ def run_rounds_table(
     """Measure rounds-to-form under calm conditions per algorithm.
 
     The driver injects widely separated partition/merge changes (no
-    interruptions) and the :class:`FormationTimeCollector` measures how
-    many rounds pass between each view's installation and its formation
-    as a primary; quiescence rounds show protocol tails such as DFLS's
+    interruptions) and the :class:`BlockingCollector` measures how many
+    rounds pass between each view's installation and its formation as a
+    primary; quiescence rounds show protocol tails such as DFLS's
     confirm round.
     """
     table = RoundsTable(spec=spec, scale=scale)
     cycles = max(scale.runs // 10, 10)
     for algorithm in spec.algorithms:
-        collector = FormationTimeCollector()
+        collector = BlockingCollector()
         fault_rng = derive_rng(master_seed, "rounds", algorithm)
         driver = DriverLoop(
             algorithm=algorithm,

@@ -16,6 +16,11 @@ One substrate for everything the simulator can report, in three parts:
   `repro.obs.progress`) — per-phase wall/CPU timing of the driver's
   round, and live progress reporting for long campaigns.
 
+The causal spans (`repro.obs.causal`) and the distributed telemetry
+(`repro.obs.telemetry`) are imported from those packages only: both
+import `repro.sim` modules that import this package, so re-exporting
+them here would close an import cycle.
+
 See ``docs/observability.md`` for the architecture and a subscriber
 how-to, and ``examples/custom_subscriber.py`` for a worked example.
 """
@@ -51,68 +56,6 @@ from repro.obs.metrics import (
 from repro.obs.profile import DRIVER_PHASES, PhaseProfiler, PhaseStat
 from repro.obs.progress import ProgressReporter
 
-#: Names re-exported lazily from ``repro.obs.causal``.  The causal
-#: package's live observer subclasses the trace recorder, so importing
-#: it here eagerly would close an import cycle
-#: (``repro.sim.stats`` → ``repro.obs`` → causal → ``repro.sim.trace``
-#: → ``repro.sim.stats``); PEP 562 lazy loading breaks it while keeping
-#: ``from repro.obs import CausalObserver`` working.
-_CAUSAL_EXPORTS = frozenset(
-    {
-        "ATTEMPT_OUTCOMES",
-        "AttemptSpan",
-        "BLAME_CATEGORIES",
-        "CausalLink",
-        "CausalObserver",
-        "GCSViewSpans",
-        "PrimarySpan",
-        "ViewSpan",
-        "RunSpan",
-        "SpanBuilder",
-        "SpanSet",
-        "render_forensics_report",
-        "render_html_report",
-        "spans_from_jsonl",
-        "spans_from_recorder",
-        "spans_to_jsonl",
-        "write_html_report",
-        "write_spans_jsonl",
-    }
-)
-
-
-#: Names re-exported lazily from ``repro.obs.telemetry`` for the same
-#: reason: trace minting pulls in ``repro.sim.rng``, which must not be
-#: imported while this package is still initializing.
-_TELEMETRY_EXPORTS = frozenset(
-    {
-        "FLIGHT_HEADER_KIND",
-        "FLIGHT_KIND",
-        "FlightRecorder",
-        "TRACE_HEADER",
-        "TelemetryCollector",
-        "crash_dump_path",
-        "load_flight_dump",
-        "mint_trace_id",
-        "parse_flight_jsonl",
-        "render_prometheus",
-        "write_crash_dump",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _CAUSAL_EXPORTS:
-        from repro.obs import causal
-
-        return getattr(causal, name)
-    if name in _TELEMETRY_EXPORTS:
-        from repro.obs import telemetry
-
-        return getattr(telemetry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CampaignMetrics",
     "Counter",
@@ -143,6 +86,4 @@ __all__ = [
     "series_to_dict",
     "write_metrics_csv",
     "write_metrics_jsonl",
-    *sorted(_CAUSAL_EXPORTS),
-    *sorted(_TELEMETRY_EXPORTS),
 ]

@@ -29,7 +29,6 @@ from repro.sim.stats import (
     AmbiguousSessionCollector,
     AvailabilityCollector,
     BlockingCollector,
-    FormationTimeCollector,
     MessageSizeCollector,
 )
 from repro.sim.trace import (
@@ -50,7 +49,6 @@ __all__ = [
     "DriverSnapshot",
     "ExplorationResult",
     "ExploreStats",
-    "FormationTimeCollector",
     "InvariantChecker",
     "MODE_CASCADING",
     "MODE_FRESH",

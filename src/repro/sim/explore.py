@@ -123,7 +123,6 @@ class ExploreStats:
     nodes: int = 0
     leaves: int = 0
     dedup_hits: int = 0
-    dedup_entries: int = 0
     memo_parts: int = 0
     cut_collapsed: int = 0
     snapshots: int = 0
@@ -396,7 +395,6 @@ class _Explorer:
             self.result.scenarios - mark_s,
             self.result.available - mark_a,
         )
-        self.stats.dedup_entries += 1
 
     def _memo_key(self, remaining: int, fingerprint: tuple) -> Tuple[int, ...]:
         """The fingerprint as a flat tuple of ints, for the memo.

@@ -10,14 +10,14 @@ Observers hang off the driver loop and record what the thesis measured:
   ("stable", Fig. 4-7);
 * :class:`MessageSizeCollector` — estimated wire size of the piggyback
   broadcasts (the §3.4/"two kilobytes" accounting);
-* :class:`FormationTimeCollector` — rounds from a view's installation
-  to its formation as a primary (blocking-period visibility).
+* :class:`BlockingCollector` — per installed view, the rounds from its
+  installation to its formation as a primary, or how long it stayed
+  blocked (the §3.4 rounds table and the blocking-period table).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.message import Message, estimate_piggyback_size_bits
@@ -91,25 +91,6 @@ class AmbiguousSessionCollector(Subscriber):
             self.stable[count] += 1
             if driver.algorithms[self.monitored_pid].in_primary():
                 self.stable_in_primary[count] += 1
-
-    @staticmethod
-    def _percent_with_sessions(histogram: Counter) -> Dict[int, float]:
-        total = sum(histogram.values())
-        if total == 0:
-            return {}
-        return {
-            count: 100.0 * occurrences / total
-            for count, occurrences in sorted(histogram.items())
-            if count > 0
-        }
-
-    def stable_percentages(self) -> Dict[int, float]:
-        """% of runs retaining k>0 sessions when stable (Fig. 4-7 bars)."""
-        return self._percent_with_sessions(self.stable)
-
-    def in_progress_percentages(self) -> Dict[int, float]:
-        """% of changes at which k>0 sessions were held (Fig. 4-8 bars)."""
-        return self._percent_with_sessions(self.in_progress)
 
 
 class MessageSizeCollector(Subscriber):
@@ -203,13 +184,16 @@ class BlockingCollector(Subscriber):
     def on_run_end(self, driver: "DriverLoop") -> None:
         # Views alive and unformed at quiescence are terminally blocked:
         # quiescence means no message will ever arrive, so they cannot
-        # form until a connectivity change replaces them.  Stop tracking
-        # them so cascading campaigns do not double-count.
-        for seq in list(self._birth):
-            if seq not in self._formed:
-                self.terminally_blocked += 1
-                self._birth.pop(seq)
-                self._members.pop(seq, None)
+        # form until a connectivity change replaces them.  No view alive
+        # at the end of a run has anything left to count, so tracking
+        # starts afresh with the next run: a cascading campaign does not
+        # count a view twice, and a fresh run, which numbers its views
+        # from the start again, is not mistaken for the previous one.
+        self.terminally_blocked += len(self._birth.keys() - self._formed)
+        self._birth.clear()
+        self._members.clear()
+        self._member_view.clear()
+        self._formed.clear()
 
     @property
     def formation_rate(self) -> float:
@@ -229,46 +213,3 @@ class BlockingCollector(Subscriber):
         if not self.blocked_lifetimes:
             return float("nan")
         return sum(self.blocked_lifetimes) / len(self.blocked_lifetimes)
-
-
-class FormationTimeCollector(Subscriber):
-    """Rounds between a view's installation and its formation as primary.
-
-    Measures the window during which an algorithm is exposed to
-    interruption — the §3.4 message-round comparison, observed live.
-    """
-
-    def __init__(self) -> None:
-        self._view_installed_round: Dict[int, int] = {}
-        self._formed_views: set = set()
-        self.formation_rounds: List[int] = []
-
-    def on_round(self, driver: "DriverLoop") -> None:
-        for view in driver.views_installed_this_round:
-            self._view_installed_round[view.seq] = driver.round_index
-        for view_seq, installed in list(self._view_installed_round.items()):
-            if view_seq in self._formed_views:
-                continue
-            claimants = [
-                pid
-                for pid, algorithm in driver.algorithms.items()
-                if algorithm.in_primary()
-                and algorithm.current_view.seq == view_seq
-            ]
-            if claimants:
-                self._formed_views.add(view_seq)
-                self.formation_rounds.append(driver.round_index - installed)
-        # A view that was replaced can never form; prune so long
-        # campaigns stay linear in time and memory.
-        if len(self._view_installed_round) > 256:
-            horizon = max(self._view_installed_round) - 128
-            for view_seq in list(self._view_installed_round):
-                if view_seq < horizon:
-                    self._view_installed_round.pop(view_seq)
-                    self._formed_views.discard(view_seq)
-
-    @property
-    def mean_rounds_to_form(self) -> float:
-        if not self.formation_rounds:
-            return float("nan")
-        return sum(self.formation_rounds) / len(self.formation_rounds)

@@ -148,7 +148,6 @@ class TestGoldenCounts:
         assert isinstance(stats, ExploreStats)
         assert stats.nodes == 44
         assert stats.dedup_hits == 53
-        assert stats.dedup_entries == 44
         assert stats.cut_collapsed == 144
         assert stats.max_fork_depth == 2
         assert stats.leaves <= stats.nodes

@@ -1,20 +1,13 @@
-"""Property-based (hypothesis) tests for the core value layers.
+"""Property-based (hypothesis) tests for ``repro.core.quorum``.
 
-Two families of obligations:
-
-* ``repro.core.serialize`` — every codec must round-trip exactly, both
-  as Python dicts and through a real JSON encode/decode, for arbitrary
-  values and for durable algorithm state produced by arbitrary runs.
-* ``repro.core.quorum`` — the Fig. 3-4 predicates must satisfy their
-  algebraic contract: majority implies subquorum, both are monotone in
-  the candidate set, the exact-half tie-break picks exactly one side of
-  an even split, and no two disjoint components can both hold a
-  subquorum (the property that makes split brain impossible).
+The Fig. 3-4 predicates must satisfy their algebraic contract: majority
+implies subquorum, both are monotone in the candidate set, the
+exact-half tie-break picks exactly one side of an even split, and no
+two disjoint components can both hold a subquorum (the property that
+makes split brain impossible).
 """
 
-import json
-
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.quorum import (
     is_exact_half,
@@ -23,20 +16,6 @@ from repro.core.quorum import (
     quorum_deficit,
     simple_majority_primary,
 )
-from repro.core.registry import algorithm_names
-from repro.core.serialize import (
-    restore,
-    session_from_dict,
-    session_to_dict,
-    snapshot,
-    snapshots_equal,
-    view_from_dict,
-    view_to_dict,
-)
-from repro.core.session import Session
-from repro.core.view import View
-
-from tests.conftest import run_once
 
 pids = st.integers(min_value=0, max_value=40)
 pid_sets = st.frozensets(pids, min_size=1, max_size=12)
@@ -74,46 +53,6 @@ def disjoint_partition(draw):
     for pid, label in zip(sorted(members), labels):
         blocks.setdefault(label, set()).add(pid)
     return members, [frozenset(block) for block in blocks.values()]
-
-
-class TestSerializeRoundTrips:
-    @given(
-        number=st.integers(min_value=0, max_value=10_000),
-        members=pid_sets,
-    )
-    def test_session_survives_json(self, number, members):
-        session = Session(number=number, members=members)
-        data = json.loads(json.dumps(session_to_dict(session)))
-        assert session_from_dict(data) == session
-
-    @given(seq=st.integers(min_value=0, max_value=10_000), members=pid_sets)
-    def test_view_survives_json(self, seq, members):
-        view = View.of(members, seq=seq)
-        data = json.loads(json.dumps(view_to_dict(view)))
-        assert view_from_dict(data) == view
-
-    @settings(
-        max_examples=30,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        algorithm=st.sampled_from(algorithm_names()),
-        n_processes=st.integers(min_value=2, max_value=8),
-        n_changes=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_snapshot_survives_json_after_arbitrary_run(
-        self, algorithm, n_processes, n_changes, seed
-    ):
-        """Whatever durable state a random run leaves behind, the
-        snapshot must survive a real JSON encode/decode and restore to
-        an equal-state instance for every process."""
-        driver = run_once(algorithm, n_processes, n_changes, 1.0, seed)
-        for original in driver.algorithms.values():
-            data = json.loads(json.dumps(snapshot(original)))
-            restored = restore(data)
-            assert snapshots_equal(original, restored)
 
 
 class TestQuorumAlgebra:

@@ -6,11 +6,10 @@ from repro.sim.campaign import CaseConfig, run_case
 from repro.sim.stats import (
     AmbiguousSessionCollector,
     AvailabilityCollector,
-    FormationTimeCollector,
     MessageSizeCollector,
 )
 
-from tests.conftest import heal, make_driver, split
+from tests.conftest import make_driver, split
 
 
 class TestAvailabilityCollector:
@@ -40,14 +39,6 @@ class TestAmbiguousSessionCollector:
         assert sum(collector.in_progress.values()) == 3
         assert sum(collector.stable.values()) == 1
 
-    def test_percentages_exclude_zero_bucket(self):
-        collector = AmbiguousSessionCollector()
-        collector.stable[0] = 90
-        collector.stable[1] = 8
-        collector.stable[2] = 2
-        assert collector.stable_percentages() == {1: 8.0, 2: 2.0}
-        assert collector.in_progress_percentages() == {}
-
     def test_case_plumbing(self):
         case = CaseConfig(
             algorithm="ykd", n_processes=6, n_changes=6,
@@ -73,24 +64,3 @@ class TestMessageSizeCollector:
         collector = MessageSizeCollector()
         assert collector.mean_bytes == 0.0
         assert collector.max_bytes == 0.0
-
-
-class TestFormationTimeCollector:
-    def test_ykd_forms_in_two_rounds(self):
-        collector = FormationTimeCollector()
-        driver = make_driver("ykd", 5, observers=[collector])
-        split(driver, {3, 4})
-        driver.run_until_quiescent()
-        assert collector.formation_rounds == [2]
-
-    def test_simple_majority_forms_instantly(self):
-        collector = FormationTimeCollector()
-        driver = make_driver("simple_majority", 5, observers=[collector])
-        split(driver, {3, 4})
-        driver.run_until_quiescent()
-        assert collector.formation_rounds == [0]
-
-    def test_mean_of_nothing_is_nan(self):
-        import math
-
-        assert math.isnan(FormationTimeCollector().mean_rounds_to_form)
