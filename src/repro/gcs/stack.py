@@ -254,22 +254,18 @@ class GCSCluster:
         A tick is *quiet* when it moved no traffic **and** the
         transport holds nothing in flight — backends may defer delivery
         across ticks (injected delay, sockets, retransmission), and a
-        packet still pending means the silence is not stability.
-        Realtime backends additionally require several consecutive
-        quiet ticks (their traffic moves on the wall clock, not the
-        tick clock) with a short blocking wait between them.
+        packet still pending means the silence is not stability.  The
+        first quiet tick ends the loop on every backend: ``pending()``
+        counts every held packet exactly, and the membership layer
+        sends traffic every tick while any view disagrees with its
+        reachable set.  Realtime backends pace the ticks with
+        :meth:`~repro.gcs.transport.base.Transport.idle_wait`.
         ``tick`` replaces :meth:`tick` for a caller with per-tick work.
         """
         step = tick or self.tick
-        quiet_needed = self.transport.quiet_ticks_for_stability
-        quiet = 0
         for elapsed in range(max_ticks):
-            if step() or self.transport.pending() > 0:
-                quiet = 0
-            else:
-                quiet += 1
-                if quiet >= quiet_needed:
-                    return elapsed + 1
+            if not step() and self.transport.pending() == 0:
+                return elapsed + 1
             if self.transport.realtime:
                 self.transport.idle_wait()
         raise SimulationError(

@@ -177,7 +177,14 @@ class ArqReceiver:
 
 
 class ReliableLinkMap:
-    """All ARQ state one node holds, keyed by directed link."""
+    """All ARQ state one node holds, keyed by directed link.
+
+    Links are created and driven on the transport's loop thread; the
+    read paths (:meth:`senders`, :meth:`unacked`,
+    :meth:`retransmissions`, :meth:`stats`) also run on the driving
+    thread, so each sweeps a snapshot of the link dicts, never the
+    live dicts a new link may grow under it.
+    """
 
     def __init__(self, rto: float = 0.05, window: int = DEFAULT_WINDOW) -> None:
         self.rto = rto
@@ -207,11 +214,11 @@ class ReliableLinkMap:
 
     def unacked(self) -> int:
         """Total frames queued-or-in-flight across every sender."""
-        return sum(sender.pending() for sender in self._senders.values())
+        return sum(sender.pending() for sender in self.senders())
 
     def retransmissions(self) -> int:
         """Total timeout retransmissions across every sender."""
-        return sum(s.retransmissions for s in self._senders.values())
+        return sum(s.retransmissions for s in self.senders())
 
     def hold_back_towards(self, src: int, dsts: "frozenset[int]") -> None:
         """Pause every ``src`` → ``dst in dsts`` link (partition onset).
@@ -230,8 +237,10 @@ class ReliableLinkMap:
         total (re)transmissions, cumulative acks in both directions,
         hold-backs from partition onsets, and the live queue depths.
         """
+        senders = self.senders()
+        receivers = list(self._receivers.values())
         totals = {
-            "links": len(self._senders),
+            "links": len(senders),
             "transmissions": 0,
             "retransmissions": 0,
             "acks_received": 0,
@@ -242,10 +251,10 @@ class ReliableLinkMap:
             "acks_sent": 0,
             "buffered": 0,
         }
-        for sender in self._senders.values():
+        for sender in senders:
             for key, value in sender.stats().items():
                 totals[key] += value
-        for receiver in self._receivers.values():
+        for receiver in receivers:
             for key, value in receiver.stats().items():
                 totals[key] += value
         return totals

@@ -61,7 +61,6 @@ class _AsyncTransportBase(Transport):
     """Shared machinery: loop thread, ARQ pump, fault injection."""
 
     realtime = True
-    quiet_ticks_for_stability = 4
 
     def __init__(
         self,
@@ -89,9 +88,10 @@ class _AsyncTransportBase(Transport):
         self._links = ReliableLinkMap(rto=rto)
         self._reachable: Dict[ProcessId, Members] = {}
         self._recv: "queue.SimpleQueue[Datagram]" = queue.SimpleQueue()
-        self._recv_size = 0
-        self._recv_event = threading.Event()
         self._pace_event = threading.Event()  # never set: a pure timer
+        #: Sends the loop thread has queued on their links; with
+        #: ``sent_count`` it gives the sends still in the hand-off.
+        self._queued_count = 0
         self._delayed_frames = 0
         self._attempt_serial = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -172,8 +172,10 @@ class _AsyncTransportBase(Transport):
             )
         if self._loop is None:
             raise SimulationError("transport is not bound")
-        self.sent_count += 1
         body = encode_datagram(src, dst, payload)
+        # Counted once encoded: a payload the wire format refuses never
+        # enters the ledger of pending().
+        self.sent_count += 1
         self._loop.call_soon_threadsafe(self._queue_and_kick, src, dst, body)
 
     def deliver_tick(self) -> List[Datagram]:
@@ -183,22 +185,29 @@ class _AsyncTransportBase(Transport):
                 deliverable.append(self._recv.get_nowait())
             except queue.Empty:
                 break
-        self._recv_size -= len(deliverable)
-        self._recv_event.clear()
         self.delivered_count += len(deliverable)
         return deliverable
 
     def pending(self) -> int:
-        # Unacked frames on currently *reachable* links count as in
-        # flight; frames parked behind a partition do not (they cannot
-        # move until the schedule heals the link, so counting them
-        # would make a partitioned system look eternally unstable).
+        # The ledger: four terms, each written by one thread, read in
+        # the order a datagram moves through them.  A datagram enters
+        # the next term before it leaves the previous one (queued
+        # before counted, received before acked), so a read in this
+        # order may count one twice but never misses one.
+        #
+        # 1. Handed to the loop thread, not yet queued on its link.
+        handed = self.sent_count - self._queued_count
+        # 2. Unacked frames on currently *reachable* links; frames
+        #    parked behind a partition do not count (they cannot move
+        #    until the schedule heals the link, so counting them would
+        #    make a partitioned system look eternally unstable).
         unacked = sum(
             sender.pending()
             for sender in self._links.senders()
             if self._can_reach(sender.src, sender.dst)
         )
-        return unacked + self._delayed_frames + self._recv_size
+        # 3. Frames held by an injected delay; 4. received, undrained.
+        return handed + unacked + self._delayed_frames + self._recv.qsize()
 
     def idle_wait(self) -> None:
         # A fixed pace, not a wait-for-traffic: returning early on
@@ -247,6 +256,7 @@ class _AsyncTransportBase(Transport):
 
     def _queue_and_kick(self, src: ProcessId, dst: ProcessId, body: Any) -> None:
         self._links.sender(src, dst).queue(body)
+        self._queued_count += 1
         self._flush_link(src, dst)
 
     async def _pump(self) -> None:
@@ -313,8 +323,6 @@ class _AsyncTransportBase(Transport):
             for datagram_body in deliverable:
                 d_src, d_dst, payload = decode_datagram(datagram_body)
                 self._recv.put(Datagram(src=d_src, dst=d_dst, payload=payload))
-                self._recv_size += 1
-            self._recv_event.set()
             self._transmit(dst, src, ack)
         elif kind == "ack":
             src, dst = body.get("src"), body.get("dst")

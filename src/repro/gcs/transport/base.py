@@ -22,8 +22,9 @@ The contract every backend honours:
 * **explicit deferral** — a backend may hold packets across any number
   of :meth:`Transport.deliver_tick` calls (delay faults, sockets,
   retransmission); it accounts for every held packet in
-  :meth:`Transport.pending`, which is how ``run_until_stable`` keeps
-  its stability detection sound (a tick that moves nothing is only
+  :meth:`Transport.pending`, exactly and at any instant, which is how
+  ``run_until_stable`` keeps its stability detection sound with one
+  quiet tick on every backend (a tick that moves nothing is only
   *stable* when nothing is still in flight).
 """
 
@@ -56,16 +57,14 @@ class Transport(ABC):
     Attributes:
         kind: stable name of the backend (``"memory"``, ``"udp"``).
         realtime: True when delivery is driven by the wall clock rather
-            than by :meth:`deliver_tick` calls; stability detection then
-            requires :attr:`quiet_ticks_for_stability` consecutive
-            quiet ticks and uses :meth:`idle_wait` between them.
+            than by :meth:`deliver_tick` calls; the tick loop then
+            paces itself with :meth:`idle_wait`.  Stability detection
+            is the same on every backend: one tick that moved nothing
+            while :meth:`pending` reads zero.
     """
 
     kind: ClassVar[str] = "abstract"
     realtime: ClassVar[bool] = False
-    #: Consecutive quiet ticks ``run_until_stable`` needs before it may
-    #: declare the system stable (1 for deterministic backends).
-    quiet_ticks_for_stability: ClassVar[int] = 1
 
     sent_count: int
     delivered_count: int
@@ -94,8 +93,10 @@ class Transport(ABC):
         """Packets accepted but neither delivered nor dropped yet.
 
         Counts everything the backend is still holding: queued,
-        delayed, unacknowledged, or received-but-undrained.  A tick
-        that moved no traffic is only *stable* when this is zero.
+        delayed, unacknowledged, or received-but-undrained.  The count
+        must be exact whenever the driving thread reads it, also for a
+        backend that moves packets on threads of its own: a tick that
+        moved no traffic is *stable* as soon as this is zero.
         """
 
     @abstractmethod

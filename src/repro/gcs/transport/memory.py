@@ -48,7 +48,6 @@ class MemoryTransport(Transport):
 
     kind = "memory"
     realtime = False
-    quiet_ticks_for_stability = 1
 
     def __init__(
         self,

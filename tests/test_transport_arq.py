@@ -223,3 +223,31 @@ class TestLinkMap:
         assert stats["delivered"] == 1
         assert stats["acks_sent"] == 1
         assert stats["unacked"] == 0 and stats["buffered"] == 0
+
+    @pytest.mark.parametrize(
+        "read, half, hook",
+        [
+            ("stats", "sender", "stats"),
+            ("stats", "receiver", "stats"),
+            ("unacked", "sender", "pending"),
+        ],
+    )
+    def test_a_link_created_during_a_sweep_does_not_break_it(
+        self, read, half, hook
+    ):
+        # The loop thread creates links while the driving thread reads
+        # the aggregates: a sweep over the live dicts would raise
+        # "dictionary changed size during iteration".
+        links = ReliableLinkMap()
+        swept = getattr(links, half)(0, 1)
+        getattr(links, half)(0, 2)
+        original = getattr(swept, hook)
+
+        def hook_creating_links():
+            links.sender(5, 6)
+            links.receiver(5, 6)
+            return original()
+
+        setattr(swept, hook, hook_creating_links)
+        getattr(links, read)()
+        assert (5, 6) in links._senders and (5, 6) in links._receivers

@@ -9,6 +9,10 @@ exhaustive cross-substrate convergence matrix lives in the
 multi-process battery (``test_proc_cluster.py``).
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.faults import LinkFaults
@@ -84,6 +88,68 @@ class TestUdp:
             assert service.primary_members() == (1, 2, 3)
         finally:
             service.close()
+
+
+def drain(transport, seconds=10.0):
+    """Deliver until ``pending()`` reads 0; everything delivered."""
+    delivered = []
+    deadline = time.monotonic() + seconds
+    while transport.pending():
+        assert time.monotonic() < deadline, (
+            f"{transport.pending()} datagrams still pending"
+        )
+        delivered += transport.deliver_tick()
+        transport.idle_wait()
+    return delivered
+
+
+class TestLedger:
+    """``pending()`` is exact: one quiet tick proves stability on it."""
+
+    def test_a_send_counts_before_the_loop_thread_queues_it(self):
+        transport = UdpTransport()
+        transport.bind(frozenset({0, 1}), frozenset({0, 1}))
+        blocked, release = threading.Event(), threading.Event()
+
+        def block_the_loop():
+            blocked.set()
+            release.wait(timeout=10)
+
+        try:
+            transport._loop.call_soon_threadsafe(block_the_loop)
+            assert blocked.wait(timeout=10)
+            transport.send(0, 1, "held")
+            # Still in the hand-off: the loop thread has not queued it.
+            assert transport.pending() == 1
+            release.set()
+            assert [d.payload for d in drain(transport)] == ["held"]
+        finally:
+            release.set()
+            transport.close()
+
+    def test_thousands_of_sends_drain_to_exactly_zero(self):
+        # Drain while the loop thread is still receiving, with thread
+        # switches far more frequent than by default: the interleaving
+        # in which a counter that both threads update loses an update.
+        transport = UdpTransport()
+        transport.bind(frozenset({0, 1, 2}), frozenset({0, 1, 2}))
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            delivered = []
+            for serial in range(3000):
+                src = serial % 3
+                transport.send(src, (src + 1) % 3, serial)
+                if serial % 10 == 0:
+                    delivered += transport.deliver_tick()
+            delivered += drain(transport)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            transport.close()
+        assert transport.pending() == 0
+        assert transport.deliver_tick() == []
+        assert transport.delivered_count == transport.sent_count == 3000
+        assert sorted(d.payload for d in delivered) == list(range(3000))
 
 
 class TestLifecycle:
