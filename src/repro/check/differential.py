@@ -26,6 +26,7 @@ Three layers of checking run per plan:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.plan import SchedulePlan, driver_steps, validate_plan
@@ -44,6 +45,32 @@ OUTCOME_OK = "ok"
 
 Components = Tuple[Tuple[int, ...], ...]
 Chain = Tuple[Tuple[int, Tuple[int, ...]], ...]
+Blame = Tuple[Tuple[str, int], ...]
+
+
+class _ReplayedBlame:
+    """``AlgorithmVerdict.blame``: a stored tuple, or a replay on first read.
+
+    The value given to the constructor is either the blame tuple itself
+    or a zero-argument callable that computes it — :func:`run_plan`
+    passes :func:`replay_blame` bound to its (plan, algorithm, rounds),
+    since the fuzzer, the shrinker and the benchmark never read blame,
+    and building causal spans during every run took about a third of
+    the fuzzer's time (``docs/performance.md``).  The first read calls it and caches the
+    tuple on the verdict, so every later read (``==`` and ``hash``
+    included) sees the same value.
+    """
+
+    def __get__(self, verdict, owner=None) -> Blame:
+        if verdict is None:
+            return ()  # the dataclass field's default
+        blame = verdict.__dict__["_blame"]
+        if callable(blame):
+            blame = verdict.__dict__["_blame"] = blame()
+        return blame
+
+    def __set__(self, verdict, blame) -> None:
+        verdict.__dict__["_blame"] = blame
 
 
 @dataclass(frozen=True)
@@ -61,10 +88,10 @@ class AlgorithmVerdict:
     #: (:mod:`repro.faults.oracle`) classifies findings by this label.
     violation_kind: str = ""
     #: Non-primary rounds by blame category (nonzero entries only,
-    #: sorted), reconstructed live by ``repro.obs.causal`` during the
-    #: replay — the span-level explanation a failing schedule carries
-    #: into its repro file.
-    blame: Tuple[Tuple[str, int], ...] = ()
+    #: sorted), reconstructed by ``repro.obs.causal`` from a replay of
+    #: the plan on first read (:func:`replay_blame`) — the span-level
+    #: explanation a failing schedule carries into its repro file.
+    blame: Blame = _ReplayedBlame()
 
     @property
     def ok(self) -> bool:
@@ -118,29 +145,27 @@ def _canonical_components(topology: Topology) -> Components:
     )
 
 
-def run_plan(
+def _play(
     plan: SchedulePlan,
     algorithm: str,
-    max_quiescence_rounds: int = 400,
-) -> AlgorithmVerdict:
-    """Replay one plan under one algorithm with full invariant checking.
+    max_quiescence_rounds: int,
+    *observers: object,
+) -> Tuple[DriverLoop, str, str, str]:
+    """Drive one plan under full invariant checking.
 
-    The driver's fault RNG is labelled but never consumed — every
-    late-set is explicit — so the verdict is a pure function of
-    (plan, algorithm).
+    Returns the driver with the outcome, its detail and the violated
+    invariant's kind.  The driver's fault RNG is labelled but never
+    consumed — every late-set is explicit — so the run is a pure
+    function of its arguments.
     """
-    from repro.obs.causal import CausalObserver
-
-    causal = CausalObserver()
     driver = DriverLoop(
         algorithm=algorithm,
         n_processes=plan.n_processes,
         fault_rng=derive_rng(0, "check", "replay", algorithm),
-        observers=[InvariantChecker(), causal],
+        observers=[InvariantChecker(), *observers],
         max_quiescence_rounds=max_quiescence_rounds,
         fault_model=plan.faults,
     )
-    outcome, detail, kind = OUTCOME_OK, "", ""
     try:
         driver.execute_schedule(driver_steps(plan))
         driver.checker.check_stable_primary(
@@ -149,11 +174,47 @@ def run_plan(
             driver.topology.active_processes(),
         )
     except InvariantViolation as violation:
-        outcome, detail = OUTCOME_VIOLATION, str(violation)
-        kind = violation.kind
+        return driver, OUTCOME_VIOLATION, str(violation), violation.kind
     except SimulationError as error:
-        outcome, detail = OUTCOME_LIVELOCK, str(error)
-    blame_totals = causal.finalize().blame_totals()
+        return driver, OUTCOME_LIVELOCK, str(error), ""
+    return driver, OUTCOME_OK, "", ""
+
+
+def replay_blame(
+    plan: SchedulePlan,
+    algorithm: str,
+    max_quiescence_rounds: int = 400,
+) -> Blame:
+    """Non-primary rounds of one plan's run, by blame category.
+
+    The run of :func:`run_plan`, replayed with a ``CausalObserver``
+    beside the invariant checker, so it stops where that run stopped.
+    """
+    from repro.obs.causal import CausalObserver
+
+    causal = CausalObserver()
+    _play(plan, algorithm, max_quiescence_rounds, causal)
+    totals = causal.finalize().blame_totals()
+    return tuple(
+        (category, count)
+        for category, count in sorted(totals.items())
+        if count
+    )
+
+
+def run_plan(
+    plan: SchedulePlan,
+    algorithm: str,
+    max_quiescence_rounds: int = 400,
+) -> AlgorithmVerdict:
+    """Replay one plan under one algorithm with full invariant checking.
+
+    The verdict is a pure function of (plan, algorithm); its ``blame``
+    is replayed by :func:`replay_blame` the first time it is read.
+    """
+    driver, outcome, detail, kind = _play(
+        plan, algorithm, max_quiescence_rounds
+    )
     return AlgorithmVerdict(
         algorithm=algorithm,
         outcome=outcome,
@@ -165,11 +226,7 @@ def run_plan(
             (order_key, tuple(sorted(members)))
             for order_key, members in driver.checker.formed_chain
         ),
-        blame=tuple(
-            (category, count)
-            for category, count in sorted(blame_totals.items())
-            if count
-        ),
+        blame=partial(replay_blame, plan, algorithm, max_quiescence_rounds),
     )
 
 

@@ -85,7 +85,9 @@ class MembershipAgent:
 
     #: Ticks a proposal may wait for acks before being retried with a
     #: fresh epoch (failure detectors lag one tick, so peers may reject
-    #: a proposal they would accept a moment later).
+    #: a proposal they would accept a moment later).  The default of
+    #: ``proposal_timeout_ticks``, which ``GCSCluster`` derives per
+    #: transport (:func:`repro.gcs.stack.proposal_timeout_ticks`).
     PROPOSAL_TIMEOUT_TICKS = 4
 
 
@@ -99,6 +101,7 @@ class MembershipAgent:
         self._proposal: Optional[Propose] = None
         self._acks: Set[ProcessId] = set()
         self._proposal_age: int = 0
+        self.proposal_timeout_ticks: int = self.PROPOSAL_TIMEOUT_TICKS
         self._out_of_sync_ticks: int = 0
         self._nudged: bool = False
         self.installed_views: List[AgreedView] = [initial]
@@ -118,7 +121,7 @@ class MembershipAgent:
             self._acks = set()
         elif self._proposal is not None:
             self._proposal_age += 1
-            if self._proposal_age > self.PROPOSAL_TIMEOUT_TICKS:
+            if self._proposal_age > self.proposal_timeout_ticks:
                 # Peers may have rejected the proposal while their
                 # detectors lagged; retry under a fresh epoch.
                 self._proposal = None

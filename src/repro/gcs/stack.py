@@ -17,6 +17,7 @@ point-to-point packets.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -151,6 +152,24 @@ class GCStack:
             self._emit(Delivered(sender=sender, payload=payload))
 
 
+def proposal_timeout_ticks(transport: Transport) -> int:
+    """Ticks a membership proposal may wait for acks on ``transport``.
+
+    The memory transport delivers a datagram by the next tick, so the
+    agent's default of 4 ticks holds there.  A realtime transport
+    resends a lost frame only after its ARQ's ``rto`` of wall time, and
+    a proposal abandoned sooner makes every loss restart agreement; so
+    there the timeout spans at least two ``rto`` of ``tick_interval``
+    ticks.
+    """
+    ticks = MembershipAgent.PROPOSAL_TIMEOUT_TICKS
+    if transport.realtime:
+        ticks = max(
+            ticks, math.ceil(2 * transport.rto / transport.tick_interval)
+        )
+    return ticks
+
+
 class GCSCluster:
     """Lock-step simulation of a whole group communication system.
 
@@ -194,6 +213,9 @@ class GCSCluster:
             pid: GCStack(pid, universe, event_sink=sink)
             for pid in sorted(universe)
         }
+        timeout = proposal_timeout_ticks(self.transport)
+        for stack in self.stacks.values():
+            stack.membership.proposal_timeout_ticks = timeout
         self.ticks = 0
 
     # ------------------------------------------------------------------

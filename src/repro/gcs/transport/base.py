@@ -58,7 +58,10 @@ class Transport(ABC):
         kind: stable name of the backend (``"memory"``, ``"udp"``).
         realtime: True when delivery is driven by the wall clock rather
             than by :meth:`deliver_tick` calls; the tick loop then
-            paces itself with :meth:`idle_wait`.  Stability detection
+            paces itself with :meth:`idle_wait`, and the transport
+            carries its ARQ's ``rto`` and its ``tick_interval`` in
+            seconds, from which the cluster sizes its membership
+            proposal timeout.  Stability detection
             is the same on every backend: one tick that moved nothing
             while :meth:`pending` reads zero.
     """

@@ -569,7 +569,7 @@ class _Explorer:
         prefix fails identically, so this explains whichever of them
         is reported.
         """
-        from repro.check.differential import run_plan
+        from repro.check.differential import replay_blame
         from repro.check.plan import plan_from_recorded
 
         plan_steps = tuple(
@@ -582,10 +582,10 @@ class _Explorer:
             steps=tuple(self._steps_desc),
             violation=text,
             plan_steps=plan_steps,
-            blame=run_plan(
+            blame=replay_blame(
                 plan_from_recorded(self.n_processes, plan_steps),
                 self.algorithm,
-            ).blame,
+            ),
         )
 
 

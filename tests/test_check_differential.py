@@ -1,17 +1,28 @@
 """Tests for differential plan execution and cross-algorithm checks."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.check.differential import (
+    OUTCOME_LIVELOCK,
+    OUTCOME_OK,
     OUTCOME_VIOLATION,
     AlgorithmVerdict,
+    _canonical_components,
     _check_family_chains,
     check_plan,
     run_plan,
 )
-from repro.check.plan import PlanStep, SchedulePlan
+from repro.check.fuzzer import FuzzConfig, generate_plan
+from repro.check.plan import PlanStep, SchedulePlan, driver_steps
 from repro.core.registry import algorithm_names
+from repro.errors import InvariantViolation, SimulationError
 from repro.net.changes import MergeChange, PartitionChange
+from repro.obs.causal import CausalObserver
+from repro.sim.driver import DriverLoop
+from repro.sim.invariants import InvariantChecker
+from repro.sim.rng import derive_rng
 
 EVEN_SPLIT = SchedulePlan(
     n_processes=4,
@@ -144,3 +155,128 @@ class TestFamilyChains:
             divergences,
         )
         assert divergences == []
+
+
+@pytest.fixture
+def causal_constructions(monkeypatch):
+    """How many ``CausalObserver`` objects have been built so far."""
+    built = []
+    init = CausalObserver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CausalObserver, "__init__", counting_init)
+    return built
+
+
+def _eager_verdict(plan, algorithm, max_quiescence_rounds):
+    """One run with both observers attached: blame built during the run."""
+    causal = CausalObserver()
+    driver = DriverLoop(
+        algorithm=algorithm,
+        n_processes=plan.n_processes,
+        fault_rng=derive_rng(0, "check", "replay", algorithm),
+        observers=[InvariantChecker(), causal],
+        max_quiescence_rounds=max_quiescence_rounds,
+        fault_model=plan.faults,
+    )
+    outcome, detail, kind = OUTCOME_OK, "", ""
+    try:
+        driver.execute_schedule(driver_steps(plan))
+        driver.checker.check_stable_primary(
+            driver.algorithms,
+            driver.topology.components,
+            driver.topology.active_processes(),
+        )
+    except InvariantViolation as violation:
+        outcome, detail, kind = OUTCOME_VIOLATION, str(violation), violation.kind
+    except SimulationError as error:
+        outcome, detail = OUTCOME_LIVELOCK, str(error)
+    totals = causal.finalize().blame_totals()
+    return AlgorithmVerdict(
+        algorithm=algorithm,
+        outcome=outcome,
+        detail=detail,
+        violation_kind=kind,
+        available=driver.primary_exists() if outcome == OUTCOME_OK else None,
+        final_components=_canonical_components(driver.topology),
+        chain=tuple(
+            (order_key, tuple(sorted(members)))
+            for order_key, members in driver.checker.formed_chain
+        ),
+        blame=tuple(
+            (category, count)
+            for category, count in sorted(totals.items())
+            if count
+        ),
+    )
+
+
+class TestLazyBlame:
+    def test_check_plan_builds_no_causal_observer(self, causal_constructions):
+        report = check_plan(EVEN_SPLIT)
+        assert report.ok
+        assert causal_constructions == []
+
+    def test_first_read_replays_once_and_is_cached(self, causal_constructions):
+        verdict = run_plan(EVEN_SPLIT, "ykd")
+        assert causal_constructions == []
+        first = verdict.blame
+        assert len(causal_constructions) == 1
+        assert verdict.blame is first
+        assert len(causal_constructions) == 1
+        assert first and all(count > 0 for _, count in first)
+
+    def test_given_blame_is_kept_and_defaults_to_empty(
+        self, causal_constructions
+    ):
+        given = (("no_quorum_possible", 2),)
+        assert AlgorithmVerdict("ykd", "ok", blame=given).blame == given
+        assert AlgorithmVerdict("ykd", "ok").blame == ()
+        assert causal_constructions == []
+
+    def test_lazy_verdicts_equal_eager_ones_under_every_fault_class(self):
+        config = FuzzConfig(
+            master_seed=0,
+            fault_classes=("loss", "crashrec", "byzantine", "churn"),
+        )
+        outcomes = set()
+        for index in range(30):
+            plan = generate_plan(config, index)
+            for algorithm in algorithm_names():
+                lazy = run_plan(
+                    plan, algorithm, config.max_quiescence_rounds
+                )
+                eager = _eager_verdict(
+                    plan, algorithm, config.max_quiescence_rounds
+                )
+                for f in fields(AlgorithmVerdict):
+                    assert getattr(lazy, f.name) == getattr(eager, f.name), (
+                        index, algorithm, f.name,
+                    )
+                assert type(lazy.blame) is tuple
+                assert lazy == eager
+                outcomes.add(lazy.outcome)
+        # The sample reaches failing runs too, where the replay must
+        # stop at the same violation the verdict's run stopped at.
+        assert OUTCOME_VIOLATION in outcomes
+
+    def test_explorer_counterexample_replays_blame_once(
+        self, broken_majority, causal_constructions, monkeypatch
+    ):
+        from repro.check import differential
+        from repro.sim.explore import explore
+
+        def no_verdict_run(*args, **kwargs):
+            raise AssertionError("a counterexample needs no verdict run")
+
+        monkeypatch.setattr(differential, "run_plan", no_verdict_run)
+        result = explore(
+            "broken_majority", n_processes=4, depth=1, gap_options=(0,)
+        )
+        assert [example.blame for example in result.counterexamples] == [
+            (("algorithm_idle", 1),)
+        ]
+        assert len(causal_constructions) == 1

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from repro.gcs.membership import MembershipAgent
-from repro.gcs.stack import GCSCluster
+from repro.gcs.membership import MembershipAgent, Propose
+from repro.gcs.stack import GCSCluster, proposal_timeout_ticks
+from repro.gcs.transport.asyncnet import UdpTransport
+from repro.gcs.transport.memory import MemoryTransport
 from repro.net.topology import Topology
 
 
@@ -48,6 +50,60 @@ class TestAgentBasics:
         a.handle(1, Ack(view_id=(1, 0)))
         assert a.view_members == frozenset({0, 1})
         assert a.view_seq() > before
+
+
+class TestProposalTimeout:
+    """A proposal outlives a retransmission on every transport."""
+
+    @staticmethod
+    def retry_tick(agent):
+        """Ticks of an unanswered proposal until its fresh-epoch retry."""
+        agent.observe_reachable(frozenset({0, 1}))
+        for tick in range(1, 100):
+            sends = agent.observe_reachable(frozenset({0, 1}))
+            if any(isinstance(payload, Propose) for _, payload in sends):
+                return tick
+        raise AssertionError("the proposal was never retried")
+
+    def test_the_agent_retries_after_its_timeout(self):
+        agent = MembershipAgent(0, frozenset({0, 1, 2}))
+        assert agent.proposal_timeout_ticks == 4
+        assert self.retry_tick(agent) == 5
+        agent = MembershipAgent(0, frozenset({0, 1, 2}))
+        agent.proposal_timeout_ticks = 16
+        assert self.retry_tick(agent) == 17
+
+    def test_memory_transport_keeps_four_ticks(self):
+        assert proposal_timeout_ticks(MemoryTransport()) == 4
+        cluster = GCSCluster(3)
+        assert {
+            stack.membership.proposal_timeout_ticks
+            for stack in cluster.stacks.values()
+        } == {4}
+
+    @pytest.mark.parametrize(
+        "tick_interval, rto, ticks",
+        [
+            (0.005, 0.04, 16),  # two 40 ms rto at a 5 ms tick
+            (0.01, 0.04, 8),  # the UDP transport's defaults
+            (0.01, 0.025, 5),  # 50 ms rounds up to whole ticks
+            (0.04, 0.04, 4),  # never below the memory transport's 4
+        ],
+    )
+    def test_realtime_timeout_spans_two_rto(self, tick_interval, rto, ticks):
+        transport = UdpTransport(tick_interval=tick_interval, rto=rto)
+        assert proposal_timeout_ticks(transport) == ticks
+        assert ticks * tick_interval >= 2 * rto
+
+    def test_udp_cluster_gives_every_agent_the_derived_timeout(self):
+        cluster = GCSCluster(3, transport=UdpTransport(tick_interval=0.005))
+        try:
+            assert {
+                stack.membership.proposal_timeout_ticks
+                for stack in cluster.stacks.values()
+            } == {16}
+        finally:
+            cluster.close()
 
 
 class TestClusterAgreement:
