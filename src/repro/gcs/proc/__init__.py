@@ -1,14 +1,14 @@
 """A real multi-process GCS cluster over UDP.
 
-Where :class:`repro.gcs.stack.GCSCluster` hosts every stack inside one
-interpreter and ticks them in lock-step, this package spawns **one OS
-process per group member**: each child hosts a single
-:class:`~repro.gcs.stack.GCStack` plus its algorithm endpoint,
-exchanges length-prefixed canonical-JSON datagrams over real UDP
-sockets (:mod:`repro.gcs.transport.asyncnet`), and elects primaries
-across genuine packet loss.  A controller in the parent process applies
-recorded partition schedules as per-node reachability filters and
-harvests view/primary logs over control pipes.
+Where :class:`repro.gcs.stack.GCSCluster` usually hosts every stack
+inside one interpreter, this package spawns **one OS process per group
+member**: each child runs a ``GCSCluster`` that hosts its own pid only,
+plus its algorithm endpoint, exchanges length-prefixed canonical-JSON
+datagrams over real UDP sockets (:mod:`repro.gcs.transport.asyncnet`),
+and elects primaries across genuine packet loss.  A controller in the
+parent process sends each stage of a recorded partition schedule to
+every child as one topology and harvests view/primary logs over
+control pipes.
 
 The supported surface:
 

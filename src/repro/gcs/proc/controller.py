@@ -4,9 +4,10 @@
 context — every child is a fresh interpreter), performs the two-phase
 port rendezvous (children bind port 0 and report; the controller
 broadcasts the full map), then drives recorded partition schedules by
-pushing per-node reachability filters and polling status until the
-cluster goes *quiet*: views, primary claims and traffic counters all
-unchanged across several consecutive polls with nothing pending.
+sending each stage's whole :class:`~repro.net.topology.Topology` to
+every node and polling status until the cluster goes *quiet*: views,
+primary claims and traffic counters unchanged between two polls with
+nothing pending.
 
 :func:`run_differential` is the convergence battery of the transports
 work: the same :class:`~repro.gcs.proc.schedule.RecordedSchedule` runs
@@ -30,11 +31,10 @@ from repro.gcs.proc.schedule import (
     StageOutcome,
     simulate_reference,
 )
+from repro.net.topology import Topology
 from repro.types import ProcessId
 
-#: Consecutive identical quiet status polls that count as stable, and
-#: the seconds between polls.
-SETTLE_POLLS = 3
+#: Seconds between two status polls of :meth:`ProcCluster.await_stable`.
 POLL_INTERVAL = 0.05
 
 
@@ -57,7 +57,6 @@ class ProcCluster:
         tick_interval: float = 0.005,
         start_timeout: float = 30.0,
         telemetry_dir: Optional[str] = None,
-        flight_capacity: int = 2048,
     ) -> None:
         self.n_processes = n_processes
         self.algorithm = algorithm
@@ -82,7 +81,6 @@ class ProcCluster:
                     endpoint_kind,
                     tick_interval,
                     self.telemetry_dir,
-                    flight_capacity,
                 ),
                 daemon=True,
                 name=f"gcs-node-{pid}",
@@ -120,11 +118,19 @@ class ProcCluster:
     # ------------------------------------------------------------------
 
     def apply_stage(self, stage: Tuple[Tuple[int, ...], ...]) -> None:
-        """Install one schedule stage as per-node reachability filters."""
-        for component in stage:
-            members = tuple(sorted(component))
-            for pid in component:
-                self._conns[pid].send(("reachable", members))
+        """Send one schedule stage's topology to every node.
+
+        The topology is built once, here, so a stage that does not
+        partition the universe is refused before any node sees it.
+        """
+        topology = Topology(components=tuple(frozenset(c) for c in stage))
+        if topology.universe != frozenset(self._conns):
+            raise SimulationError(
+                f"stage {stage!r} does not partition the "
+                f"{self.n_processes} processes"
+            )
+        for conn in self._conns.values():
+            conn.send(("topology", topology))
 
     def statuses(self) -> Dict[ProcessId, Dict[str, Any]]:
         """One status round-trip to every node."""
@@ -148,13 +154,14 @@ class ProcCluster:
     def await_stable(self, timeout: float = 30.0) -> StageOutcome:
         """Poll until views, primaries and traffic counters all freeze.
 
-        Stability needs ``SETTLE_POLLS`` *consecutive* identical
-        snapshots with nothing pending in any transport — the realtime
-        analogue of the tick-loop's quiet-tick rule.
+        Stability is the first snapshot with nothing pending in any
+        transport that equals the snapshot before it.  A sender counts
+        every frame until it is acked, and a view that disagrees with
+        its reachable set sends traffic every tick, so two equal quiet
+        snapshots mean nothing moved between them.
         """
         deadline = time.monotonic() + timeout
         previous: Optional[Tuple] = None
-        settled = 0
         while time.monotonic() < deadline:
             snapshot = self.statuses()
             key = tuple(
@@ -165,22 +172,18 @@ class ProcCluster:
                 status["pending"] == 0 for status in snapshot.values()
             )
             if quiet and key == previous:
-                settled += 1
-                if settled >= SETTLE_POLLS:
-                    return StageOutcome.build(
-                        views={
-                            pid: tuple(status["view"])
-                            for pid, status in snapshot.items()
-                        },
-                        primaries=[
-                            pid
-                            for pid, status in sorted(snapshot.items())
-                            if status["in_primary"]
-                        ],
-                    )
-            else:
-                settled = 0
-                previous = key
+                return StageOutcome.build(
+                    views={
+                        pid: tuple(status["view"])
+                        for pid, status in snapshot.items()
+                    },
+                    primaries=[
+                        pid
+                        for pid, status in sorted(snapshot.items())
+                        if status["in_primary"]
+                    ],
+                )
+            previous = key
             time.sleep(POLL_INTERVAL)
         raise SimulationError(
             f"multi-process cluster did not stabilize within {timeout}s"

@@ -1,16 +1,20 @@
-"""The child-process main loop: one GCS stack on a real socket.
+"""The child-process main loop: one GCS member on a real socket.
 
-Each node hosts exactly one :class:`~repro.gcs.stack.GCStack` and its
+Each node hosts exactly one process of a
+:class:`~repro.gcs.stack.GCSCluster` (``hosted={pid}``) and its
 algorithm endpoint, bound to a network transport
 (:mod:`repro.gcs.transport.asyncnet`) that carries length-prefixed
-canonical-JSON datagrams over localhost UDP.  The parent
-controller speaks a small tuple protocol over a multiprocessing pipe:
+canonical-JSON datagrams over localhost UDP.  The cluster builds the
+stack, derives its proposal timeout from the transport, publishes its
+events and ticks it, exactly as it does in process; the node only
+paces the ticks and answers the parent controller, which speaks a
+small tuple protocol over a multiprocessing pipe:
 
 * ``("ports", {pid: port})`` — the full rendezvous map (phase two of
   port allocation; the node sent ``("port", pid, port)`` in phase one);
-* ``("reachable", (pids...))`` — the oracle failure detector: which
-  peers this node can currently reach (a recorded partition schedule's
-  view of the world);
+* ``("topology", topology)`` — the oracle failure detector: the whole
+  stage's :class:`~repro.net.topology.Topology`, installed with
+  :meth:`~repro.gcs.stack.GCSCluster.set_topology`;
 * ``("status",)`` → ``("status", pid, {...})`` — current view members,
   view id, primary claim, traffic counters and aggregate ARQ counters;
 * ``("put", key, value[, trace])`` / ``("get", key[, trace])`` /
@@ -21,18 +25,13 @@ controller speaks a small tuple protocol over a multiprocessing pipe:
 * ``("stop",)`` — shut down cleanly.
 
 Every node carries a :class:`~repro.obs.telemetry.recorder
-.FlightRecorder`: view installs (via the stack's event sink), ARQ
-counter movements, store ops with their trace ids.  When the node dies
-on an unhandled exception and the controller passed a
-``telemetry_dir``, the ring is dumped there as a post-mortem before
-the error crosses the pipe — dead children leave a readable black box.
-
-The node loop is the single-process twin of
-:meth:`repro.gcs.stack.GCSCluster.tick`: drain the transport, advance
-membership against the reachable set, pump the application, flush the
-stack's outgoing unicasts, pace by the transport's tick interval.  The
-pump is :meth:`~repro.gcs.adapter.AlgorithmOnGCS.pump`, as in-process,
-so a store node sends its whole write backlog each iteration.
+.FlightRecorder`: view installs (through
+:class:`~repro.obs.telemetry.recorder.FlightViewChanges`, the observer
+a store cluster uses), topology changes, ARQ counter movements, store
+ops with their trace ids.  When the node dies on an unhandled
+exception and the controller passed a ``telemetry_dir``, the ring is
+dumped there as a post-mortem before the error crosses the pipe — dead
+children leave a readable black box.
 """
 
 from __future__ import annotations
@@ -45,9 +44,13 @@ from repro.core.view import initial_view
 from repro.errors import ReproError
 from repro.faults.model import LinkFaults
 from repro.gcs.adapter import AlgorithmOnGCS
-from repro.gcs.stack import GCStack, ViewInstalled
+from repro.gcs.stack import GCSCluster
 from repro.gcs.transport.asyncnet import UdpTransport
-from repro.obs.telemetry.recorder import FlightRecorder, write_crash_dump
+from repro.obs.telemetry.recorder import (
+    FlightRecorder,
+    FlightViewChanges,
+    write_crash_dump,
+)
 from repro.types import ProcessId
 
 
@@ -71,30 +74,21 @@ def node_main(
     endpoint_kind: str = "bare",
     tick_interval: float = 0.005,
     telemetry_dir: Optional[str] = None,
-    flight_capacity: int = 2048,
 ) -> None:
     """Entry point of one spawned group member (runs until ``stop``)."""
-    transport = None
-    recorder = FlightRecorder(pid, capacity=flight_capacity)
+    cluster = None
+    recorder = FlightRecorder(pid)
     try:
-        universe = frozenset(range(n_processes))
-        transport = UdpTransport(link=link, tick_interval=tick_interval)
-        transport.bind(universe, frozenset({pid}))
+        cluster = GCSCluster(
+            n_processes,
+            observers=[FlightViewChanges({pid: recorder})],
+            transport=UdpTransport(link=link, tick_interval=tick_interval),
+            hosted={pid},
+        )
+        transport = cluster.transport
         conn.send(("port", pid, transport.ports[pid]))
-
-        def sink(_sink_pid: ProcessId, event: Any) -> None:
-            if isinstance(event, ViewInstalled):
-                recorder.record(
-                    "view_change",
-                    view_id=list(event.view_id),
-                    members=sorted(event.members),
-                )
-
-        stack = GCStack(pid, universe, event_sink=sink)
         endpoint = _build_endpoint(endpoint_kind, algorithm, pid, n_processes)
-        process = AlgorithmOnGCS(endpoint, stack)
-        reachable = universe
-        transport.set_reachable(pid, reachable)
+        process = AlgorithmOnGCS(endpoint, cluster.stacks[pid])
         arq_seen = {}
 
         running = True
@@ -106,12 +100,13 @@ def node_main(
                 if kind == "ports":
                     transport.set_peer_ports(dict(command[1]))
                     rendezvoused = True
-                elif kind == "reachable":
-                    reachable = frozenset(command[1]) | {pid}
-                    transport.set_reachable(pid, reachable)
-                    recorder.record("reachable", peers=sorted(reachable))
+                elif kind == "topology":
+                    cluster.set_topology(command[1])
+                    recorder.record(
+                        "reachable", peers=sorted(cluster.reachable(pid))
+                    )
                 elif kind == "status":
-                    view = stack.membership.current_view
+                    view = process.stack.membership.current_view
                     status = {
                         "view": tuple(sorted(view.members)),
                         "view_id": tuple(view.view_id),
@@ -170,25 +165,18 @@ def node_main(
                     running = False
                 else:
                     conn.send(("error", pid, f"unknown command {kind!r}"))
-            if not rendezvoused:
-                # No peer ports yet: sending would be routed nowhere.
-                transport.idle_wait()
-                continue
-            for datagram in transport.deliver_tick():
-                stack.on_datagram(datagram.src, datagram.payload)
-            stack.tick(reachable)
-            process.pump()
-            for dst, payload in stack.drain_outgoing():
-                transport.send(pid, dst, payload)
-            arq_now = transport.arq_stats()
-            if arq_now != arq_seen:
-                moved = {
-                    key: value - arq_seen.get(key, 0)
-                    for key, value in arq_now.items()
-                    if value != arq_seen.get(key, 0)
-                }
-                recorder.record("arq", **moved)
-                arq_seen = arq_now
+            # Before the peer ports arrive, sends would be routed nowhere.
+            if rendezvoused:
+                cluster.tick(process.pump)
+                arq_now = transport.arq_stats()
+                if arq_now != arq_seen:
+                    moved = {
+                        key: value - arq_seen.get(key, 0)
+                        for key, value in arq_now.items()
+                        if value != arq_seen.get(key, 0)
+                    }
+                    recorder.record("arq", **moved)
+                    arq_seen = arq_now
             transport.idle_wait()
         conn.send(("stopped", pid))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
@@ -202,8 +190,8 @@ def node_main(
         except (OSError, ValueError):
             pass
     finally:
-        if transport is not None:
-            transport.close()
+        if cluster is not None:
+            cluster.close()
         try:
             conn.close()
         except OSError:

@@ -182,6 +182,11 @@ class GCSCluster:
     ``"udp"``) or a constructed
     :class:`~repro.gcs.transport.Transport` — e.g. a
     ``MemoryTransport(link=LinkFaults(...))`` to inject wire faults.
+
+    ``hosted`` names the processes whose stacks live in this cluster:
+    the whole universe by default, one pid on a :mod:`repro.gcs.proc`
+    node, whose peers are other OS processes reached over the
+    transport.
     """
 
     def __init__(
@@ -190,13 +195,15 @@ class GCSCluster:
         observers: Iterable[Subscriber] = (),
         *,
         transport: "Optional[Transport | str]" = None,
+        hosted: Optional[Iterable[ProcessId]] = None,
     ) -> None:
         if n_processes < 2:
             raise SimulationError("a group needs at least two processes")
         universe = frozenset(range(n_processes))
+        hosted = universe if hosted is None else frozenset(hosted)
         self.topology = Topology.fully_connected(n_processes)
         self.transport = resolve_transport(transport)
-        self.transport.bind(universe, universe)
+        self.transport.bind(universe, hosted)
         self.transport.set_topology(self.topology)
         self.bus = EventBus(observers)
         event_hooks = self.bus.hooks("on_gcs_event")
@@ -211,7 +218,7 @@ class GCSCluster:
                     hook(cluster(), pid, event)
         self.stacks: Dict[ProcessId, GCStack] = {
             pid: GCStack(pid, universe, event_sink=sink)
-            for pid in sorted(universe)
+            for pid in sorted(hosted)
         }
         timeout = proposal_timeout_ticks(self.transport)
         for stack in self.stacks.values():

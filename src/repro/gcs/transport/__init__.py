@@ -25,7 +25,6 @@ from repro.gcs.transport.wire import (
     decode_datagram,
     decode_value,
     deframe,
-    deframe_prefix,
     encode_datagram,
     encode_value,
     frame,
@@ -53,6 +52,5 @@ __all__ = [
     "decode_datagram",
     "frame",
     "deframe",
-    "deframe_prefix",
     "wire_registry",
 ]

@@ -217,25 +217,22 @@ class _AsyncTransportBase(Transport):
     def set_topology(self, topology: Topology) -> None:
         for pid in self.local_pids:
             if topology.is_crashed(pid):
-                self.set_reachable(pid, frozenset({pid}))
+                allowed = frozenset({pid})
             else:
-                self.set_reachable(pid, topology.component_of(pid))
-
-    def set_reachable(self, pid: ProcessId, reachable: Members) -> None:
-        previous = self._reachable.get(pid)
-        allowed = frozenset(reachable) | {pid}
-        self._reachable[pid] = allowed
-        # Partition onset: park the in-flight frames of every link that
-        # just lost its destination.  The ARQ keeps the queue and marks
-        # the frames never-sent, so no retransmission timer burns while
-        # the partition lasts and transmission resumes from the base
-        # when reachability returns.  Link state lives on the loop
-        # thread; marshal the hold over.
-        lost = (previous or self.universe or frozenset()) - allowed
-        if lost and self._loop is not None:
-            self._loop.call_soon_threadsafe(
-                self._links.hold_back_towards, pid, lost
-            )
+                allowed = topology.component_of(pid)
+            previous = self._reachable.get(pid, self.universe)
+            self._reachable[pid] = allowed
+            # Partition onset: park the in-flight frames of every link
+            # that just lost its destination.  The ARQ keeps the queue
+            # and marks the frames never-sent, so no retransmission
+            # timer burns while the partition lasts and transmission
+            # resumes from the base when reachability returns.  Link
+            # state lives on the loop thread; marshal the hold over.
+            lost = previous - allowed
+            if lost and self._loop is not None:
+                self._loop.call_soon_threadsafe(
+                    self._links.hold_back_towards, pid, lost
+                )
 
     def _can_reach(self, src: ProcessId, dst: ProcessId) -> bool:
         allowed = self._reachable.get(src)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Iterable, List, Optional
+from typing import Any, ClassVar, List, Optional
 
 from repro.net.topology import Topology
 from repro.types import Members, ProcessId
@@ -50,8 +50,8 @@ class Datagram:
 class Transport(ABC):
     """Abstract packet backend for :class:`~repro.gcs.stack.GCSCluster`.
 
-    Lifecycle: construct → :meth:`bind` once (the cluster or node host
-    does this) → any number of :meth:`send` / :meth:`deliver_tick` /
+    Lifecycle: construct → :meth:`bind` once (the cluster does this)
+    → any number of :meth:`send` / :meth:`deliver_tick` /
     :meth:`set_topology` cycles → :meth:`close`.
 
     Attributes:
@@ -78,9 +78,8 @@ class Transport(ABC):
         """Attach the transport to a universe of process ids.
 
         ``local_pids`` are the processes hosted behind *this* transport
-        instance: the whole universe for a single-process
-        :class:`~repro.gcs.stack.GCSCluster`, a single pid for a
-        :mod:`repro.gcs.proc` node.
+        instance, the cluster's ``hosted`` set: the whole universe by
+        default, a single pid on a :mod:`repro.gcs.proc` node.
         """
 
     @abstractmethod
@@ -105,24 +104,6 @@ class Transport(ABC):
     @abstractmethod
     def set_topology(self, topology: Topology) -> None:
         """Install the connectivity gate from a component topology."""
-
-    def set_reachable(self, pid: ProcessId, reachable: Members) -> None:
-        """Install one local pid's reachability filter directly.
-
-        The multi-process controller speaks this form (it knows per-node
-        reachable sets, not a whole-universe topology); backends that
-        only ever run under a cluster-owned topology may ignore it.
-        """
-        raise NotImplementedError(
-            f"{self.kind} transport does not take per-pid reachability"
-        )
-
-    def send_many(
-        self, src: ProcessId, dsts: Iterable[ProcessId], payload: Any
-    ) -> None:
-        """Queue one payload to several destinations, in order."""
-        for dst in dsts:
-            self.send(src, dst, payload)
 
     def idle_wait(self) -> None:
         """Block briefly while in-flight traffic arrives (realtime only)."""

@@ -229,20 +229,11 @@ def frame(body: Any) -> bytes:
 
 
 def deframe(data: bytes) -> Any:
-    """Decode exactly one frame; refuses truncation and trailing bytes."""
-    body, consumed = deframe_prefix(data)
-    if consumed != len(data):
-        raise WireFormatError(
-            f"{len(data) - consumed} trailing bytes after the frame"
-        )
-    return body
+    """Decode exactly one frame; refuses truncation and trailing bytes.
 
-
-def deframe_prefix(data: bytes) -> Tuple[Any, int]:
-    """Decode the first frame of ``data`` → ``(body, bytes consumed)``.
-
-    Raises :class:`~repro.errors.WireFormatError` for anything short of
-    one complete well-formed frame.
+    A UDP datagram carries exactly one frame, so anything short of one
+    complete well-formed frame, or anything after it, raises
+    :class:`~repro.errors.WireFormatError`.
     """
     if len(data) < _LENGTH.size:
         raise WireFormatError("truncated frame: missing length prefix")
@@ -259,6 +250,11 @@ def deframe_prefix(data: bytes) -> Tuple[Any, int]:
         )
     raw = data[_LENGTH.size:end]
     try:
-        return json.loads(raw.decode("utf-8")), end
+        body = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireFormatError(f"frame body is not canonical JSON: {exc}") from exc
+    if len(data) != end:
+        raise WireFormatError(
+            f"{len(data) - end} trailing bytes after the frame"
+        )
+    return body

@@ -39,6 +39,7 @@ from repro.obs.telemetry.recorder import (
     FLIGHT_HEADER_KIND,
     FLIGHT_KIND,
     FlightRecorder,
+    FlightViewChanges,
     crash_dump_path,
     load_flight_dump,
     parse_flight_jsonl,
@@ -50,6 +51,7 @@ __all__ = [
     "FLIGHT_HEADER_KIND",
     "FLIGHT_KIND",
     "FlightRecorder",
+    "FlightViewChanges",
     "TRACE_HEADER",
     "TRACE_NS",
     "TelemetryCollector",

@@ -29,6 +29,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
+from repro.obs.bus import Subscriber
 from repro.obs.canonical import (
     canonical_jsonl,
     read_jsonl,
@@ -123,6 +124,33 @@ class FlightRecorder:
     def dump(self, path: Union[str, Path]) -> Path:
         """Write the canonical dump to ``path``; returns the path."""
         return write_text(path, self.to_jsonl())
+
+
+class FlightViewChanges(Subscriber):
+    """Mirror every GCS view install into the hosting node's ring.
+
+    One observer serves every host of a
+    :class:`~repro.gcs.stack.GCSCluster`: a store cluster passes one
+    ring per replica, a proc node its own.  A view install is the
+    event that carries a ``view_id``, as
+    :class:`~repro.obs.causal.gcs.GCSViewSpans` reads it.  It holds the
+    rings, not their owner: the cluster holds its observers, so a back
+    reference would make every dropped owner wait for the cycle
+    collector.
+    """
+
+    def __init__(self, recorders: Dict[Any, FlightRecorder]) -> None:
+        self._recorders = recorders
+
+    def on_gcs_event(self, cluster: Any, pid: Any, event: Any) -> None:
+        view_id = getattr(event, "view_id", None)
+        if view_id is not None:
+            self._recorders[pid].record(
+                "view_change",
+                tick=cluster.ticks,
+                view_id=list(view_id),
+                members=sorted(event.members),
+            )
 
 
 # ----------------------------------------------------------------------

@@ -23,34 +23,11 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.app.replicated_store import NotPrimaryError, ReplicatedStore
 from repro.gcs.adapter import PrimaryComponentService
-from repro.gcs.stack import ViewInstalled
 from repro.net.topology import Topology
-from repro.obs.bus import Subscriber
 from repro.obs.causal.gcs import GCSViewSpans
-from repro.obs.telemetry.recorder import FlightRecorder
+from repro.obs.telemetry.recorder import FlightRecorder, FlightViewChanges
 from repro.service.blame import classify_unserved
 from repro.types import ProcessId
-
-
-class _FlightViewChanges(Subscriber):
-    """Mirror every GCS view install into the owning replica's ring.
-
-    It holds the rings, not the :class:`StoreCluster`: the substrate
-    holds its observers, so a back reference would make every dropped
-    cluster wait for the cycle collector.
-    """
-
-    def __init__(self, recorders: Dict[ProcessId, FlightRecorder]) -> None:
-        self._recorders = recorders
-
-    def on_gcs_event(self, cluster, pid, event) -> None:
-        if isinstance(event, ViewInstalled):
-            self._recorders[pid].record(
-                "view_change",
-                tick=cluster.ticks,
-                view_id=list(event.view_id),
-                members=sorted(event.members),
-            )
 
 
 class StoreCluster:
@@ -61,7 +38,6 @@ class StoreCluster:
         n_processes: int,
         algorithm: str = "ykd",
         record_flight: bool = False,
-        flight_capacity: int = 4096,
     ) -> None:
         self.n_processes = n_processes
         self.algorithm = algorithm
@@ -72,10 +48,10 @@ class StoreCluster:
         observers = [self.view_spans]
         if record_flight:
             self.recorders = {
-                pid: FlightRecorder(pid, capacity=flight_capacity)
+                pid: FlightRecorder(pid, capacity=4096)
                 for pid in range(n_processes)
             }
-            observers.append(_FlightViewChanges(self.recorders))
+            observers.append(FlightViewChanges(self.recorders))
         self.service = PrimaryComponentService(
             algorithm,
             n_processes,

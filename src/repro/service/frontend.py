@@ -225,15 +225,12 @@ class ServiceFrontend:
         self,
         backend,
         peers: Optional[Dict[ProcessId, Tuple[str, int]]] = None,
-        recorder: Optional[FlightRecorder] = None,
-        flight_capacity: int = 1024,
     ) -> None:
         self.backend = backend
         self.peers = peers if peers is not None else {}
         self.address: Optional[Tuple[str, int]] = None
-        self.recorder = recorder if recorder is not None else FlightRecorder(
-            f"frontend-{getattr(backend, 'pid', '?')}",
-            capacity=flight_capacity,
+        self.recorder = FlightRecorder(
+            f"frontend-{getattr(backend, 'pid', '?')}", capacity=1024
         )
         self.metrics = MetricsRegistry()
         self._server: Optional[asyncio.AbstractServer] = None

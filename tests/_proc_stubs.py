@@ -23,7 +23,6 @@ def silent_node_main(
     endpoint_kind="bare",
     tick_interval=0.005,
     telemetry_dir=None,
-    flight_capacity=2048,
 ):
     """A node that dies before ever reporting its port."""
     conn.close()
@@ -38,7 +37,6 @@ def mute_node_main(
     endpoint_kind="bare",
     tick_interval=0.005,
     telemetry_dir=None,
-    flight_capacity=2048,
 ):
     """A node that rendezvouses, then dies on the first status poll."""
     conn.send(("port", pid, 40000 + pid))
@@ -61,7 +59,6 @@ def crashing_node_main(
     endpoint_kind="bare",
     tick_interval=0.005,
     telemetry_dir=None,
-    flight_capacity=2048,
 ):
     """A node that rendezvouses, records some flight, then blows up.
 
@@ -72,7 +69,7 @@ def crashing_node_main(
     """
     from repro.obs.telemetry.recorder import FlightRecorder, write_crash_dump
 
-    recorder = FlightRecorder(pid, capacity=flight_capacity)
+    recorder = FlightRecorder(pid)
     conn.send(("port", pid, 40000 + pid))
     recorder.record("view_change", view_id=[0, 0], members=[pid])
     recorder.record("store_put", key="doomed", accepted=True, trace="t-0")

@@ -105,6 +105,23 @@ class TestProposalTimeout:
         finally:
             cluster.close()
 
+    def test_a_hosted_member_gets_the_derived_timeout_too(self):
+        # A proc node hosts one pid of the universe: only its stack is
+        # built, and it waits as long as an in-process one would.
+        cluster = GCSCluster(
+            3, transport=UdpTransport(tick_interval=0.005), hosted={1}
+        )
+        try:
+            assert list(cluster.stacks) == [1]
+            assert cluster.transport.local_pids == frozenset({1})
+            stack = cluster.stacks[1]
+            assert stack.membership.current_view.members == frozenset(
+                {0, 1, 2}
+            )
+            assert stack.membership.proposal_timeout_ticks == 16
+        finally:
+            cluster.close()
+
 
 class TestClusterAgreement:
     def test_partition_renegotiates_views_on_both_sides(self):

@@ -64,8 +64,3 @@ class TestDelivery:
         assert network.sent_count == 1
         assert network.delivered_count == 1
         assert network.pending() == 0
-
-    def test_send_many(self):
-        network = make_network()
-        network.send_many(0, iter([1, 2, 3]), "hello")
-        assert {d.dst for d in network.deliver_tick()} == {1, 2, 3}

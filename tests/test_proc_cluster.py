@@ -7,16 +7,18 @@ views and primary claimant sets as the deterministic in-memory
 reference — per stage, per algorithm, schedule after schedule.
 
 The battery below covers the three stock schedules × three algorithms
-over UDP (ISSUE 8's ≥ 3 × ≥ 3 floor), one TCP pair, and one UDP pair
-under injected packet loss.  Real processes and real sockets make this
-the slowest file in the suite; everything else about the proc layer
-(schedule validation, refusals, outcome comparison) is tested cheaply
-alongside.
+over UDP and one UDP pair under injected packet loss; under
+``REPRO_TIER2=1`` the lossy pair runs over sixteen loss seeds.  Real
+processes and real sockets make this the slowest file in the suite;
+everything else about the proc layer (schedule validation, refusals,
+outcome comparison) is tested cheaply alongside.
 """
+
+import os
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TopologyError
 from repro.faults import LinkFaults
 from repro.gcs.proc import (
     DifferentialResult,
@@ -127,6 +129,22 @@ def test_differential_battery_udp_under_packet_loss():
     assert result.matches, "\n".join(result.divergences())
 
 
+@pytest.mark.skipif(
+    os.environ.get("REPRO_TIER2") != "1",
+    reason="the sixteen-seed lossy battery runs under REPRO_TIER2=1",
+)
+@pytest.mark.parametrize("seed", range(16))
+def test_differential_battery_udp_under_packet_loss_seeds(seed):
+    """10% loss on every seed: a lost frame waits for its resend
+    instead of restarting agreement, and the outcomes still agree."""
+    result = run_differential(
+        STOCK_SCHEDULES["split_restore"],
+        algorithm="ykd",
+        link=LinkFaults(loss_permille=100, seed=seed),
+    )
+    assert result.matches, "\n".join(result.divergences())
+
+
 # ----------------------------------------------------------------------
 # Controller error paths (stubbed children; no sockets involved).
 # ----------------------------------------------------------------------
@@ -173,6 +191,16 @@ class TestControllerErrorPaths:
             SimulationError, match="did not stabilize within 0.0s"
         ):
             mute_cluster.await_stable(timeout=0.0)
+
+    def test_a_bad_stage_is_refused_before_any_node_sees_it(
+        self, mute_cluster
+    ):
+        # The controller builds the stage's topology before it sends
+        # anything, so a stage that is not a partition never leaves it.
+        with pytest.raises(SimulationError, match="does not partition"):
+            mute_cluster.apply_stage(((0,),))
+        with pytest.raises(TopologyError, match="multiple components"):
+            mute_cluster.apply_stage(((0, 1), (1,)))
 
     def test_double_close_is_idempotent(self, mute_cluster):
         mute_cluster.close()

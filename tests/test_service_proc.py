@@ -168,6 +168,11 @@ class TestProcHttpPlane:
         assert {event["node"] for event in views} == {0, 1, 2}
         assert any(event["members"] == [0, 1] for event in views)
         assert any(event["members"] == [0, 1, 2] for event in views)
+        # Each node's cluster stamps its tick, as a store cluster does.
+        assert all(
+            isinstance(event["tick"], int) and event["tick"] > 0
+            for event in views
+        )
         # Partition onset and heal were recorded as reachability events.
         reachable = [e for e in events if e["event"] == "reachable"]
         assert any(e["peers"] == [0, 1] for e in reachable)

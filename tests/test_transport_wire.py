@@ -1,7 +1,7 @@
 """Property tests for the datagram wire format.
 
 The wire format is the trust boundary of the network transports: every
-byte a UDP/TCP node accepts came through :func:`deframe_prefix` and
+byte a UDP node accepts came through :func:`deframe` and
 :func:`decode_value`.  Three families of obligations, in the driver's
 tamper-rejection tradition:
 
@@ -31,7 +31,6 @@ from repro.gcs.transport.wire import (
     decode_datagram,
     decode_value,
     deframe,
-    deframe_prefix,
     encode_datagram,
     encode_value,
     frame,
@@ -161,7 +160,7 @@ class TestRejection:
 
         data = struct.pack(">I", MAX_FRAME_BYTES + 1) + b"{}"
         with pytest.raises(WireFormatError, match="cap"):
-            deframe_prefix(data)
+            deframe(data)
 
     def test_oversized_payload_refused_at_encode(self):
         with pytest.raises(WireFormatError, match="cap"):
@@ -213,16 +212,6 @@ class TestRejection:
         with pytest.raises(WireFormatError, match="process ids"):
             decode_datagram({"src": "zero", "dst": 1, "payload": None})
 
-
-class TestStreamBuffering:
-    def test_two_frames_split_by_prefix(self):
-        first, second = frame({"a": 1}), frame({"b": 2})
-        buffer = first + second
-        body, consumed = deframe_prefix(buffer)
-        assert body == {"a": 1}
-        body, consumed2 = deframe_prefix(buffer[consumed:])
-        assert body == {"b": 2}
-        assert consumed + consumed2 == len(buffer)
 
 
 def test_registry_covers_every_protocol_item():
