@@ -21,12 +21,13 @@ Semantics
   tags break the tie deterministically, so every replica converges on
   the same winner regardless of delivery order.
 * On every view change each replica announces its ``(epoch, op_count)``
-  stamp and full contents; replicas adopt the lexicographically
-  greatest announcement.  Because writes happen only inside primary
+  stamp, full contents and write tags; a replica merges each
+  announcement key by key, keeping the greater write tag, and adopts
+  the greatest stamp.  Because writes happen only inside primary
   components and formed primaries form a subquorum chain, the greatest
-  stamp identifies the latest primary's state, so reconciliation after
-  a merge converges every replica on one history with no lost primary
-  writes.
+  tag of a key is its latest write, so reconciliation after a merge
+  converges every replica on one history — including a write a replica
+  acknowledged before it noticed a split.
 """
 
 from __future__ import annotations
@@ -206,8 +207,17 @@ class ReplicatedStore(ProcessEndpoint):
             self.stamp = op.stamp
 
     def _consider_sync(self, offer: SyncOffer) -> None:
+        # Key by key, the greater (stamp, origin) tag wins, exactly as
+        # for a put, so replicas that merge the same offers converge
+        # whatever order they arrive in.  An entry the offer carries
+        # untagged ranks by the offer's stamp, below every origin.
+        tags = dict(offer.tags)
+        for key, value in offer.contents:
+            tag = tags.get(key, (offer.stamp, -1))
+            existing = self._tags.get(key)
+            if existing is None or tag > existing:
+                self._tags[key] = tag
+                self.data[key] = value
         if offer.stamp > self.stamp:
-            self.data = offer.as_dict
-            self._tags = dict(offer.tags)
             self.stamp = offer.stamp
             self.syncs_adopted += 1

@@ -130,6 +130,7 @@ def node_main(
                         op = endpoint.put(command[1], command[2])
                         recorder.record(
                             "store_put",
+                            tick=cluster.ticks,
                             key=command[1],
                             accepted=True,
                             stamp=list(op.stamp),
@@ -139,6 +140,7 @@ def node_main(
                     except ReproError as exc:
                         recorder.record(
                             "store_put",
+                            tick=cluster.ticks,
                             key=command[1],
                             accepted=False,
                             trace=trace,
@@ -147,7 +149,10 @@ def node_main(
                 elif kind == "get":
                     trace = command[2] if len(command) > 2 else None
                     recorder.record(
-                        "store_get", key=command[1], trace=trace
+                        "store_get",
+                        tick=cluster.ticks,
+                        key=command[1],
+                        trace=trace,
                     )
                     conn.send(("get_ok", pid, endpoint.get(command[1])))
                 elif kind == "snapshot":

@@ -245,6 +245,10 @@ class DriverLoop:
         self.round_index: int = 0
         self.changes_injected: int = 0
         self.views_installed_this_round: Tuple[View, ...] = ()
+        #: Who broadcast in the last round, ascending.  Like the views
+        #: above, it describes one round only: neither snapshotted nor
+        #: part of the canonical state.
+        self.senders_this_round: Tuple[ProcessId, ...] = ()
         #: Realized fault schedule of the current run, as (gap, change,
         #: late-set) triples — exactly what :meth:`execute_schedule`
         #: replays.  Recording is always on (one append per change);
@@ -292,6 +296,7 @@ class DriverLoop:
             message = endpoints[pid].poll()
             if message is not None:
                 bundles[pid] = message
+        self.senders_this_round = tuple(bundles)
         if profiler is not None:
             wall_mark, cpu_mark = profiler.lap("poll", wall_mark, cpu_mark)
 

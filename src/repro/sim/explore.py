@@ -25,8 +25,9 @@ Two engines implement the same enumeration:
   A shared scenario prefix executes once; each branch restores a
   :class:`~repro.sim.driver.DriverSnapshot` instead of replaying from
   the initial state.  Canonical state hashing
-  (:mod:`repro.sim.statehash`) deduplicates converged states and silent
-  change rounds collapse the whole cut enumeration at once.  The result
+  (:mod:`repro.sim.statehash`) deduplicates converged states; late-sets
+  that silence the same processes, and gaps past the first silent quiet
+  round, run once for all of them.  The result
   (scenarios, availability, violations) is **identical** to the replay
   engine's on the same bound — the differential test suite enforces
   this.
@@ -43,7 +44,7 @@ depth=2`` (hundreds of thousands of replayed rounds) routine.  See
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     Dict,
     FrozenSet,
@@ -112,10 +113,14 @@ class ExploreStats:
     ``nodes`` counts distinct subtree evaluations (states visited),
     ``leaves`` complete scenarios actually settled;
     ``dedup_hits`` subtrees answered from the canonical-state memo and
-    ``cut_collapsed`` subtrees skipped because a silent change round
-    makes every late-set equivalent.  ``memo_parts`` is the number of
-    distinct state parts (topologies, chains and per-process algorithm
-    encodings) the memo keys refer to.  ``rounds`` is the total driver
+    ``cut_collapsed`` late-sets not simulated because an earlier one of
+    the same change agrees with it on the affected processes the round's
+    broadcasts reach, so both reach one state (every late-set, when the
+    round is silent).  Gaps that share a settled state add their delta
+    without entering the cut loop, so they count in neither.
+    ``memo_parts`` is the number of distinct state parts (topologies,
+    chains and per-process algorithm encodings) the memo keys refer
+    to.  ``rounds`` is the total driver
     rounds executed — the direct measure of work the replay engine
     would have multiplied.
     """
@@ -428,31 +433,61 @@ class _Explorer:
             self._stop((), self._capture_counterexample(str(violation)))
 
     def _enumerate(self, remaining: int) -> None:
-        """One DFS level: for gap → for change → for late, forking."""
+        """One DFS level: for gap → for change → for late, forking.
+
+        Two kinds of branch reach the state of an earlier sibling and
+        add its ``(scenarios, available)`` delta instead of simulating:
+
+        * **Settled gaps.**  Every gap from the first silent quiet round
+          on has the same state (:meth:`_gap_states`); the first of them
+          met is explored.
+        * **Cut classes.**  A late-set acts only through ``cut``, which
+          drops the delivery ``s → r`` for ``r`` late, ``r ≠ s`` and
+          ``r`` in ``s``'s pre-change component.  Only the affected
+          processes that another process broadcasts to (``heard``) can
+          lose anything, so late-sets equal on ``late & heard`` reach
+          one state.  The poll decides who broadcasts before the cut,
+          so ``heard`` is known after the first simulated late-set.
+
+        Both kinds are keyed in enumeration order, so the simulated
+        member of each class is the one the reference engine meets
+        first, and so is the first violation.
+        """
         driver = self.driver
         base = driver.snapshot()
         self.stats.snapshots += 1
-        gap_snaps, gap_violation = self._gap_states(base)
+        gap_snaps, settled_at, gap_violation = self._gap_states(base)
+        #: Delta per gap class: a gap below ``settled_at`` is its own
+        #: class, every gap from it on is in class ``settled_at``.
+        gap_deltas: Dict[int, Tuple[int, int]] = {}
         for gap in self.gap_options:
             if gap_violation is not None and gap >= gap_violation[0]:
                 self._stop_extending(
                     base.topology, gap, remaining, gap_violation[1]
                 )
+            share = gap if settled_at is None else min(gap, settled_at)
+            delta = gap_deltas.get(share)
+            if delta is not None:
+                self.result.scenarios += delta[0]
+                self.result.available += delta[1]
+                continue
+            gap_s = self.result.scenarios
+            gap_a = self.result.available
             snap = gap_snaps[gap]
             topology = snap.topology
             for change in enumerate_changes(topology):
                 affected = affected_processes(change, topology)
                 next_topology = apply_change(topology, change)
-                #: Once a silent change round proves every late-set
-                #: equivalent, the remaining cuts reuse this delta.
-                collapsed: Optional[Tuple[int, int]] = None
-                first_cut = True
+                heard: Optional[FrozenSet[int]] = None
+                cut_deltas: Dict[FrozenSet[int], Tuple[int, int]] = {}
                 for late in enumerate_cuts(affected):
-                    if collapsed is not None:
-                        self.result.scenarios += collapsed[0]
-                        self.result.available += collapsed[1]
-                        self.stats.cut_collapsed += 1
-                        continue
+                    if heard is not None:
+                        delta = cut_deltas.get(late & heard)
+                        if delta is not None:
+                            self.result.scenarios += delta[0]
+                            self.result.available += delta[1]
+                            self.stats.cut_collapsed += 1
+                            continue
                     self._steps_desc.append(_describe_step(gap, change, late))
                     try:
                         driver.restore(snap)
@@ -460,7 +495,7 @@ class _Explorer:
                         mark_s = self.result.scenarios
                         mark_a = self.result.available
                         try:
-                            sent = driver.run_round(change, late)
+                            driver.run_round(change, late)
                         except InvariantViolation as violation:
                             self._stop_extending(
                                 next_topology,
@@ -468,58 +503,77 @@ class _Explorer:
                                 remaining - 1,
                                 self._capture_counterexample(str(violation)),
                             )
-                        else:
-                            self._subtree(remaining - 1)
-                            # A silent round means no in-flight message
-                            # existed for the cut to destroy: every
-                            # late-set reaches this exact state, so the
-                            # whole cut loop shares one subtree.
-                            if first_cut and not sent:
-                                collapsed = (
-                                    self.result.scenarios - mark_s,
-                                    self.result.available - mark_a,
-                                )
+                        if heard is None:
+                            heard = affected & frozenset().union(*[
+                                topology.component_of(sender) - {sender}
+                                for sender in driver.senders_this_round
+                            ])
+                        self._subtree(remaining - 1)
+                        cut_deltas[late & heard] = (
+                            self.result.scenarios - mark_s,
+                            self.result.available - mark_a,
+                        )
                     finally:
                         self._steps_desc.pop()
-                    first_cut = False
+            gap_deltas[share] = (
+                self.result.scenarios - gap_s,
+                self.result.available - gap_a,
+            )
 
     def _gap_states(
         self, base: DriverSnapshot
     ) -> Tuple[
         Dict[int, DriverSnapshot],
+        Optional[int],
         Optional[Tuple[int, Counterexample]],
     ]:
         """Snapshot the state after each configured quiet gap.
 
         Quiet rounds run once, incrementally in ascending gap order —
-        this is the prefix sharing at the gap level.  If quiet round
-        ``q`` raises an invariant violation, every gap ``>= q``
-        deterministically replays into the same violation; the second
-        return value carries ``(q, counterexample)`` and those
+        this is the prefix sharing at the gap level.  A quiet round
+        that sends nothing is a fixed point: every algorithm is
+        event-driven, so further quiet rounds change only the round
+        counters.  Rounds stop at the first such round ``q`` (the second
+        return value), and every gap ``>= q`` gets its state without
+        running more, with the counters advanced as if it had.  If
+        quiet round ``q`` raises an invariant violation, every gap
+        ``>= q`` deterministically replays into the same violation; the
+        third return value carries ``(q, counterexample)`` and those
         gaps get no snapshot.
         """
         snaps: Dict[int, DriverSnapshot] = {}
+        settled: Optional[DriverSnapshot] = None
         violation: Optional[Tuple[int, Counterexample]] = None
         executed = 0
         for gap in sorted(set(self.gap_options)):
-            if violation is None:
-                while executed < gap:
-                    try:
-                        self.driver.run_round(None)
-                    except InvariantViolation as raised:
-                        violation = (
-                            executed + 1,
-                            self._capture_counterexample(str(raised)),
-                        )
-                        break
-                    executed += 1
-            if violation is None or gap < violation[0]:
-                if gap == 0:
-                    snaps[gap] = base
-                else:
-                    snaps[gap] = self.driver.snapshot()
+            while settled is None and violation is None and executed < gap:
+                try:
+                    sent = self.driver.run_round(None)
+                except InvariantViolation as raised:
+                    violation = (
+                        executed + 1,
+                        self._capture_counterexample(str(raised)),
+                    )
+                    break
+                executed += 1
+                if not sent:
+                    settled = self.driver.snapshot()
                     self.stats.snapshots += 1
-        return snaps, violation
+            if violation is not None and gap >= violation[0]:
+                continue
+            if gap == 0:
+                snaps[gap] = base
+            elif settled is not None:
+                idle = gap - executed
+                snaps[gap] = replace(
+                    settled,
+                    round_index=settled.round_index + idle,
+                    rounds_since_change=settled.rounds_since_change + idle,
+                )
+            else:
+                snaps[gap] = self.driver.snapshot()
+                self.stats.snapshots += 1
+        return snaps, (executed if settled is not None else None), violation
 
     # ------------------------------------------------------------------
     # The first violation ends the exploration.
@@ -599,8 +653,10 @@ def explore(
 
     The fork-based engine: shared scenario prefixes execute once (via
     :meth:`DriverLoop.snapshot` / :meth:`~DriverLoop.restore`),
-    converged states are deduplicated by canonical hashing, and silent
-    change rounds collapse their whole cut enumeration.  The first
+    converged states are deduplicated by canonical hashing, and branches
+    that provably reach an earlier sibling's state — late-sets that
+    silence the same processes, gaps past the first silent quiet round —
+    add its counts instead of running.  The first
     violation ends the exploration.  Scenario counts, availability and
     that violation are identical to :func:`explore_replay` on the same
     bound, and both raise :class:`ValueError` on ``depth < 1`` or on an

@@ -22,7 +22,9 @@ from dataclasses import fields
 import pytest
 
 from repro.core.registry import algorithm_names
+from repro.net.changes import affected_processes
 from repro.sim import explore as explore_module
+from repro.sim.driver import DriverLoop
 from repro.sim.explore import ExploreStats, _Explorer, explore, explore_replay
 
 TIER2 = os.environ.get("REPRO_TIER2") == "1"
@@ -147,8 +149,8 @@ class TestGoldenCounts:
         stats = result.stats
         assert isinstance(stats, ExploreStats)
         assert stats.nodes == 44
-        assert stats.dedup_hits == 53
-        assert stats.cut_collapsed == 144
+        assert stats.dedup_hits == 23
+        assert stats.cut_collapsed == 126
         assert stats.max_fork_depth == 2
         assert stats.leaves <= stats.nodes
 
@@ -201,26 +203,96 @@ class TestGoldenCounts:
         assert result.passed
 
 
+class TestSkippedBranches:
+    """Branches that provably reach an earlier sibling's state are added,
+    not simulated, and the result stays the reference engine's."""
+
+    def test_partly_heard_change_rounds_share_cut_classes(self, monkeypatch):
+        kwargs = dict(n_processes=4, depth=2, gap_options=(0,))
+        partly_heard = []
+        run_round = DriverLoop.run_round
+
+        def spy(driver, change=None, late=None):
+            before = driver.topology
+            sent = run_round(driver, change, late)
+            if change is not None:
+                affected = affected_processes(change, before)
+                heard = affected & {
+                    recipient
+                    for sender in driver.senders_this_round
+                    for recipient in before.component_of(sender) - {sender}
+                }
+                if heard and heard != affected:
+                    partly_heard.append(change)
+            return sent
+
+        monkeypatch.setattr(DriverLoop, "run_round", spy)
+        forked = explore("ykd", **kwargs)
+        monkeypatch.undo()
+        reference = explore_replay("ykd", **kwargs)
+        assert result_tuple(forked) == result_tuple(reference)
+        # Some change rounds have senders in only some components.
+        assert partly_heard
+        # Simulating every late-set of a round that sends took 239
+        # restores, and only the silent rounds' 105 branches collapsed.
+        assert (forked.stats.restores, forked.stats.cut_collapsed) == (
+            207, 137
+        )
+
+    @pytest.mark.parametrize("gaps", [(0, 1), (0, 3), (7, 0, 2, 1)])
+    def test_quiet_rounds_stop_at_the_first_silent_one(
+        self, monkeypatch, gaps
+    ):
+        kwargs = dict(n_processes=3, depth=1, gap_options=gaps)
+        quiet_rounds = []
+        gap_states = _Explorer._gap_states
+
+        def spy(explorer, base):
+            before = explorer._counter.rounds
+            states = gap_states(explorer, base)
+            quiet_rounds.append(explorer._counter.rounds - before)
+            return states
+
+        monkeypatch.setattr(_Explorer, "_gap_states", spy)
+        forked = explore("ykd", **kwargs)
+        reference = explore_replay("ykd", **kwargs)
+        assert result_tuple(forked) == result_tuple(reference)
+        # The root is quiescent: its first quiet round is silent.
+        assert quiet_rounds == [1]
+
+    def test_a_settled_gap_records_its_own_length(self, broken_majority):
+        # The state after gap 2 is the one after the silent first quiet
+        # round, so the counterexample must still name gap 2.
+        kwargs = dict(n_processes=4, depth=1, gap_options=(2,))
+        forked = explore("broken_majority", **kwargs)
+        reference = explore_replay("broken_majority", **kwargs)
+        assert result_tuple(forked) == result_tuple(reference)
+        [example] = forked.counterexamples
+        assert [gap for gap, _, _ in example.plan_steps] == [2]
+
+
 class TestWorkLedger:
     """The explorer's work at the benchmark bound, for every algorithm.
 
     ``(scenarios, available, nodes, dedup_hits)`` at n=4, depth 2, gaps
     0..3 — the bound the ``explore`` benchmark workload times.  Work
-    counts move only when the enumeration, the canonical encoding or
-    the dedup memo changes; a speed-up of any of them must leave all
-    four numbers where they are.
+    counts move only when the enumeration, the canonical encoding, the
+    dedup memo or the branches skipped before reaching it change; a
+    speed-up of any of them must leave the first three numbers where
+    they are.  ``dedup_hits`` falls when fewer equal branches are
+    simulated, since each one skipped was a memo hit.
     """
 
     BOUND = dict(n_processes=4, depth=2, gap_options=(0, 1, 2, 3))
 
     EXPECTED = {
-        "ykd": (59392, 54400, 290, 253),
-        "ykd_unopt": (59392, 54400, 290, 253),
-        "ykd_aggressive": (59392, 54400, 290, 253),
-        "dfls": (59392, 54400, 423, 327),
-        "one_pending": (59392, 51328, 290, 253),
-        "mr1p": (59392, 57472, 296, 247),
-        "simple_majority": (59392, 44032, 27, 102),
+        "ykd": (59392, 54400, 290, 130),
+        "ykd_unopt": (59392, 54400, 290, 130),
+        "ykd_aggressive": (59392, 54400, 290, 130),
+        "dfls": (59392, 54400, 423, 127),
+        "one_pending": (59392, 51328, 290, 130),
+        "mr1p": (59392, 57472, 296, 79),
+        "simple_majority": (59392, 44032, 27, 38),
     }
 
     def test_every_algorithm_is_pinned(self):

@@ -159,6 +159,8 @@ class TestProcHttpPlane:
         cluster.await_stable()
         cluster.apply_stage(((0, 1, 2),))
         cluster.await_stable()
+        cluster.put(0, "ticked", 1)
+        cluster.get(1, "ticked")
         collector = TelemetryCollector()
         collector.collect_proc_cluster(cluster)
         assert collector.nodes() == [0, 1, 2]
@@ -168,10 +170,18 @@ class TestProcHttpPlane:
         assert {event["node"] for event in views} == {0, 1, 2}
         assert any(event["members"] == [0, 1] for event in views)
         assert any(event["members"] == [0, 1, 2] for event in views)
-        # Each node's cluster stamps its tick, as a store cluster does.
+        # Each node's cluster stamps its tick, as a store cluster does,
+        # on view changes and store ops alike.
+        store_ops = [
+            event for event in events
+            if event["event"] in ("store_put", "store_get")
+        ]
+        assert {event["event"] for event in store_ops} == {
+            "store_put", "store_get"
+        }
         assert all(
             isinstance(event["tick"], int) and event["tick"] > 0
-            for event in views
+            for event in views + store_ops
         )
         # Partition onset and heal were recorded as reachability events.
         reachable = [e for e in events if e["event"] == "reachable"]

@@ -2,11 +2,10 @@
 
 The store acknowledges a write as soon as the replica applies it
 locally.  A replica that has not yet seen a split keeps acknowledging,
-and after the heal no replica adopts the history it missed, because
-applying the stranded write already raised its stamp (ROADMAP item 1).
-Every voting rule shows it, a static majority included.  The tests are
-strict xfails: they fail today, and the fix of the store's
-acknowledgement contract must remove the marker.
+so after the heal each side holds writes the other missed, under
+stamps that order the two histories but not their keys.  Every voting
+rule meets this, a static majority included; the heal converges
+because a sync offer is merged key by key under the writes' tags.
 """
 
 import pytest
@@ -15,11 +14,6 @@ from repro.core.registry import algorithm_names
 from repro.service.cluster import StoreCluster
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: acknowledged writes diverge after heal",
-)
 @pytest.mark.parametrize("algorithm", algorithm_names())
 def test_replicas_agree_after_split_writes_and_heal(algorithm):
     cluster = StoreCluster(5, algorithm)
