@@ -72,7 +72,7 @@ def main_proc() -> None:
     from repro.gcs.proc import ProcCluster
 
     print("== Five replicas as real OS processes over udp ==")
-    with ProcCluster(5, algorithm="ykd", endpoint_kind="store") as cluster:
+    with ProcCluster(5, algorithm="ykd") as cluster:
         cluster.apply_stage(FULL)
         outcome = cluster.await_stable()
         print("initial primary claimants:", outcome.primaries)

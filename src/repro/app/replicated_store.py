@@ -32,8 +32,8 @@ Semantics
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
 from repro.core.interface import PrimaryComponentAlgorithm
 from repro.core.message import Message
@@ -72,10 +72,6 @@ class SyncOffer:
     stamp: Stamp
     contents: Tuple[Tuple[str, Any], ...]
     tags: Tuple[Tuple[str, WriteTag], ...] = ()
-
-    @property
-    def as_dict(self) -> Dict[str, Any]:
-        return dict(self.contents)
 
 
 class ReplicatedStore(ProcessEndpoint):

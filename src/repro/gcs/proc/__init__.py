@@ -3,7 +3,8 @@
 Where :class:`repro.gcs.stack.GCSCluster` usually hosts every stack
 inside one interpreter, this package spawns **one OS process per group
 member**: each child runs a ``GCSCluster`` that hosts its own pid only,
-plus its algorithm endpoint, exchanges length-prefixed canonical-JSON
+plus one replicated-store replica (the endpoint a
+:class:`~repro.service.cluster.StoreCluster` process runs), exchanges length-prefixed canonical-JSON
 datagrams over real UDP sockets (:mod:`repro.gcs.transport.asyncnet`),
 and elects primaries across genuine packet loss.  A controller in the
 parent process sends each stage of a recorded partition schedule to

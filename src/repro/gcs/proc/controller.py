@@ -11,8 +11,9 @@ nothing pending.
 
 :func:`run_differential` is the convergence battery of the transports
 work: the same :class:`~repro.gcs.proc.schedule.RecordedSchedule` runs
-on the deterministic in-memory substrate and on the real cluster, and
-the per-stage stable views and primary claimant sets must agree.
+on the deterministic in-memory substrate and on the real cluster, both
+a store replica per process, and the per-stage stable views and
+primary claimant sets must agree.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ POLL_INTERVAL = 0.05
 
 
 class ProcCluster:
-    """N real OS processes, each hosting one GCS stack on a UDP socket.
+    """N real OS processes, each a GCS stack and store replica on UDP.
 
     Use as a context manager — the children are daemonic but holding
     sockets; :meth:`close` stops them deterministically::
@@ -53,7 +54,6 @@ class ProcCluster:
         n_processes: int,
         algorithm: str = "ykd",
         link: Optional[LinkFaults] = None,
-        endpoint_kind: str = "bare",
         tick_interval: float = 0.005,
         start_timeout: float = 30.0,
         telemetry_dir: Optional[str] = None,
@@ -78,7 +78,6 @@ class ProcCluster:
                     algorithm,
                     link,
                     child_conn,
-                    endpoint_kind,
                     tick_interval,
                     self.telemetry_dir,
                 ),
@@ -206,7 +205,7 @@ class ProcCluster:
         return outcomes
 
     # ------------------------------------------------------------------
-    # Replicated-store operations (endpoint_kind="store" clusters).
+    # Replicated-store operations (every node hosts one replica).
     # ------------------------------------------------------------------
 
     def put(

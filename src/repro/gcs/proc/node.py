@@ -2,7 +2,8 @@
 
 Each node hosts exactly one process of a
 :class:`~repro.gcs.stack.GCSCluster` (``hosted={pid}``) and its
-algorithm endpoint, bound to a network transport
+:class:`~repro.app.replicated_store.ReplicatedStore` replica, bound to
+a network transport
 (:mod:`repro.gcs.transport.asyncnet`) that carries length-prefixed
 canonical-JSON datagrams over localhost UDP.  The cluster builds the
 stack, derives its proposal timeout from the transport, publishes its
@@ -16,10 +17,12 @@ small tuple protocol over a multiprocessing pipe:
   stage's :class:`~repro.net.topology.Topology`, installed with
   :meth:`~repro.gcs.stack.GCSCluster.set_topology`;
 * ``("status",)`` → ``("status", pid, {...})`` — current view members,
-  view id, primary claim, traffic counters and aggregate ARQ counters;
+  view id, primary claim, traffic counters, aggregate ARQ counters and
+  store stats;
 * ``("put", key, value[, trace])`` / ``("get", key[, trace])`` /
-  ``("snapshot",)`` — replicated-store operations (store endpoints
-  only); the optional trace id is recorded with the store op;
+  ``("snapshot",)`` — replicated-store operations, recorded (with the
+  optional trace id) as :class:`~repro.service.cluster.StoreCluster`
+  records them;
 * ``("telemetry",)`` → ``("telemetry", pid, {...})`` — the node's
   flight-recorder snapshot (the scrape plane's pipe pull);
 * ``("stop",)`` — shut down cleanly.
@@ -39,6 +42,7 @@ from __future__ import annotations
 import traceback
 from typing import Any, Optional
 
+from repro.app.replicated_store import ReplicatedStore
 from repro.core.registry import create_algorithm
 from repro.core.view import initial_view
 from repro.errors import ReproError
@@ -54,28 +58,19 @@ from repro.obs.telemetry.recorder import (
 from repro.types import ProcessId
 
 
-def _build_endpoint(endpoint_kind: str, algorithm: str, pid: ProcessId, n: int):
-    algo = create_algorithm(algorithm, pid, initial_view(n))
-    if endpoint_kind == "store":
-        from repro.app.replicated_store import ReplicatedStore
-
-        return ReplicatedStore(algo)
-    from repro.sim.driver import ProcessEndpoint
-
-    return ProcessEndpoint(algo)
-
-
 def node_main(
     pid: ProcessId,
     n_processes: int,
     algorithm: str,
     link: Optional[LinkFaults],
     conn: Any,
-    endpoint_kind: str = "bare",
     tick_interval: float = 0.005,
     telemetry_dir: Optional[str] = None,
 ) -> None:
     """Entry point of one spawned group member (runs until ``stop``)."""
+    # repro.service imports this package, so it loads here.
+    from repro.service.cluster import store_get, store_put
+
     cluster = None
     recorder = FlightRecorder(pid)
     try:
@@ -87,8 +82,10 @@ def node_main(
         )
         transport = cluster.transport
         conn.send(("port", pid, transport.ports[pid]))
-        endpoint = _build_endpoint(endpoint_kind, algorithm, pid, n_processes)
-        process = AlgorithmOnGCS(endpoint, cluster.stacks[pid])
+        store = ReplicatedStore(
+            create_algorithm(algorithm, pid, initial_view(n_processes))
+        )
+        process = AlgorithmOnGCS(store, cluster.stacks[pid])
         arq_seen = {}
 
         running = True
@@ -118,54 +115,30 @@ def node_main(
                         ),
                         "pending": transport.pending(),
                         "arq": transport.arq_stats(),
+                        "store": store.stats(),
                     }
-                    if hasattr(endpoint, "stats"):
-                        status["store"] = endpoint.stats()
                     conn.send(("status", pid, status))
                 elif kind == "telemetry":
                     conn.send(("telemetry", pid, recorder.snapshot()))
                 elif kind == "put":
                     trace = command[3] if len(command) > 3 else None
                     try:
-                        op = endpoint.put(command[1], command[2])
-                        recorder.record(
-                            "store_put",
-                            tick=cluster.ticks,
-                            key=command[1],
-                            accepted=True,
-                            stamp=list(op.stamp),
-                            trace=trace,
+                        op = store_put(
+                            store, recorder, cluster,
+                            command[1], command[2], trace,
                         )
                         conn.send(("put_ok", pid, op.stamp))
                     except ReproError as exc:
-                        recorder.record(
-                            "store_put",
-                            tick=cluster.ticks,
-                            key=command[1],
-                            accepted=False,
-                            trace=trace,
-                        )
                         conn.send(("put_refused", pid, str(exc)))
                 elif kind == "get":
                     trace = command[2] if len(command) > 2 else None
-                    recorder.record(
-                        "store_get",
-                        tick=cluster.ticks,
-                        key=command[1],
-                        trace=trace,
+                    value = store_get(
+                        store, recorder, cluster, command[1], None, trace
                     )
-                    conn.send(("get_ok", pid, endpoint.get(command[1])))
+                    conn.send(("get_ok", pid, value))
                 elif kind == "snapshot":
-                    conn.send(
-                        (
-                            "snapshot",
-                            pid,
-                            {
-                                "data": dict(endpoint.data),
-                                "stamp": tuple(endpoint.stamp),
-                            },
-                        )
-                    )
+                    snap = {"data": store.snapshot(), "stamp": store.stamp}
+                    conn.send(("snapshot", pid, snap))
                 elif kind == "stop":
                     running = False
                 else:

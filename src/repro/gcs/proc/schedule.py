@@ -13,10 +13,9 @@ is what makes the differential convergence battery possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import SimulationError
-from repro.net.topology import Topology
 from repro.sim.rng import derive_seed
 
 Stage = Tuple[Tuple[int, ...], ...]
@@ -67,15 +66,6 @@ class RecordedSchedule:
             )
         object.__setattr__(self, "stages", tuple(normalized))
 
-    def topologies(self) -> List[Topology]:
-        """One :class:`Topology` per stage, in order."""
-        return [
-            Topology(
-                components=tuple(frozenset(c) for c in stage)
-            )
-            for stage in self.stages
-        ]
-
 
 @dataclass(frozen=True)
 class StageOutcome:
@@ -93,7 +83,7 @@ class StageOutcome:
 
     @classmethod
     def build(
-        cls, views: Dict[int, Tuple[int, ...]], primaries: List[int]
+        cls, views: Dict[int, Tuple[int, ...]], primaries: Iterable[int]
     ) -> "StageOutcome":
         return cls(
             views=tuple(sorted(views.items())),
@@ -201,25 +191,19 @@ def simulate_reference(
 ) -> List[StageOutcome]:
     """Run the schedule on the deterministic in-memory substrate.
 
-    This is the oracle side of the differential battery: the very same
-    algorithm objects, the same negotiated-view GCS, but lock-step
-    ticks over :class:`~repro.gcs.transport.memory.MemoryTransport`.
+    This is the oracle side of the differential battery: a
+    :class:`~repro.service.cluster.StoreCluster`, the replicas and GCS
+    of a proc node, ticked in lock step over the memory transport.
     """
-    from repro.gcs.adapter import PrimaryComponentService
+    # repro.service imports this package, so it loads here.
+    from repro.service.cluster import StoreCluster
 
-    service = PrimaryComponentService(algorithm, schedule.n_processes)
+    cluster = StoreCluster(schedule.n_processes, algorithm)
     outcomes: List[StageOutcome] = []
-    for topology in schedule.topologies():
-        service.set_topology(topology)
-        service.run_until_stable(max_ticks=max_ticks)
-        views = {
-            pid: tuple(sorted(service.cluster.stacks[pid].view_members))
-            for pid in range(schedule.n_processes)
-        }
-        primaries = [
-            pid
-            for pid in sorted(service.processes)
-            if service.processes[pid].in_primary()
-        ]
-        outcomes.append(StageOutcome.build(views, primaries))
+    for stage in schedule.stages:
+        cluster.apply_stage(stage)
+        cluster.warm_up(max_ticks)
+        outcomes.append(
+            StageOutcome.build(cluster.views(), cluster.primary_claimants())
+        )
     return outcomes

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.argtypes import float_at_least, int_at_least
 from repro.core.registry import algorithm_names
-from repro.obs.canonical import canonical_json, canonical_jsonl, write_text
+from repro.obs.canonical import canonical_json, write_text
 
 
 def _add_algorithm(parser: argparse.ArgumentParser) -> None:
@@ -103,10 +103,6 @@ def _configure_load(load: argparse.ArgumentParser) -> None:
     load.add_argument(
         "--report-out", type=Path, default=None, metavar="PATH",
         help="write the canonical availability report JSON",
-    )
-    load.add_argument(
-        "--ops-out", type=Path, default=None, metavar="PATH",
-        help="also write the final ops view (post-run cluster state)",
     )
     load.add_argument(
         "--telemetry-out", type=Path, default=None, metavar="PATH",
@@ -227,16 +223,6 @@ def run_load(args: argparse.Namespace) -> int:
     if args.report_out is not None:
         path = write_report(report, args.report_out)
         print(f"report written: {path}")
-    if args.ops_out is not None:
-        # Re-run the cluster state for the final ops view would be
-        # wasteful; the report already carries per-stage rows, so the
-        # ops view here is the fault-free shape of the same cluster.
-        from repro.service.cluster import StoreCluster
-
-        cluster = StoreCluster(report["n_processes"], args.algorithm)
-        cluster.warm_up()
-        write_text(args.ops_out, canonical_jsonl([cluster.ops_view()]))
-        print(f"ops view written: {args.ops_out}")
     return 0
 
 
@@ -344,7 +330,6 @@ async def _serve(args: argparse.Namespace) -> int:
                 ProcCluster(
                     args.replicas,
                     algorithm=args.algorithm,
-                    endpoint_kind="store",
                     tick_interval=args.tick_interval,
                 )
             )

@@ -21,13 +21,64 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.app.replicated_store import NotPrimaryError, ReplicatedStore
+from repro.app.replicated_store import NotPrimaryError, PutOp, ReplicatedStore
 from repro.gcs.adapter import PrimaryComponentService
+from repro.gcs.stack import GCSCluster
 from repro.net.topology import Topology
 from repro.obs.causal.gcs import GCSViewSpans
 from repro.obs.telemetry.recorder import FlightRecorder, FlightViewChanges
 from repro.service.blame import classify_unserved
 from repro.types import ProcessId
+
+
+def store_put(
+    store: ReplicatedStore,
+    recorder: Optional[FlightRecorder],
+    gcs: GCSCluster,
+    key: str,
+    value: Any,
+    trace: Optional[str] = None,
+) -> PutOp:
+    """Write through one replica, recording it (refused writes too)
+    in its flight ring when ``recorder`` is set; ``gcs`` supplies the
+    tick.  A :class:`StoreCluster` and a proc node both write here."""
+    try:
+        op = store.put(key, value)
+    except NotPrimaryError:
+        if recorder is not None:
+            recorder.record(
+                "store_put",
+                tick=gcs.ticks,
+                key=key,
+                accepted=False,
+                trace=trace,
+            )
+        raise
+    if recorder is not None:
+        recorder.record(
+            "store_put",
+            tick=gcs.ticks,
+            key=key,
+            accepted=True,
+            stamp=list(op.stamp),
+            trace=trace,
+        )
+    return op
+
+
+def store_get(
+    store: ReplicatedStore,
+    recorder: Optional[FlightRecorder],
+    gcs: GCSCluster,
+    key: str,
+    default: Any = None,
+    trace: Optional[str] = None,
+) -> Any:
+    """Read a key from one replica, recording it like :func:`store_put`."""
+    value = store.get(key, default)
+    if recorder is not None:
+        recorder.record("store_get", tick=gcs.ticks, key=key, trace=trace)
+    return value
 
 
 class StoreCluster:
@@ -99,20 +150,14 @@ class StoreCluster:
         trace: Optional[str] = None,
     ):
         """Write through one replica (raises NotPrimaryError outside)."""
-        try:
-            op = self.store(pid).put(key, value)
-        except NotPrimaryError:
-            self.record(pid, "store_put", key=key, accepted=False, trace=trace)
-            raise
-        self.record(
-            pid,
-            "store_put",
-            key=key,
-            accepted=True,
-            stamp=list(op.stamp),
-            trace=trace,
+        return store_put(
+            self.store(pid),
+            self.recorders.get(pid),
+            self.service.cluster,
+            key,
+            value,
+            trace,
         )
-        return op
 
     def get(
         self,
@@ -122,9 +167,14 @@ class StoreCluster:
         trace: Optional[str] = None,
     ) -> Any:
         """Read a key from one replica (possibly stale outside primary)."""
-        value = self.store(pid).get(key, default)
-        self.record(pid, "store_get", key=key, trace=trace)
-        return value
+        return store_get(
+            self.store(pid),
+            self.recorders.get(pid),
+            self.service.cluster,
+            key,
+            default,
+            trace,
+        )
 
     def record(self, pid: ProcessId, event: str, **fields: Any) -> None:
         """Append one event to a replica's flight ring (no-op when off)."""

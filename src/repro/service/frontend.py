@@ -178,8 +178,8 @@ class ProcNodeBackend:
             "ok": True,
             "pid": self.pid,
             "in_primary": status["in_primary"],
-            "store": status.get("store"),
-            "arq": status.get("arq", {}),
+            "store": status["store"],
+            "arq": status["arq"],
         }
 
     def flight_snapshot(self) -> Optional[Dict[str, Any]]:
@@ -200,7 +200,7 @@ class ProcNodeBackend:
                     "pid": pid,
                     "in_primary": status["in_primary"],
                     "view": list(status["view"]),
-                    "store": status.get("store"),
+                    "store": status["store"],
                 }
                 for pid, status in sorted(statuses.items())
             ],

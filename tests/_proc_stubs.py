@@ -20,7 +20,6 @@ def silent_node_main(
     algorithm,
     link,
     conn,
-    endpoint_kind="bare",
     tick_interval=0.005,
     telemetry_dir=None,
 ):
@@ -34,7 +33,6 @@ def mute_node_main(
     algorithm,
     link,
     conn,
-    endpoint_kind="bare",
     tick_interval=0.005,
     telemetry_dir=None,
 ):
@@ -56,7 +54,6 @@ def crashing_node_main(
     algorithm,
     link,
     conn,
-    endpoint_kind="bare",
     tick_interval=0.005,
     telemetry_dir=None,
 ):

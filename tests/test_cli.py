@@ -382,19 +382,6 @@ class TestLoad:
         out = capsys.readouterr().out
         assert "100.00%" in out
 
-    def test_load_ops_out(self, capsys, tmp_path):
-        ops_path = tmp_path / "ops.json"
-        assert main([
-            "load", "--clients", "2", "--ticks", "20",
-            "--schedule", "none", "--replicas", "3",
-            "--ops-out", str(ops_path),
-        ]) == 0
-        import json
-
-        ops = json.loads(ops_path.read_text())
-        assert ops["kind"] == "repro.service/ops"
-        assert [node["pid"] for node in ops["nodes"]] == [0, 1, 2]
-
     def test_load_unknown_schedule_exits_2(self, capsys):
         assert main(["load", "--schedule", "bogus"]) == 2
         assert "unknown schedule" in capsys.readouterr().err

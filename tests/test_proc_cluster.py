@@ -6,9 +6,11 @@ recorded partition schedules, must converge to exactly the same stable
 views and primary claimant sets as the deterministic in-memory
 reference — per stage, per algorithm, schedule after schedule.
 
-The battery below covers the three stock schedules × three algorithms
-over UDP and one UDP pair under injected packet loss; under
-``REPRO_TIER2=1`` the lossy pair runs over sixteen loss seeds.  Real
+Both sides host a replicated-store replica per process.  The battery
+below covers the three stock schedules × three algorithms over UDP and
+one UDP pair under injected packet loss; under ``REPRO_TIER2=1`` the
+lossy pair runs over sixteen loss seeds.  In memory, the store-replica
+reference is checked against bare endpoints on every algorithm.  Real
 processes and real sockets make this the slowest file in the suite;
 everything else about the proc layer (schedule validation, refusals,
 outcome comparison) is tested cheaply alongside.
@@ -18,8 +20,10 @@ import os
 
 import pytest
 
+from repro.core.registry import algorithm_names
 from repro.errors import SimulationError, TopologyError
 from repro.faults import LinkFaults
+from repro.gcs.adapter import PrimaryComponentService
 from repro.gcs.proc import (
     DifferentialResult,
     ProcCluster,
@@ -30,6 +34,11 @@ from repro.gcs.proc import (
     run_differential,
     simulate_reference,
 )
+from repro.net.topology import Topology
+
+
+def _topology(stage):
+    return Topology(components=tuple(frozenset(c) for c in stage))
 
 
 class TestScheduleValidation:
@@ -37,8 +46,8 @@ class TestScheduleValidation:
         assert set(STOCK_SCHEDULES) == {"split_restore", "cascade", "flip_flop"}
         for schedule in STOCK_SCHEDULES.values():
             assert len(schedule.stages) >= 3
-            for topology in schedule.topologies():
-                assert topology.components  # constructible and valid
+            for stage in schedule.stages:
+                assert _topology(stage).components  # constructible, valid
 
     def test_non_partition_stage_refused(self):
         with pytest.raises(SimulationError, match="does not partition"):
@@ -105,6 +114,45 @@ class TestSimulatedReference:
         final = outcomes[-1]
         assert final.primaries == (0, 1, 2, 3)
         assert all(members == (0, 1, 2, 3) for _, members in final.views)
+
+
+def _bare_reference(schedule, algorithm, max_ticks=500):
+    """The schedule on a bare-endpoint service: the idle application
+    of Fig. 2-2 on every process, no store and no sync traffic."""
+    service = PrimaryComponentService(algorithm, schedule.n_processes)
+    outcomes = []
+    for stage in schedule.stages:
+        service.set_topology(_topology(stage))
+        service.run_until_stable(max_ticks=max_ticks)
+        views = {
+            pid: tuple(sorted(service.cluster.stacks[pid].view_members))
+            for pid in range(schedule.n_processes)
+        }
+        primaries = [
+            pid
+            for pid in sorted(service.processes)
+            if service.processes[pid].in_primary()
+        ]
+        outcomes.append(StageOutcome.build(views, primaries))
+    return outcomes
+
+
+@pytest.mark.parametrize("algorithm", algorithm_names())
+@pytest.mark.parametrize(
+    "schedule",
+    [*STOCK_SCHEDULES.values(), *(generated_schedule(s) for s in range(10))],
+    ids=lambda schedule: schedule.name,
+)
+def test_store_replicas_converge_like_bare_endpoints(schedule, algorithm):
+    """Every proc node is a store replica, and so is the reference.
+
+    The store adds a sync broadcast on every view change, which must
+    move no view and no primary claim: the store-replica reference
+    equals the bare endpoints' run stage for stage.
+    """
+    assert simulate_reference(schedule, algorithm) == _bare_reference(
+        schedule, algorithm
+    )
 
 
 @pytest.mark.parametrize("algorithm", ["ykd", "dfls", "mr1p"])

@@ -28,12 +28,7 @@ from tests.test_service_frontend import http, http_raw
 
 @pytest.fixture(scope="module")
 def cluster():
-    with ProcCluster(
-        3,
-        algorithm="ykd",
-        endpoint_kind="store",
-        tick_interval=0.002,
-    ) as built:
+    with ProcCluster(3, algorithm="ykd", tick_interval=0.002) as built:
         built.await_stable()
         yield built
 
@@ -186,6 +181,44 @@ class TestProcHttpPlane:
         # Partition onset and heal were recorded as reachability events.
         reachable = [e for e in events if e["event"] == "reachable"]
         assert any(e["peers"] == [0, 1] for e in reachable)
+
+    def test_an_isolated_node_records_a_refused_put_like_a_store_cluster(
+        self, cluster
+    ):
+        from repro.app.replicated_store import NotPrimaryError
+        from repro.service.cluster import StoreCluster
+
+        statuses = cluster.statuses()
+        assert all("store" in status for status in statuses.values())
+        # Isolate node 2: it leaves the primary, so its write is refused.
+        cluster.apply_stage(((0, 1), (2,)))
+        try:
+            outcome = cluster.await_stable()
+            assert outcome.primaries == (0, 1)
+            accepted, reason = cluster.put(2, "fenced", 1, trace="t-fenced")
+            assert not accepted and "not in the primary" in reason
+            events = cluster.node_telemetry(2)["events"]
+        finally:
+            cluster.apply_stage(((0, 1, 2),))
+            cluster.await_stable()
+        refused = [
+            event for event in events
+            if event["event"] == "store_put" and event["key"] == "fenced"
+        ]
+        assert len(refused) == 1 and refused[0]["accepted"] is False
+        assert refused[0]["trace"] == "t-fenced"
+
+        memory = StoreCluster(3, record_flight=True)
+        memory.warm_up()
+        memory.apply_stage(((0, 1), (2,)))
+        memory.warm_up()
+        with pytest.raises(NotPrimaryError):
+            memory.put(2, "fenced", 1, trace="t-fenced")
+        (in_process,) = [
+            event for event in memory.recorders[2].snapshot()["events"]
+            if event["event"] == "store_put"
+        ]
+        assert set(refused[0]) == set(in_process)
 
 
 class TestCrashDump:
